@@ -20,15 +20,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSpace, UnlabeledPool, ValidationError
-from .synth import contradict_transform, entail_transform, neutral_transform
+from .synth import NLI_TRANSFORMS
 from .textmodel import (
     FeatureConfig,
-    FixedSteps,
     ModelParams,
     TrainConfig,
     evaluate,
     featurize_matrix,
     fit,
+    fixed_steps,
+    labeled_matrix,
     predict_proba_matrix,
 )
 
@@ -126,13 +127,6 @@ def to_text2text(aux_example: Example, include_reversed: bool = True) -> list[Te
     return pairs
 
 
-_RULE_TRANSFORMS = {
-    "entailment": entail_transform,
-    "contradiction": contradict_transform,
-    "neutral": neutral_transform,
-}
-
-
 def _normalize(text: str) -> str:
     return " ".join(text.split())
 
@@ -140,16 +134,16 @@ def _normalize(text: str) -> str:
 def _rule_based_candidates(
     spec: GeneratorSpec, label: str, sentence: str, rng: np.random.Generator
 ) -> list[str]:
-    if label not in _RULE_TRANSFORMS:
+    if label not in NLI_TRANSFORMS:
         raise ValidationError(f"rule-based generator has no transform for label {label!r}")
     words = sentence.split()
     out = []
     for _ in range(spec.samples_per_input):
         effective = label
         if spec.flip_rate and rng.random() < spec.flip_rate:
-            others = [l for l in _RULE_TRANSFORMS if l != label]
+            others = [l for l in NLI_TRANSFORMS if l != label]
             effective = others[int(rng.integers(0, len(others)))]
-        out.append(" ".join(_RULE_TRANSFORMS[effective](words, rng)))
+        out.append(" ".join(NLI_TRANSFORMS[effective](words, rng)))
     return out
 
 
@@ -305,18 +299,6 @@ def write_ta_jsonl(entries: Sequence[AugmentedExample], path: Union[str, Path]) 
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _budgeted_config(train_config: TrainConfig, steps: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=train_config.learning_rate,
-        batch_size=train_config.batch_size,
-        max_steps=steps,
-        l2=train_config.l2,
-        seed=train_config.seed,
-        lr_decay=train_config.lr_decay,
-        stopping=FixedSteps(total=steps, checkpoint_every=steps, average_last=1),
-    )
-
-
 def select_tau(
     classifier: ModelParams,
     generator: GeneratorSpec,
@@ -372,9 +354,8 @@ def select_tau(
         synthetic = ta_examples_to_dataset(entries, labels)
         tuned, _ = fit(
             classifier.copy(),
-            featurize_matrix(synthetic.examples, feature_config),
-            [ex.label for ex in synthetic.examples],
-            _budgeted_config(train_config, train_budget),
+            *labeled_matrix(synthetic, feature_config),
+            fixed_steps(train_config, train_budget),
         )
         score = evaluate(tuned, aux_dev, "accuracy", feature_config)
         if score > best_score:
@@ -424,12 +405,11 @@ def intermediate_finetune(
     if not have_synth and not have_orig:
         raise ValidationError("intermediate_finetune needs synthetic or original aux data")
 
-    config = _budgeted_config(train_config, train_config.max_steps)
+    config = fixed_steps(train_config, train_config.max_steps)
     params = init.copy()
 
     def run(dataset: Dataset, p: ModelParams) -> ModelParams:
-        x = featurize_matrix(dataset.examples, feature_config)
-        fitted, _ = fit(p, x, [ex.label for ex in dataset.examples], config)
+        fitted, _ = fit(p, *labeled_matrix(dataset, feature_config), config)
         return fitted
 
     if ta_config.two_stage:

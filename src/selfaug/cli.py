@@ -15,16 +15,15 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .augmentation import build_ta_examples, intermediate_finetune, select_tau, ta_examples_to_dataset, write_ta_jsonl
+from .augmentation import build_ta_examples, intermediate_finetune, ta_examples_to_dataset, write_ta_jsonl
 from .config import (
     ConfigValidationError,
     build_experiment_spec,
     build_feature_config,
-    build_generator_spec,
     build_st_config,
-    build_ta_config,
     build_task_spec,
     build_train_config,
     load_config,
@@ -40,6 +39,7 @@ from .corpus import (
     strip_labels,
 )
 from .harness import (
+    build_aux_artifacts,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
@@ -47,8 +47,8 @@ from .harness import (
     sweep_k,
 )
 from .selftrain import UnsupportedModeError, mix_pools, self_train
-from .synth import NLI_CLASSES, SynthSpec, synth_corpus
-from .textmodel import ModelParams, evaluate, init_params, train
+from .synth import NLI_CLASSES, synth_corpus
+from .textmodel import ModelParams, evaluate, init_params
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,60 +111,38 @@ def cmd_synth(config: dict, args) -> int:
 
 
 def cmd_augment(config: dict, args) -> int:
-    master_seed = config["experiment"]["master_seed"]
-    fc = build_feature_config(config)
-    tc = build_train_config(config)
-    ta_cfg = build_ta_config(config)
-    generator = build_generator_spec(config)
-    aug = config["augmentation"]
-
-    aux_seed = derive_seed(master_seed, "aux")
-    aux_train = synth_corpus(SynthSpec("pair-overlap-nli", name="aux-train"), aug["aux_train_size"], aux_seed)
-    aux_dev = synth_corpus(SynthSpec("pair-overlap-nli", name="aux-dev"), aug["aux_dev_size"], aux_seed + 1)
-    classifier, _ = train(
-        init_params(aux_train.label_space, fc), aux_train,
-        build_train_config({**config, "model": {**config["model"], "stopping": "fixed_steps",
-                                                "fixed_total": config["model"]["max_steps"],
-                                                "checkpoint_every": config["model"]["max_steps"],
-                                                "average_last": 1}}),
-        feature_config=fc,
-    )
-
-    if aug["tau"] is not None:
-        tau = aug["tau"]
-    else:
-        tau = select_tau(
-            classifier, generator, aux_dev, list(aug["tau_grid"]), aug["tau_budget"],
-            derive_seed(master_seed, "tau"), feature_config=fc, train_config=tc,
-        )
+    spec = build_experiment_spec(config)
+    master_seed = spec.master_seed
+    fc = spec.feature_config
+    aux = build_aux_artifacts(spec)
 
     corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))
     pool = strip_labels(corpus)
-    if aug["ta_pool_limit"] and len(pool) > aug["ta_pool_limit"]:
-        pool = UnlabeledPool(pool.source_name, pool.examples[: aug["ta_pool_limit"]])
+    if spec.ta_pool_limit and len(pool) > spec.ta_pool_limit:
+        pool = UnlabeledPool(pool.source_name, pool.examples[: spec.ta_pool_limit])
 
     entries = build_ta_examples(
-        pool, generator, classifier, tau, list(NLI_CLASSES),
+        pool, spec.generator, aux.classifier, aux.tau, list(NLI_CLASSES),
         derive_seed(master_seed, "ta-data"), feature_config=fc,
     )
     synthetic = ta_examples_to_dataset(entries, list(NLI_CLASSES))
     f0 = intermediate_finetune(
-        init_params(aux_train.label_space, fc), synthetic, aux_train,
-        corpus.label_space, ta_cfg, tc, feature_config=fc,
+        init_params(aux.aux_train.label_space, fc), synthetic, aux.aux_train,
+        corpus.label_space, spec.ta_config, spec.train_config, feature_config=fc,
     )
-    aux_dev_score = evaluate(classifier, aux_dev, "accuracy", fc)
+    aux_dev_score = evaluate(aux.classifier, aux.aux_dev, "accuracy", fc)
 
     out_dir = Path(args.out or "augment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_ta_jsonl(entries, out_dir / "synthetic.jsonl")
     f0.save(out_dir / "f0.model")
-    summary = {"tau": tau, "synthetic_count": len(entries), "aux_dev_accuracy": aux_dev_score}
+    summary = {"tau": aux.tau, "synthetic_count": len(entries), "aux_dev_accuracy": aux_dev_score}
     (out_dir / "augment.json").write_text(
         json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8"
     )
     if not args.quiet:
         print(
-            f"augment: {len(entries)} synthetic examples, tau={tau}, "
+            f"augment: {len(entries)} synthetic examples, tau={aux.tau}, "
             f"aux-dev accuracy={aux_dev_score:.3f}"
         )
     return EXIT_OK
@@ -176,16 +154,12 @@ def cmd_selftrain(config: dict, args) -> int:
     tc = build_train_config(config)
     st_cfg = build_st_config(config)
     if args.max_iterations is not None:
-        from dataclasses import replace as dc_replace
-
-        st_cfg = dc_replace(st_cfg, max_iterations=args.max_iterations)
+        st_cfg = replace(st_cfg, max_iterations=args.max_iterations)
     if args.mode is not None:
-        from dataclasses import replace as dc_replace
-
-        st_cfg = dc_replace(
+        st_cfg = replace(
             st_cfg,
             mode={"broad": "broad", "confidence-filter": "confidence_filtering"}[args.mode],
-            cf_batch=args.batch if args.batch else st_cfg.cf_batch,
+            cf_batch=st_cfg.cf_batch if args.batch is None else args.batch,
         )
 
     f0 = ModelParams.load(args.f0)

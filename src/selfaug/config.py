@@ -232,11 +232,14 @@ def build_ta_config(config: Mapping) -> TAConfig:
 
 def build_st_config(config: Mapping) -> SelfTrainConfig:
     st = config["self_training"]
+    finetune = st["final_finetune_on_l"]
+    if isinstance(finetune, bool):  # YAML reads a bare on/off as a boolean
+        finetune = "on" if finetune else "off"
     return SelfTrainConfig(
         max_iterations=st["max_iterations"],
         agreement_threshold=st["agreement_threshold"],
         agreement_patience=st["agreement_patience"],
-        final_finetune_on_l=st["final_finetune_on_l"],
+        final_finetune_on_l=finetune,
         drop_lowest_confidence_fraction=st["drop_lowest_confidence_fraction"],
         mode=st["mode"],
         cf_batch=st["batch"],

@@ -34,21 +34,15 @@ from .corpus import (
     sample_regime,
     strip_labels,
 )
-from .selftrain import (
-    SelfTrainConfig,
-    SelfTrainResult,
-    confidence_filter_selftrain,
-    mix_pools,
-    self_train,
-)
+from .selftrain import SelfTrainConfig, SelfTrainResult, mix_pools, self_train
 from .synth import NLI_CLASSES, SynthSpec, synth_corpus
 from .textmodel import (
     EarlyStop,
     FeatureConfig,
-    FixedSteps,
     ModelParams,
     TrainConfig,
     evaluate,
+    fixed_steps,
     init_params,
     train,
 )
@@ -209,7 +203,7 @@ class RunReport:
 
 
 @dataclass
-class _AuxArtifacts:
+class AuxArtifacts:
     """Per-experiment auxiliary-task assets, shared across restarts."""
 
     aux_train: Dataset
@@ -218,12 +212,8 @@ class _AuxArtifacts:
     tau: float
 
 
-def _no_dev_config(tc: TrainConfig, seed: int) -> TrainConfig:
-    steps = tc.max_steps
-    return replace(tc, seed=seed, stopping=FixedSteps(steps, steps, 1))
-
-
-def _build_aux_artifacts(spec: ExperimentSpec) -> _AuxArtifacts:
+def build_aux_artifacts(spec: ExperimentSpec) -> AuxArtifacts:
+    """Synthesize the auxiliary NLI sets, train their classifier, settle tau."""
     aux_seed = derive_seed(spec.master_seed, "aux")
     aux_train = synth_corpus(
         SynthSpec("pair-overlap-nli", name="aux-train"), spec.aux_train_size, aux_seed
@@ -232,10 +222,11 @@ def _build_aux_artifacts(spec: ExperimentSpec) -> _AuxArtifacts:
         SynthSpec("pair-overlap-nli", name="aux-dev"), spec.aux_dev_size, aux_seed + 1
     )
     clf_init = init_params(aux_train.label_space, spec.feature_config)
+    clf_config = replace(spec.train_config, seed=derive_seed(spec.master_seed, "aux-clf"))
     classifier, _ = train(
         clf_init,
         aux_train,
-        _no_dev_config(spec.train_config, derive_seed(spec.master_seed, "aux-clf")),
+        fixed_steps(clf_config, clf_config.max_steps),
         feature_config=spec.feature_config,
     )
     if spec.tau is not None:
@@ -256,11 +247,11 @@ def _build_aux_artifacts(spec: ExperimentSpec) -> _AuxArtifacts:
             feature_config=spec.feature_config,
             train_config=spec.train_config,
         )
-    return _AuxArtifacts(aux_train=aux_train, aux_dev=aux_dev, classifier=classifier, tau=tau)
+    return AuxArtifacts(aux_train=aux_train, aux_dev=aux_dev, classifier=classifier, tau=tau)
 
 
 def _ta_base_model(
-    spec: ExperimentSpec, split: RegimeSplit, aux: _AuxArtifacts, seed: int
+    spec: ExperimentSpec, split: RegimeSplit, aux: AuxArtifacts, seed: int
 ) -> ModelParams:
     pool = split.pool
     if spec.ta_pool_limit and len(pool) > spec.ta_pool_limit:
@@ -280,7 +271,7 @@ def _ta_base_model(
         aux.aux_train if spec.ta_config.include_original_aux else None,
         split.train.label_space,
         spec.ta_config,
-        _no_dev_config(spec.train_config, seed),
+        replace(spec.train_config, seed=seed),
         feature_config=spec.feature_config,
     )
 
@@ -312,7 +303,7 @@ def _run_arm(
     spec: ExperimentSpec,
     arm: str,
     split: RegimeSplit,
-    aux: Optional[_AuxArtifacts],
+    aux: Optional[AuxArtifacts],
     restart: int,
     gold: Mapping[str, Any],
 ) -> tuple[float, Optional[list[dict]]]:
@@ -335,27 +326,19 @@ def _run_arm(
         f0 = _ta_base_model(spec, split, aux, derive_seed(spec.master_seed, restart, "ta-data"))
         return _finetune_and_score(spec, f0, split, seed), None
 
-    if arm in ("st", "ta-st"):
+    if arm in ("st", "ta-st", "cf-st"):
         if arm == "ta-st":
             f0 = _ta_base_model(
                 spec, split, aux, derive_seed(spec.master_seed, restart, "ta-data")
             )
         else:
             f0 = init_params(target_space, fc)
-        pool = _effective_pool(spec, split, restart)
+        st_config = spec.st_config
+        if arm == "cf-st":
+            st_config = replace(st_config, mode="confidence_filtering")
         result = self_train(
-            f0, split.train, pool, dev=dev, test=split.test,
-            st_config=spec.st_config, train_config=tc,
-            feature_config=fc, metric=spec.metric, gold=gold,
-        )
-        score = evaluate(result.final_model, split.test, spec.metric, fc)
-        return score, result.per_iteration
-
-    if arm == "cf-st":
-        f0 = init_params(target_space, fc)
-        result = confidence_filter_selftrain(
-            f0, split.train, split.pool, dev=dev, test=split.test,
-            batch=spec.st_config.cf_batch, train_config=tc,
+            f0, split.train, _effective_pool(spec, split, restart), dev=dev, test=split.test,
+            st_config=st_config, train_config=tc,
             feature_config=fc, metric=spec.metric, gold=gold,
         )
         score = evaluate(result.final_model, split.test, spec.metric, fc)
@@ -402,7 +385,7 @@ def make_splits(spec: ExperimentSpec) -> list[RegimeSplit]:
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Execute every arm on identical per-restart splits and aggregate."""
     needs_aux = any(a in ("itft", "ta", "ta-st") for a in spec.arms)
-    aux = _build_aux_artifacts(spec) if needs_aux else None
+    aux = build_aux_artifacts(spec) if needs_aux else None
 
     splits = make_splits(spec)
     corpus_seed = derive_seed(spec.master_seed, "corpus")

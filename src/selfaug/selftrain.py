@@ -1,10 +1,10 @@
-"""Self-training loops over a fixed unlabeled pool.
+"""Self-training over a fixed unlabeled pool.
 
-Broad mode re-annotates the entire pool every iteration and trains each
-student from the base model on labeled + all pseudo-labeled examples. The
-confidence-filtering baseline instead moves a fixed-size batch of the most
-confident pseudo-labels permanently into the labeled set each iteration until
-the pool is exhausted.
+One loop, two selection policies. Broad mode re-annotates the entire pool
+every iteration and trains each student from the base model on labeled + all
+pseudo-labeled examples. The confidence-filtering baseline instead moves a
+fixed-size batch of the most confident pseudo-labels permanently into the
+labeled set each iteration until the pool is exhausted.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .textmodel import (
     _metric_on_matrix,
     featurize_matrix,
     fit,
+    labeled_matrix,
     predict_proba_matrix,
     predict_values_matrix,
 )
@@ -70,6 +71,15 @@ class SelfTrainConfig:
             raise ValidationError("max_iterations must be >= 1")
         if not (0 <= self.drop_lowest_confidence_fraction < 1):
             raise ValidationError("drop fraction must lie in [0, 1)")
+        if self.mode not in ("broad", "confidence_filtering"):
+            raise ValidationError(f"unknown self-training mode {self.mode!r}")
+        if self.final_finetune_on_l not in ("on", "off", "auto_by_dev"):
+            raise ValidationError(
+                f"final_finetune_on_l must be 'on', 'off' or 'auto_by_dev', "
+                f"not {self.final_finetune_on_l!r}"
+            )
+        if self.cf_batch < 1:
+            raise ValidationError("confidence-filtering batch must be >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -150,6 +160,11 @@ def _drop_lowest(pseudo: PseudoLabeledSet, fraction: float) -> list[int]:
     return [i for i in range(n) if i not in dropped]
 
 
+def _most_confident(conf: np.ndarray, remaining: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest confidences; ties go to the lower pool index."""
+    return np.lexsort((remaining, -conf))[:k]
+
+
 def self_train(
     f0: ModelParams,
     labeled: Dataset,
@@ -163,26 +178,34 @@ def self_train(
     metric: str = "accuracy",
     gold: Optional[Mapping[str, Label]] = None,
 ) -> SelfTrainResult:
-    """Broad-distribution self-training from the base model ``f0``.
+    """Self-training from the base model ``f0``.
 
-    Every iteration the current teacher re-annotates the whole pool, and a
-    fresh student is trained from ``f0`` on labeled + pseudo-labeled data.
-    Terminates on successive pseudo-label agreement (with patience) or at
-    ``max_iterations``. ``gold`` (id -> gold label) enables the pool
-    labeling-accuracy series.
+    Every iteration the current teacher pseudo-labels the pool and a fresh
+    student is trained from ``f0`` on labeled + pseudo-labeled data.
+    ``st_config.mode`` picks which pseudo-labels the student sees:
+
+    - ``broad`` re-annotates the whole pool (minus the optional
+      lowest-confidence fraction). It terminates on successive pseudo-label
+      agreement (with patience), on dev-metric patience, or at
+      ``max_iterations``.
+    - ``confidence_filtering`` moves the ``cf_batch`` most confident remaining
+      examples permanently into the labeled set with their labels frozen, and
+      ends when the pool is exhausted. It needs no dev set and never
+      fine-tunes on the labeled set.
+
+    ``gold`` (id -> gold label) enables the pool labeling-accuracy series.
     """
     st_config = st_config or SelfTrainConfig()
     train_config = train_config or TrainConfig(seed=seed)
     feature_config = feature_config or FeatureConfig()
-    if st_config.mode == "confidence_filtering":
-        return confidence_filter_selftrain(
-            f0, labeled, pool, dev, test, st_config.cf_batch, train_config, seed,
-            feature_config=feature_config, metric=metric, gold=gold,
-            st_config=st_config,
-        )
+    broad = st_config.mode == "broad"
+    if not broad and f0.head != "classification":
+        raise UnsupportedModeError("confidence filtering requires a classification head")
     if len(labeled) == 0 or len(pool) == 0:
         raise ValidationError("self_train requires nonempty labeled data and pool")
-    needs_dev = st_config.final_finetune_on_l == "auto_by_dev" or st_config.dev_patience
+    needs_dev = broad and (
+        st_config.final_finetune_on_l == "auto_by_dev" or st_config.dev_patience
+    )
     if needs_dev and (dev is None or len(dev) == 0):
         raise ValidationError(
             "a dev set is required for auto final fine-tuning or dev-metric patience"
@@ -190,24 +213,25 @@ def self_train(
     if f0.head == "regression" and st_config.drop_lowest_confidence_fraction > 0:
         raise ValidationError("confidence-based dropping is undefined for regression")
 
-    x_l = featurize_matrix(labeled.examples, feature_config)
-    y_l = [ex.label for ex in labeled.examples]
+    x_l, y_l = labeled_matrix(labeled, feature_config)
     x_pool = featurize_matrix(pool.examples, feature_config)
     pool_ids = pool.ids()
-    dev_pack = None
-    if dev is not None and len(dev) > 0:
-        dev_pack = (featurize_matrix(dev.examples, feature_config), [e.label for e in dev.examples])
-    test_pack = None
-    if test is not None and len(test) > 0:
-        test_pack = (featurize_matrix(test.examples, feature_config), [e.label for e in test.examples])
+    dev_pack = labeled_matrix(dev, feature_config)
+    test_pack = labeled_matrix(test, feature_config)
 
     f0_hash = f0.params_hash()
 
     teacher, _ = fit(f0.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
 
-    finetune_on_l: Optional[bool] = {
-        "on": True, "off": False, "auto_by_dev": None
-    }[st_config.final_finetune_on_l]
+    finetune_on_l: Optional[bool]
+    if broad:
+        finetune_on_l = {"on": True, "off": False, "auto_by_dev": None}[
+            st_config.final_finetune_on_l
+        ]
+        iterations = st_config.max_iterations
+    else:  # never fine-tunes on L; runs until the pool is exhausted
+        finetune_on_l = False
+        iterations = -(-len(pool_ids) // st_config.cf_batch)
 
     per_iteration: list[dict] = []
     prev_labels: Optional[list] = None
@@ -215,19 +239,40 @@ def self_train(
     converged_at = None
     best_dev = -np.inf
     dev_stall = 0
+    remaining = np.arange(len(pool_ids))
+    # Broad mode rebuilds these each iteration; confidence filtering only appends.
+    train_idx: list[int] = []
+    train_labels: list[Label] = []
 
-    for t in range(1, st_config.max_iterations + 1):
-        pseudo = _annotate_matrix(teacher, x_pool, pool_ids, iteration=t)
-        labels_now = pseudo.labels()
-        agreement = None
-        if prev_labels is not None:
-            agreement = sum(1 for a, b in zip(labels_now, prev_labels) if a == b) / len(labels_now)
-        prev_labels = labels_now
+    for t in range(1, iterations + 1):
+        if broad:
+            pseudo = _annotate_matrix(teacher, x_pool, pool_ids, iteration=t)
+            labels_now = pseudo.labels()
+            agreement = None
+            if prev_labels is not None:
+                agreement = sum(1 for a, b in zip(labels_now, prev_labels) if a == b) / len(labels_now)
+            prev_labels = labels_now
+            train_idx = _drop_lowest(pseudo, st_config.drop_lowest_confidence_fraction)
+            train_labels = [labels_now[i] for i in train_idx]
+        else:
+            probs = predict_proba_matrix(teacher, x_pool[remaining])
+            arg = np.argmax(probs, axis=1)
+            conf = probs[np.arange(len(remaining)), arg]
+            chosen = _most_confident(conf, remaining, st_config.cf_batch)
+            added_idx = remaining[chosen].tolist()
+            added_labels = [f0.label_space.classes[a] for a in arg[chosen]]
+            remaining = np.delete(remaining, chosen)
+            train_idx.extend(added_idx)
+            train_labels.extend(added_labels)
+            pseudo, agreement, batch_accuracy = None, None, None
+            if gold is not None:
+                hits = sum(
+                    1 for i, lab in zip(added_idx, added_labels) if gold.get(pool_ids[i]) == lab
+                )
+                batch_accuracy = hits / len(added_idx)
 
-        kept = _drop_lowest(pseudo, st_config.drop_lowest_confidence_fraction)
-        x_train = sp.vstack([x_l, x_pool[kept]], format="csr")
-        y_train = y_l + [labels_now[i] for i in kept]
-
+        x_train = sp.vstack([x_l, x_pool[train_idx]], format="csr")
+        y_train = y_l + train_labels
         student_init = f0.copy()
         student_init_hash = student_init.params_hash()
         student, _ = fit(student_init, x_train, y_train, train_config, dev=dev_pack, metric=metric)
@@ -243,6 +288,10 @@ def self_train(
         elif finetune_on_l:
             student, _ = fit(student.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
 
+        if not broad and gold is not None:
+            # Confidence filtering scores the new student's labels on the whole pool.
+            pseudo = _annotate_matrix(student, x_pool, pool_ids, iteration=t)
+
         record = {
             "iteration": t,
             "train_size": len(y_train),
@@ -252,9 +301,13 @@ def self_train(
             "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,
             "test_metric": _metric_on_matrix(student, *test_pack, metric) if test_pack else None,
         }
+        if not broad:
+            record.update(added=len(added_idx), added_batch_accuracy=batch_accuracy)
         per_iteration.append(record)
         teacher = student
 
+        if not broad:
+            continue
         if agreement is not None and agreement >= st_config.agreement_threshold:
             consec_agreement += 1
         else:
@@ -278,111 +331,7 @@ def self_train(
         converged_at=converged_at,
         config=st_config,
         f0_hash=f0_hash,
-        mode="broad",
-    )
-
-
-def confidence_filter_selftrain(
-    f0: ModelParams,
-    labeled: Dataset,
-    pool: UnlabeledPool,
-    dev: Optional[Dataset] = None,
-    test: Optional[Dataset] = None,
-    batch: int = 32,
-    train_config: Optional[TrainConfig] = None,
-    seed: int = 0,
-    feature_config: Optional[FeatureConfig] = None,
-    metric: str = "accuracy",
-    gold: Optional[Mapping[str, Label]] = None,
-    st_config: Optional[SelfTrainConfig] = None,
-) -> SelfTrainResult:
-    """Traditional confidence-filtering baseline.
-
-    Each iteration the current teacher labels the remaining pool, the
-    ``batch`` most confident examples move permanently into the labeled set
-    with their pseudo-labels frozen, and a new student trains from ``f0``.
-    Ends when the pool is exhausted.
-    """
-    if f0.head != "classification":
-        raise UnsupportedModeError("confidence filtering requires a classification head")
-    if batch < 1:
-        raise ValidationError("batch must be >= 1")
-    train_config = train_config or TrainConfig(seed=seed)
-    feature_config = feature_config or FeatureConfig()
-    st_config = st_config or SelfTrainConfig(mode="confidence_filtering", cf_batch=batch)
-
-    x_l = featurize_matrix(labeled.examples, feature_config)
-    y_l = [ex.label for ex in labeled.examples]
-    x_pool = featurize_matrix(pool.examples, feature_config)
-    pool_ids = pool.ids()
-    dev_pack = None
-    if dev is not None and len(dev) > 0:
-        dev_pack = (featurize_matrix(dev.examples, feature_config), [e.label for e in dev.examples])
-    test_pack = None
-    if test is not None and len(test) > 0:
-        test_pack = (featurize_matrix(test.examples, feature_config), [e.label for e in test.examples])
-
-    f0_hash = f0.params_hash()
-    teacher, _ = fit(f0.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
-    classes = f0.label_space.classes
-
-    remaining = list(range(len(pool_ids)))
-    frozen_idx: list[int] = []
-    frozen_labels: list[str] = []
-    per_iteration: list[dict] = []
-    t = 0
-    while remaining:
-        t += 1
-        probs = predict_proba_matrix(teacher, x_pool[remaining])
-        arg = np.argmax(probs, axis=1)
-        conf = probs[np.arange(len(remaining)), arg]
-        # Highest confidence first; ties break toward the lower pool index.
-        ranked = sorted(range(len(remaining)), key=lambda i: (-conf[i], remaining[i]))
-        chosen = ranked[:batch]
-        added_idx = [remaining[i] for i in chosen]
-        added_labels = [classes[arg[i]] for i in chosen]
-        frozen_idx.extend(added_idx)
-        frozen_labels.extend(added_labels)
-        remaining = [i for i in remaining if i not in set(added_idx)]
-
-        x_train = sp.vstack([x_l, x_pool[frozen_idx]], format="csr")
-        y_train = y_l + frozen_labels
-        student_init = f0.copy()
-        student_init_hash = student_init.params_hash()
-        student, _ = fit(student_init, x_train, y_train, train_config, dev=dev_pack, metric=metric)
-
-        batch_accuracy = None
-        pool_accuracy = None
-        if gold is not None:
-            hits = sum(
-                1 for i, lab in zip(added_idx, added_labels) if gold.get(pool_ids[i]) == lab
-            )
-            batch_accuracy = hits / len(added_idx)
-            full = _annotate_matrix(student, x_pool, pool_ids, iteration=t)
-            pool_accuracy = _labeling_accuracy(full, gold)
-
-        per_iteration.append(
-            {
-                "iteration": t,
-                "train_size": len(y_train),
-                "added": len(added_idx),
-                "added_batch_accuracy": batch_accuracy,
-                "pool_labeling_accuracy": pool_accuracy,
-                "agreement": None,
-                "student_init_hash": student_init_hash,
-                "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,
-                "test_metric": _metric_on_matrix(student, *test_pack, metric) if test_pack else None,
-            }
-        )
-        teacher = student
-
-    return SelfTrainResult(
-        final_model=teacher,
-        per_iteration=per_iteration,
-        converged_at=None,
-        config=st_config,
-        f0_hash=f0_hash,
-        mode="confidence_filtering",
+        mode=st_config.mode,
     )
 
 

@@ -145,7 +145,7 @@ def neutral_transform(words: list[str], rng: np.random.Generator) -> list[str]:
     return kept
 
 
-_NLI_TRANSFORMS = {
+NLI_TRANSFORMS = {
     "entailment": entail_transform,
     "contradiction": contradict_transform,
     "neutral": neutral_transform,
@@ -159,7 +159,7 @@ def _gen_pair_overlap_nli(spec: SynthSpec, size: int, seed: int, name: str) -> D
     for i in range(size):
         label = NLI_CLASSES[int(rng.integers(0, 3))]
         premise = make_premise(rng)
-        hypothesis = _NLI_TRANSFORMS[label](premise, rng)
+        hypothesis = NLI_TRANSFORMS[label](premise, rng)
         examples.append(
             Example(
                 id=f"{name}:{i}",

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence, Union
 
@@ -333,6 +333,15 @@ def _metric_on_matrix(
     return score_predictions(preds, gold_labels, metric)
 
 
+def labeled_matrix(
+    dataset: Optional[Dataset], config: FeatureConfig
+) -> Optional[tuple[sp.csr_matrix, list]]:
+    """``(features, labels)`` of a dataset, or None when it is absent or empty."""
+    if dataset is None or len(dataset) == 0:
+        return None
+    return featurize_matrix(dataset.examples, config), [ex.label for ex in dataset.examples]
+
+
 def evaluate(
     params: ModelParams,
     dataset: Dataset,
@@ -379,6 +388,11 @@ class TrainConfig:
     seed: int = 0
     lr_decay: float = 0.0
     stopping: Union[EarlyStop, FixedSteps] = field(default_factory=EarlyStop)
+
+
+def fixed_steps(config: TrainConfig, steps: int) -> TrainConfig:
+    """``config`` run for exactly ``steps`` SGD steps, keeping the last weights."""
+    return replace(config, max_steps=steps, stopping=FixedSteps(steps, steps, 1))
 
 
 def average_checkpoints(snapshots: Sequence[ModelParams]) -> ModelParams:
@@ -503,10 +517,5 @@ def train(
     if any(l is None for l in labels):
         raise ValidationError("train requires a fully labeled training set")
     x = featurize_matrix(train_set.examples, feature_config)
-    dev = None
-    if dev_set is not None and len(dev_set) > 0:
-        dev = (
-            featurize_matrix(dev_set.examples, feature_config),
-            [ex.label for ex in dev_set.examples],
-        )
+    dev = labeled_matrix(dev_set, feature_config)
     return fit(init, x, labels, config, dev=dev, metric=metric)

@@ -34,7 +34,7 @@ from selfaug.corpus import (
     strip_labels,
 )
 from selfaug.harness import ExperimentSpec, run_experiment
-from selfaug.selftrain import SelfTrainConfig, confidence_filter_selftrain, self_train
+from selfaug.selftrain import SelfTrainConfig, self_train
 from selfaug.synth import SynthSpec, synth_corpus
 from selfaug.textmodel import (
     FeatureConfig,
@@ -158,8 +158,9 @@ def test_criterion_04_broad_beats_confidence_filtering():
             st_config=SelfTrainConfig(max_iterations=12),
             train_config=tc, feature_config=HARNESS_FC, gold=gold,
         )
-        cf = confidence_filter_selftrain(
-            f0, split.train, split.pool, dev=split.dev, batch=32,
+        cf = self_train(
+            f0, split.train, split.pool, dev=split.dev,
+            st_config=SelfTrainConfig(mode="confidence_filtering", cf_batch=32),
             train_config=tc, feature_config=HARNESS_FC, gold=gold,
         )
         broad_series = [r["pool_labeling_accuracy"] for r in broad.per_iteration]

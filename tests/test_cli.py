@@ -5,9 +5,11 @@ import json
 import pytest
 
 from selfaug.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from selfaug.config import build_experiment_spec, load_config
 from selfaug.corpus import LabelSpace
+from selfaug.harness import build_aux_artifacts
 from selfaug.synth import NLI_CLASSES
-from selfaug.textmodel import FeatureConfig, init_params
+from selfaug.textmodel import FeatureConfig, evaluate, init_params
 
 SMALL = [
     "--set", "model.hash_dim=16384",
@@ -34,6 +36,18 @@ class TestValidate:
         assert payload["code"] == EXIT_VALIDATION
         assert "hash_dim" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "self_training.mode=bogus",
+            "self_training.final_finetune_on_l=sometimes",
+            "self_training.batch=0",
+        ],
+    )
+    def test_bad_self_training_value_exits_1(self, override, capsys):
+        assert main(["--set", override, "validate"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
     def test_validate_only_flag(self, capsys):
         assert main(["--validate-only", "synth"]) == EXIT_OK
         assert "config ok" in capsys.readouterr().out
@@ -57,16 +71,15 @@ class TestSynth:
 
 
 class TestAugment:
+    ARGS = SMALL + [
+        "--set", "augmentation.aux_train_size=120",
+        "--set", "augmentation.aux_dev_size=40",
+        "--set", "augmentation.ta_pool_limit=15",
+    ]
+
     def test_artifacts(self, tmp_path):
         out = tmp_path / "aug"
-        code = main(
-            SMALL + [
-                "--set", "augmentation.aux_train_size=120",
-                "--set", "augmentation.aux_dev_size=40",
-                "--set", "augmentation.ta_pool_limit=15",
-                "--out", str(out), "--quiet", "augment",
-            ]
-        )
+        code = main(self.ARGS + ["--out", str(out), "--quiet", "augment"])
         assert code == EXIT_OK
         summary = json.loads((out / "augment.json").read_text())
         assert summary["tau"] == 0.5
@@ -79,6 +92,15 @@ class TestAugment:
 
         f0 = ModelParams.load(out / "f0.model")
         assert f0.label_space.classes == ("pos", "neg")
+
+    def test_uses_the_experiment_aux_classifier(self, tmp_path):
+        out = tmp_path / "aug"
+        assert main(self.ARGS + ["--out", str(out), "--quiet", "augment"]) == EXIT_OK
+        summary = json.loads((out / "augment.json").read_text())
+        spec = build_experiment_spec(load_config(overrides=self.ARGS[1::2]))
+        aux = build_aux_artifacts(spec)
+        expected = evaluate(aux.classifier, aux.aux_dev, "accuracy", spec.feature_config)
+        assert summary["aux_dev_accuracy"] == expected
 
 
 class TestSelftrain:
@@ -120,6 +142,17 @@ class TestSelftrain:
         result = json.loads((out / "result.json").read_text())
         assert result["mode"] == "confidence_filtering"
         assert sum(r["added"] for r in result["per_iteration"]) == result["pool_size"]
+
+    def test_zero_batch_exits_1(self, tmp_path, capsys):
+        f0_path = self._save_f0(tmp_path)
+        code = main(
+            SMALL + [
+                "--quiet", "selftrain", "--f0", str(f0_path),
+                "--mode", "confidence-filter", "--batch", "0",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
 
     def test_label_space_mismatch_exits_1(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path, classes=NLI_CLASSES)
@@ -170,6 +203,19 @@ class TestExperiment:
         assert (out / "curve_aggregate.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "curve.csv" in manifest["files"]
+
+    def test_bare_off_finetune_runs_clean(self, tmp_path):
+        out = tmp_path / "exp"
+        args = SMALL + [
+            "--set", "experiment.arms=[st]",
+            "--set", "experiment.restarts=1",
+            "--set", "self_training.max_iterations=2",
+            "--set", "self_training.final_finetune_on_l=off",
+        ]
+        assert main(args + ["--out", str(out), "--quiet", "experiment"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert not report["partial"]
+        assert report["spec"]["st"]["final_finetune_on_l"] == "off"
 
     def test_report_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "exp"

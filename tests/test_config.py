@@ -99,6 +99,11 @@ class TestBuilders:
         assert st.mode == "confidence_filtering"
         assert st.cf_batch == 16
 
+    def test_st_config_yaml_booleans_map_to_on_off(self):
+        for value, expected in ((True, "on"), (False, "off")):
+            config = validate_config({"self_training": {"final_finetune_on_l": value}})
+            assert build_st_config(config).final_finetune_on_l == expected
+
     def test_full_experiment_spec(self):
         config = validate_config(
             {

@@ -10,6 +10,7 @@ from selfaug.harness import (
     ARM_NAMES,
     CoverageError,
     ExperimentSpec,
+    _effective_pool,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
@@ -159,6 +160,20 @@ class TestRunExperiment:
         assert len(scores) == 3
         agg = report.aggregate_csv().splitlines()
         assert agg[0] == "arm,mean,std"
+
+    def test_cf_st_uses_the_effective_pool(self):
+        spec = ExperimentSpec(
+            arms=("cf-st",),
+            **{**FAST, "restarts": 1, "st_config": SelfTrainConfig(cf_batch=64)},
+            ood_task=SynthSpec("keyword-sentiment", params={"noise_rate": 0.3}),
+            pool_mode="in_plus_out",
+        )
+        report = run_experiment(spec)
+        assert not report.partial
+        split = make_splits(spec)[0]
+        mixed = _effective_pool(spec, split, 0)
+        assert len(mixed) > len(split.pool)
+        assert sum(rec["added"] for rec in report.series["cf-st"][0]) == len(mixed)
 
     def test_timing_excluded_from_report(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)

@@ -18,8 +18,8 @@ from selfaug.selftrain import (
     SelfTrainConfig,
     UnsupportedModeError,
     _drop_lowest,
+    _most_confident,
     annotate_pool,
-    confidence_filter_selftrain,
     mix_pools,
     self_train,
 )
@@ -27,6 +27,10 @@ from selfaug.synth import SynthSpec, synth_corpus
 from selfaug.textmodel import FeatureConfig, FixedSteps, TrainConfig, init_params
 
 FC = FeatureConfig(hash_dim=2 ** 14)
+
+
+def _cf(batch):
+    return SelfTrainConfig(mode="confidence_filtering", cf_batch=batch)
 
 
 def _setup(corpus_size=320, seed=0, k=8):
@@ -67,6 +71,18 @@ class TestDropLowest:
             entries=(("a", "pos", 0.5), ("b", "neg", 0.5), ("c", "pos", 0.5), ("d", "neg", 0.9))
         )
         assert _drop_lowest(pseudo, 0.25) == [1, 2, 3]
+
+
+class TestMostConfident:
+    def test_matches_sorted_reference_with_ties(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            remaining = np.sort(rng.choice(200, size=n, replace=False))
+            conf = rng.choice([0.5, 0.6, 0.75, 0.9], size=n)  # many ties
+            k = int(rng.integers(1, n + 1))
+            reference = sorted(range(n), key=lambda i: (-conf[i], remaining[i]))[:k]
+            assert _most_confident(conf, remaining, k).tolist() == reference
 
 
 class TestBroadSelfTrain:
@@ -162,8 +178,8 @@ class TestConfidenceFiltering:
         corpus, split, f0 = _setup(corpus_size=320)
         gold = corpus.labels_by_id()
         batch = 32
-        result = confidence_filter_selftrain(
-            f0, split.train, split.pool, dev=split.dev, batch=batch,
+        result = self_train(
+            f0, split.train, split.pool, dev=split.dev, st_config=_cf(batch),
             train_config=TrainConfig(seed=0), feature_config=FC, gold=gold,
         )
         n_pool = len(split.pool)
@@ -180,25 +196,12 @@ class TestConfidenceFiltering:
 
     def test_students_restart_from_f0(self):
         corpus, split, f0 = _setup(corpus_size=280)
-        result = confidence_filter_selftrain(
-            f0, split.train, split.pool, dev=split.dev, batch=64,
+        result = self_train(
+            f0, split.train, split.pool, dev=split.dev, st_config=_cf(64),
             train_config=TrainConfig(seed=0), feature_config=FC,
         )
         f0_hash = f0.params_hash()
         assert all(rec["student_init_hash"] == f0_hash for rec in result.per_iteration)
-
-    def test_dispatch_through_self_train(self):
-        corpus, split, f0 = _setup(corpus_size=280)
-        via_mode = self_train(
-            f0, split.train, split.pool, dev=split.dev,
-            st_config=SelfTrainConfig(mode="confidence_filtering", cf_batch=64),
-            train_config=TrainConfig(seed=0), feature_config=FC,
-        )
-        direct = confidence_filter_selftrain(
-            f0, split.train, split.pool, dev=split.dev, batch=64,
-            train_config=TrainConfig(seed=0), feature_config=FC,
-        )
-        assert via_mode.final_model.to_bytes() == direct.final_model.to_bytes()
 
     def test_regression_head_unsupported(self):
         space = LabelSpace.continuous(0, 1)
@@ -206,14 +209,11 @@ class TestConfidenceFiltering:
         ds = Dataset("r", space, (Example(id="r:0", segment_a="x", label=0.5),))
         pool = UnlabeledPool("p", (Example(id="p:0", segment_a="y"),))
         with pytest.raises(UnsupportedModeError):
-            confidence_filter_selftrain(f0, ds, pool, feature_config=FC)
+            self_train(f0, ds, pool, st_config=_cf(32), feature_config=FC)
 
     def test_bad_batch_rejected(self):
-        corpus, split, f0 = _setup(corpus_size=280)
         with pytest.raises(ValidationError):
-            confidence_filter_selftrain(
-                f0, split.train, split.pool, dev=split.dev, batch=0, feature_config=FC
-            )
+            _cf(0)
 
 
 class TestMixPools:
