@@ -1,10 +1,10 @@
 """Auxiliary-task data augmentation.
 
-Reformats labeled sentence pairs to text-to-text form, overgenerates candidate
-hypotheses from unlabeled sentences with a pluggable generator, filters the
-candidates with an auxiliary-task classifier at a threshold tau, selects tau
-on an auxiliary dev set, and produces the intermediate-fine-tuned base model
-used downstream as the self-training starting point.
+Overgenerates candidate hypotheses from unlabeled sentences with a pluggable
+generator, filters the candidates with an auxiliary-task classifier at a
+threshold tau, selects tau on an auxiliary dev set, and produces the
+intermediate-fine-tuned base model used downstream as the self-training
+starting point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -33,8 +33,6 @@ from .textmodel import (
     predict_proba_matrix,
 )
 
-REVERSE_ENTAILMENT = "reverse-entailment"
-
 
 class AugmentationError(Exception):
     pass
@@ -42,13 +40,6 @@ class AugmentationError(Exception):
 
 class SelectionError(AugmentationError):
     """tau selection had no viable grid point."""
-
-
-@dataclass(frozen=True)
-class Text2TextPair:
-    control_label: str
-    input_text: str
-    target_text: str
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,6 @@ class GeneratorSpec:
 
     kind: str = "rule_based"  # "rule_based" | "external"
     samples_per_input: int = 100
-    top_k: int = 40  # advisory for stochastic external generators
     flip_rate: float = 0.0  # rule_based: probability of using a wrong-label transform
     command: Optional[str] = None  # external: shell command
 
@@ -90,41 +80,6 @@ class TAConfig:
             raise ValidationError("tau grid values must lie in (0, 1)")
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
             raise ValidationError("tau grid must be strictly increasing")
-
-
-def reversed_label(label: str) -> str:
-    """Label for the (sent_B -> sent_A) direction of a pair.
-
-    Contradiction and neutrality are symmetric relations; entailment in the
-    reverse direction gets its own tag.
-    """
-    if label == "entailment":
-        return REVERSE_ENTAILMENT
-    return label
-
-
-def to_text2text(aux_example: Example, include_reversed: bool = True) -> list[Text2TextPair]:
-    """Cast a labeled sentence pair into (label, sent_A) -> sent_B form."""
-    if aux_example.segment_b is None:
-        raise ValidationError(f"example {aux_example.id!r} has no second segment")
-    if not isinstance(aux_example.label, str):
-        raise ValidationError(f"example {aux_example.id!r} needs a categorical label")
-    pairs = [
-        Text2TextPair(
-            control_label=aux_example.label,
-            input_text=aux_example.segment_a,
-            target_text=aux_example.segment_b,
-        )
-    ]
-    if include_reversed:
-        pairs.append(
-            Text2TextPair(
-                control_label=reversed_label(aux_example.label),
-                input_text=aux_example.segment_b,
-                target_text=aux_example.segment_a,
-            )
-        )
-    return pairs
 
 
 def _normalize(text: str) -> str:
@@ -155,8 +110,11 @@ def _external_candidates(spec: GeneratorSpec, label: str, sentence: str) -> list
         stdout=subprocess.PIPE,
         text=True,
     )
-    request = f"{label}\t{sentence}\n"
-    stdout, _ = proc.communicate(request)
+    stdout, _ = proc.communicate(f"{label}\t{sentence}\n")
+    if proc.returncode != 0:
+        raise AugmentationError(
+            f"generator command {spec.command!r} exited with status {proc.returncode}"
+        )
     lines = []
     for line in stdout.splitlines():
         if not line.strip():
@@ -238,7 +196,9 @@ def build_ta_examples(
     """Generate-then-filter over every (pool sentence, label) combination.
 
     Per-sentence seeds are derived by stable hashing so the output is
-    independent of iteration order.
+    independent of iteration order. With ``tau=0.0`` every candidate the
+    classifier labels as intended is kept, since its confidence is at least
+    1/num_classes; a higher threshold keeps the subset with confidence > tau.
     """
     out = []
     for ex in pool.examples:
@@ -266,36 +226,8 @@ def ta_examples_to_dataset(
     return Dataset(name=name, label_space=space, examples=examples)
 
 
-def build_ta_dataset(
-    pool: UnlabeledPool,
-    generator: GeneratorSpec,
-    classifier: ModelParams,
-    tau: float,
-    labels: Sequence[str],
-    seed: int,
-    feature_config: Optional[FeatureConfig] = None,
-) -> Dataset:
-    entries = build_ta_examples(
-        pool, generator, classifier, tau, labels, seed, feature_config
-    )
-    return ta_examples_to_dataset(entries, labels)
-
-
 def write_ta_jsonl(entries: Sequence[AugmentedExample], path: Union[str, Path]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "premise": e.premise,
-                "hypothesis": e.hypothesis,
-                "label": e.label,
-                "source_id": e.source_id,
-                "filter_confidence": e.filter_confidence,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for e in entries
-    ]
+    lines = [json.dumps(asdict(e), sort_keys=True, ensure_ascii=False) for e in entries]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -312,10 +244,11 @@ def select_tau(
 ) -> float:
     """Pick the filtering threshold with the best auxiliary dev accuracy.
 
-    For each grid point a synthetic set is built (from ``pool`` sentences, or
-    the aux dev premises when no pool is given), a copy of the classifier is
-    fine-tuned on it under the step budget, and dev accuracy decides. Ties go
-    to the smallest threshold.
+    Candidates are generated (from ``pool`` sentences, or the aux dev
+    premises when no pool is given) and scored once; each grid point keeps
+    the scored candidates above its threshold, a copy of the classifier is
+    fine-tuned on them under the step budget, and dev accuracy decides. Ties
+    go to the smallest threshold.
     """
     if not grid:
         raise ValidationError("tau grid must be nonempty")
@@ -329,26 +262,14 @@ def select_tau(
         )
         pool = UnlabeledPool(source_name="aux-dev-premises", examples=sources)
 
-    # The generator output is tau-independent; build once and re-filter.
-    per_source = []
-    for ex in pool.examples:
-        for label in labels:
-            candidates = generate_candidates(
-                generator, label, ex.segment_a, _sentence_seed(seed, f"{ex.id}:{label}")
-            )
-            per_source.append((ex, label, candidates))
+    scored = build_ta_examples(
+        pool, generator, classifier, 0.0, labels, seed, feature_config=feature_config
+    )
 
     best_tau = None
     best_score = -np.inf
     for tau in grid:
-        entries = []
-        for ex, label, candidates in per_source:
-            entries.extend(
-                filter_candidates(
-                    classifier, ex.segment_a, candidates, label, tau,
-                    feature_config=feature_config, source_id=ex.id,
-                )
-            )
+        entries = [e for e in scored if e.filter_confidence > tau]
         if not entries:
             continue
         synthetic = ta_examples_to_dataset(entries, labels)
@@ -397,12 +318,15 @@ def intermediate_finetune(
 
     Two-stage mode trains on the synthetic set first and continues on the
     original auxiliary set; single-stage trains on their concatenation. The
-    result is the base model every self-training student restarts from.
+    original set is left out when ``include_original_aux`` is off, and no
+    data at all is an error. The result is the base model every
+    self-training student restarts from.
     """
     feature_config = feature_config or FeatureConfig()
-    have_synth = synthetic is not None and len(synthetic) > 0
-    have_orig = original_aux is not None and len(original_aux) > 0
-    if not have_synth and not have_orig:
+    if not ta_config.include_original_aux:
+        original_aux = None
+    datasets = [d for d in (synthetic, original_aux) if d is not None and len(d) > 0]
+    if not datasets:
         raise ValidationError("intermediate_finetune needs synthetic or original aux data")
 
     config = fixed_steps(train_config, train_config.max_steps)
@@ -413,24 +337,15 @@ def intermediate_finetune(
         return fitted
 
     if ta_config.two_stage:
-        if have_synth:
-            params = run(synthetic, params)
-        if have_orig and ta_config.include_original_aux:
-            params = run(original_aux, params)
+        for dataset in datasets:
+            params = run(dataset, params)
     else:
-        parts = []
-        if have_synth:
-            parts.extend(synthetic.examples)
-        if have_orig and ta_config.include_original_aux:
-            parts.extend(original_aux.examples)
-        if not parts:
-            parts = list(synthetic.examples if have_synth else original_aux.examples)
         merged = Dataset(
             "aux-merged",
-            (synthetic or original_aux).label_space,
+            datasets[0].label_space,
             tuple(
                 Example(id=f"aux:{i}", segment_a=e.segment_a, segment_b=e.segment_b, label=e.label)
-                for i, e in enumerate(parts)
+                for i, e in enumerate(e for d in datasets for e in d.examples)
             ),
         )
         params = run(merged, params)

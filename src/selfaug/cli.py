@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .augmentation import build_ta_examples, intermediate_finetune, ta_examples_to_dataset, write_ta_jsonl
+from .augmentation import write_ta_jsonl
 from .config import (
     ConfigValidationError,
     build_experiment_spec,
@@ -32,7 +32,6 @@ from .corpus import (
     CorpusError,
     Dataset,
     LabelSpace,
-    UnlabeledPool,
     load_dataset,
     sample_regime,
     save_dataset,
@@ -40,6 +39,7 @@ from .corpus import (
 )
 from .harness import (
     build_aux_artifacts,
+    build_ta_base_model,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
@@ -47,8 +47,8 @@ from .harness import (
     sweep_k,
 )
 from .selftrain import UnsupportedModeError, mix_pools, self_train
-from .synth import NLI_CLASSES, synth_corpus
-from .textmodel import ModelParams, evaluate, init_params
+from .synth import synth_corpus
+from .textmodel import ModelParams, evaluate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -112,25 +112,13 @@ def cmd_synth(config: dict, args) -> int:
 
 def cmd_augment(config: dict, args) -> int:
     spec = build_experiment_spec(config)
-    master_seed = spec.master_seed
-    fc = spec.feature_config
     aux = build_aux_artifacts(spec)
-
-    corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))
-    pool = strip_labels(corpus)
-    if spec.ta_pool_limit and len(pool) > spec.ta_pool_limit:
-        pool = UnlabeledPool(pool.source_name, pool.examples[: spec.ta_pool_limit])
-
-    entries = build_ta_examples(
-        pool, spec.generator, aux.classifier, aux.tau, list(NLI_CLASSES),
-        derive_seed(master_seed, "ta-data"), feature_config=fc,
+    corpus = _load_task_corpus(config, derive_seed(spec.master_seed, "corpus"))
+    entries, f0 = build_ta_base_model(
+        spec, aux, strip_labels(corpus), corpus.label_space,
+        derive_seed(spec.master_seed, "ta-data"),
     )
-    synthetic = ta_examples_to_dataset(entries, list(NLI_CLASSES))
-    f0 = intermediate_finetune(
-        init_params(aux.aux_train.label_space, fc), synthetic, aux.aux_train,
-        corpus.label_space, spec.ta_config, spec.train_config, feature_config=fc,
-    )
-    aux_dev_score = evaluate(aux.classifier, aux.aux_dev, "accuracy", fc)
+    aux_dev_score = evaluate(aux.classifier, aux.aux_dev, "accuracy", spec.feature_config)
 
     out_dir = Path(args.out or "augment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,10 +145,10 @@ def cmd_selftrain(config: dict, args) -> int:
         st_cfg = replace(st_cfg, max_iterations=args.max_iterations)
     if args.mode is not None:
         st_cfg = replace(
-            st_cfg,
-            mode={"broad": "broad", "confidence-filter": "confidence_filtering"}[args.mode],
-            cf_batch=st_cfg.cf_batch if args.batch is None else args.batch,
+            st_cfg, mode={"broad": "broad", "confidence-filter": "confidence_filtering"}[args.mode]
         )
+    if args.batch is not None:
+        st_cfg = replace(st_cfg, cf_batch=args.batch)
 
     f0 = ModelParams.load(args.f0)
     corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))

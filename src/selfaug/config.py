@@ -47,7 +47,6 @@ SCHEMA: dict[str, dict[str, Any]] = {
     "generator": {
         "kind": "rule_based",
         "samples_per_input": 4,
-        "top_k": 40,
         "flip_rate": 0.0,
         "command": None,
     },
@@ -215,7 +214,6 @@ def build_generator_spec(config: Mapping) -> GeneratorSpec:
     return GeneratorSpec(
         kind=gen["kind"],
         samples_per_input=gen["samples_per_input"],
-        top_k=gen["top_k"],
         flip_rate=gen["flip_rate"],
         command=gen["command"],
     )

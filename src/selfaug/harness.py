@@ -17,12 +17,14 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from .augmentation import (
+    AugmentedExample,
     GeneratorSpec,
     TAConfig,
-    build_ta_dataset,
+    build_ta_examples,
     intermediate_finetune,
     select_tau,
     swap_head,
+    ta_examples_to_dataset,
 )
 from .corpus import (
     Dataset,
@@ -250,30 +252,31 @@ def build_aux_artifacts(spec: ExperimentSpec) -> AuxArtifacts:
     return AuxArtifacts(aux_train=aux_train, aux_dev=aux_dev, classifier=classifier, tau=tau)
 
 
-def _ta_base_model(
-    spec: ExperimentSpec, split: RegimeSplit, aux: AuxArtifacts, seed: int
-) -> ModelParams:
-    pool = split.pool
+def build_ta_base_model(
+    spec: ExperimentSpec,
+    aux: AuxArtifacts,
+    pool: UnlabeledPool,
+    target_space: LabelSpace,
+    seed: int,
+) -> tuple[list[AugmentedExample], ModelParams]:
+    """Task-augment the first ``ta_pool_limit`` pool sentences, then intermediate-fine-tune."""
     if spec.ta_pool_limit and len(pool) > spec.ta_pool_limit:
         pool = UnlabeledPool(pool.source_name, pool.examples[: spec.ta_pool_limit])
-    synthetic = build_ta_dataset(
-        pool,
-        spec.generator,
-        aux.classifier,
-        aux.tau,
-        list(NLI_CLASSES),
-        seed,
+    labels = list(NLI_CLASSES)
+    entries = build_ta_examples(
+        pool, spec.generator, aux.classifier, aux.tau, labels, seed,
         feature_config=spec.feature_config,
     )
-    return intermediate_finetune(
+    f0 = intermediate_finetune(
         init_params(aux.aux_train.label_space, spec.feature_config),
-        synthetic,
-        aux.aux_train if spec.ta_config.include_original_aux else None,
-        split.train.label_space,
+        ta_examples_to_dataset(entries, labels),
+        aux.aux_train,
+        target_space,
         spec.ta_config,
         replace(spec.train_config, seed=seed),
         feature_config=spec.feature_config,
     )
+    return entries, f0
 
 
 def _finetune_and_score(
@@ -313,38 +316,30 @@ def _run_arm(
     dev = split.dev if spec.dev_mode == "with_dev" else None
     tc = replace(spec.train_config, seed=seed)
 
-    if arm == "baseline":
-        return _finetune_and_score(spec, init_params(target_space, fc), split, seed), None
-
-    if arm == "itft":
+    if arm in ("baseline", "st", "cf-st"):
+        f0 = init_params(target_space, fc)
+    elif arm == "itft":
         # Generic intermediate fine-tuning on the auxiliary labeled set only.
-        aux_clf = aux.classifier
-        f0 = swap_head(aux_clf, target_space)
-        return _finetune_and_score(spec, f0, split, seed), None
-
-    if arm == "ta":
-        f0 = _ta_base_model(spec, split, aux, derive_seed(spec.master_seed, restart, "ta-data"))
-        return _finetune_and_score(spec, f0, split, seed), None
-
-    if arm in ("st", "ta-st", "cf-st"):
-        if arm == "ta-st":
-            f0 = _ta_base_model(
-                spec, split, aux, derive_seed(spec.master_seed, restart, "ta-data")
-            )
-        else:
-            f0 = init_params(target_space, fc)
-        st_config = spec.st_config
-        if arm == "cf-st":
-            st_config = replace(st_config, mode="confidence_filtering")
-        result = self_train(
-            f0, split.train, _effective_pool(spec, split, restart), dev=dev, test=split.test,
-            st_config=st_config, train_config=tc,
-            feature_config=fc, metric=spec.metric, gold=gold,
+        f0 = swap_head(aux.classifier, target_space)
+    else:  # ta, ta-st; ExperimentSpec has rejected any other arm name
+        _, f0 = build_ta_base_model(
+            spec, aux, split.pool, target_space,
+            derive_seed(spec.master_seed, restart, "ta-data"),
         )
-        score = evaluate(result.final_model, split.test, spec.metric, fc)
-        return score, result.per_iteration
 
-    raise ValidationError(f"unknown arm {arm!r}")
+    if arm in ("baseline", "itft", "ta"):
+        return _finetune_and_score(spec, f0, split, seed), None
+
+    st_config = spec.st_config
+    if arm == "cf-st":
+        st_config = replace(st_config, mode="confidence_filtering")
+    result = self_train(
+        f0, split.train, _effective_pool(spec, split, restart), dev=dev, test=split.test,
+        st_config=st_config, train_config=tc,
+        feature_config=fc, metric=spec.metric, gold=gold,
+    )
+    score = evaluate(result.final_model, split.test, spec.metric, fc)
+    return score, result.per_iteration
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> sp.c
 # ---------------------------------------------------------------------------
 
 
+_SNAPSHOT_KEYS = frozenset({"version", "head", "label_space", "num_outputs", "hash_dim", "dtype"})
+
+
 @dataclass
 class ModelParams:
     """Weight matrix + bias; immutable by convention once trained."""
@@ -147,17 +150,39 @@ class ModelParams:
 
     @staticmethod
     def from_bytes(blob: bytes) -> "ModelParams":
+        """Parse a ``to_bytes`` snapshot; any malformed blob raises ValidationError."""
         header_raw, _, payload = blob.partition(b"\n")
-        header = json.loads(header_raw.decode("utf-8"))
-        if header.get("version") != 1:
-            raise ValidationError(f"unsupported snapshot version {header.get('version')!r}")
+        try:
+            header = json.loads(header_raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ValidationError(f"snapshot header is not JSON: {exc}") from None
+        if not isinstance(header, dict) or set(header) != _SNAPSHOT_KEYS:
+            raise ValidationError(
+                f"snapshot header must be an object with keys {sorted(_SNAPSHOT_KEYS)}"
+            )
+        if header["version"] != 1:
+            raise ValidationError(f"unsupported snapshot version {header['version']!r}")
+        if header["dtype"] != "<f8":
+            raise ValidationError(f"unsupported snapshot dtype {header['dtype']!r}")
+        if header["head"] not in ("classification", "regression"):
+            raise ValidationError(f"unknown snapshot head {header['head']!r}")
         c, d = header["num_outputs"], header["hash_dim"]
-        w_bytes = c * d * 8
-        weights = np.frombuffer(payload[:w_bytes], dtype="<f8").reshape(c, d).copy()
-        bias = np.frombuffer(payload[w_bytes : w_bytes + c * 8], dtype="<f8").copy()
-        return ModelParams(
-            weights, bias, header["head"], LabelSpace.from_json(header["label_space"])
-        )
+        if not all(type(n) is int and n >= 1 for n in (c, d)):
+            raise ValidationError("snapshot num_outputs and hash_dim must be positive integers")
+        if len(payload) != (c * d + c) * 8:
+            raise ValidationError(
+                f"snapshot payload is {len(payload)} bytes, expected {(c * d + c) * 8}"
+            )
+        try:
+            label_space = LabelSpace.from_json(header["label_space"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed snapshot label space: {exc!r}") from None
+        weights = np.frombuffer(payload[: c * d * 8], dtype="<f8").reshape(c, d).copy()
+        bias = np.frombuffer(payload[c * d * 8 :], dtype="<f8").copy()
+        try:
+            return ModelParams(weights, bias, header["head"], label_space)
+        except NumericError as exc:
+            raise ValidationError(f"snapshot: {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_bytes(self.to_bytes())

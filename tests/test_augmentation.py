@@ -6,19 +6,19 @@ import sys
 import numpy as np
 import pytest
 
+import selfaug.augmentation as augmentation
 from selfaug.augmentation import (
-    REVERSE_ENTAILMENT,
+    AugmentationError,
     GeneratorSpec,
     SelectionError,
     TAConfig,
-    build_ta_dataset,
+    build_ta_examples,
     filter_candidates,
     generate_candidates,
     intermediate_finetune,
-    reversed_label,
     select_tau,
     swap_head,
-    to_text2text,
+    ta_examples_to_dataset,
     write_ta_jsonl,
 )
 from selfaug.corpus import Example, LabelSpace, UnlabeledPool, ValidationError
@@ -46,26 +46,6 @@ def nli_classifier():
 @pytest.fixture(scope="module")
 def aux_dev():
     return synth_corpus(SynthSpec("pair-overlap-nli", name="aux-dev"), 40, 1)
-
-
-class TestText2Text:
-    def test_reversed_entailment_gets_its_own_tag(self):
-        assert reversed_label("entailment") == REVERSE_ENTAILMENT
-        assert reversed_label("contradiction") == "contradiction"
-        assert reversed_label("neutral") == "neutral"
-
-    def test_pair_and_reverse(self):
-        ex = Example(id="x", segment_a="a premise", segment_b="a hypothesis", label="entailment")
-        pairs = to_text2text(ex)
-        assert len(pairs) == 2
-        assert pairs[0].control_label == "entailment"
-        assert pairs[0].input_text == "a premise"
-        assert pairs[1].control_label == REVERSE_ENTAILMENT
-        assert pairs[1].input_text == "a hypothesis"
-
-    def test_single_segment_rejected(self):
-        with pytest.raises(ValidationError):
-            to_text2text(Example(id="x", segment_a="only one", label="neutral"))
 
 
 class TestGeneratorSpec:
@@ -125,6 +105,12 @@ class TestGenerateCandidates:
         out = generate_candidates(spec, "entailment", "base sentence", 0)
         assert out == ["base sentence variant 0", "base sentence variant 1"]
 
+    def test_external_nonzero_exit_raises(self):
+        command = f'{sys.executable} -c "import sys; sys.exit(3)"'
+        spec = GeneratorSpec(kind="external", command=command)
+        with pytest.raises(AugmentationError, match="exited with status 3"):
+            generate_candidates(spec, "entailment", "base sentence", 0)
+
 
 class TestFilterCandidates:
     def test_kept_subset_reverifies(self, nli_classifier):
@@ -171,8 +157,12 @@ class TestBuildTaDataset:
             ),
         )
         gen = GeneratorSpec(samples_per_input=10)
-        a = build_ta_dataset(pool, gen, nli_classifier, 0.4, list(NLI_CLASSES), 0, FC)
-        b = build_ta_dataset(pool, gen, nli_classifier, 0.4, list(NLI_CLASSES), 0, FC)
+
+        def build():
+            entries = build_ta_examples(pool, gen, nli_classifier, 0.4, list(NLI_CLASSES), 0, FC)
+            return ta_examples_to_dataset(entries, list(NLI_CLASSES))
+
+        a, b = build(), build()
         assert a.to_jsonl() == b.to_jsonl()
         assert set(ex.label for ex in a) <= set(NLI_CLASSES)
         assert len(a) > 0
@@ -208,6 +198,23 @@ class TestSelectTau:
         tau_b = select_tau(seed=9, **kwargs)
         assert tau_a == tau_b
         assert tau_a in grid
+
+    @pytest.mark.parametrize("grid", [[0.5], [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]])
+    def test_scores_each_candidate_once(self, nli_classifier, aux_dev, monkeypatch, grid):
+        calls = []
+        real = augmentation.filter_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(augmentation, "filter_candidates", counting)
+        select_tau(
+            nli_classifier, GeneratorSpec(samples_per_input=4), aux_dev, grid, 10, 0,
+            feature_config=FC,
+        )
+        # One call per (source, label), whatever the grid length.
+        assert len(calls) == len(aux_dev) * len(NLI_CLASSES)
 
     def test_empty_grid_rejected(self, nli_classifier, aux_dev):
         with pytest.raises(ValidationError):
@@ -279,4 +286,11 @@ class TestIntermediateFinetune:
         with pytest.raises(ValidationError):
             intermediate_finetune(
                 init, None, None, binary_space, TAConfig(), TrainConfig(), feature_config=FC
+            )
+        # An excluded original set does not stand in for missing synthetic data.
+        orig = synth_corpus(SynthSpec("pair-overlap-nli"), 20, 4)
+        single_stage = TAConfig(two_stage=False, include_original_aux=False)
+        with pytest.raises(ValidationError):
+            intermediate_finetune(
+                init, None, orig, binary_space, single_stage, TrainConfig(), feature_config=FC
             )

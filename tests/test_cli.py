@@ -48,6 +48,10 @@ class TestValidate:
         assert main(["--set", override, "validate"]) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
 
+    def test_generator_top_k_is_an_unknown_key(self, capsys):
+        assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
+        assert "top_k" in _last_stderr_json(capsys)["message"]
+
     def test_validate_only_flag(self, capsys):
         assert main(["--validate-only", "synth"]) == EXIT_OK
         assert "config ok" in capsys.readouterr().out
@@ -92,6 +96,18 @@ class TestAugment:
 
         f0 = ModelParams.load(out / "f0.model")
         assert f0.label_space.classes == ("pos", "neg")
+
+    def test_no_aux_data_exits_1(self, tmp_path, capsys):
+        # tau=1 keeps no candidate, and the original aux set is excluded.
+        out = tmp_path / "aug"
+        args = self.ARGS + [
+            "--set", "augmentation.tau=1.0",
+            "--set", "augmentation.two_stage=false",
+            "--set", "augmentation.include_original_aux=false",
+        ]
+        assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        assert not (out / "f0.model").exists()
 
     def test_uses_the_experiment_aux_classifier(self, tmp_path):
         out = tmp_path / "aug"
@@ -145,14 +161,27 @@ class TestSelftrain:
 
     def test_zero_batch_exits_1(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path)
-        code = main(
-            SMALL + [
-                "--quiet", "selftrain", "--f0", str(f0_path),
-                "--mode", "confidence-filter", "--batch", "0",
-            ]
+        # --batch applies with or without --mode.
+        for mode_args in (["--mode", "confidence-filter"], []):
+            code = main(
+                SMALL + [
+                    "--quiet", "selftrain", "--f0", str(f0_path),
+                    *mode_args, "--batch", "0", "--max-iterations", "1",
+                ]
+            )
+            assert code == EXIT_VALIDATION
+            assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("damage", ["trailing", "truncated", "garbage"])
+    def test_malformed_model_exits_1(self, tmp_path, capsys, damage):
+        f0_path = self._save_f0(tmp_path)
+        blob = f0_path.read_bytes()
+        f0_path.write_bytes(
+            {"trailing": blob + b"\0" * 8, "truncated": blob[:-8], "garbage": b"not a model"}[damage]
         )
+        code = main(SMALL + ["--quiet", "selftrain", "--f0", str(f0_path)])
         assert code == EXIT_VALIDATION
-        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        assert "snapshot" in _last_stderr_json(capsys)["message"]
 
     def test_label_space_mismatch_exits_1(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path, classes=NLI_CLASSES)

@@ -106,6 +106,62 @@ class TestModelParams:
         assert params.num_outputs == 1
 
 
+SNAPSHOT = ModelParams(
+    np.random.default_rng(0).normal(size=(2, 8)),
+    np.array([0.5, -0.5]),
+    "classification",
+    LabelSpace.categorical(("pos", "neg")),
+).to_bytes()
+HEADER, _, PAYLOAD = SNAPSHOT.partition(b"\n")
+
+
+def _with_header(old: bytes, new: bytes) -> bytes:
+    return HEADER.replace(old, new) + b"\n" + PAYLOAD
+
+
+MALFORMED = {
+    "trailing-bytes": SNAPSHOT + b"\0" * 8,
+    "truncated-payload": SNAPSHOT[:-8],
+    "truncated-header": SNAPSHOT[:40],
+    "garbage": b"garbage \xff\xfe",
+    "header-not-object": b"[1, 2]\n",
+    "dtype": _with_header(b'"<f8"', b'"<f4"'),
+    "version": _with_header(b'"version": 1', b'"version": 2'),
+    "head": _with_header(b'"head": "classification"', b'"head": "ranking"'),
+    "negative-hash-dim": _with_header(b'"hash_dim": 8', b'"hash_dim": -8'),
+    "missing-key": _with_header(b'"dtype": "<f8", ', b""),
+    "label-space": _with_header(b'"categorical"', b'"nominal"'),
+    "nan-parameters": HEADER + b"\n" + b"\xff" * len(PAYLOAD),
+}
+
+
+class TestSnapshotValidation:
+    @pytest.mark.parametrize("blob", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_rejected(self, blob):
+        with pytest.raises(ValidationError):
+            ModelParams.from_bytes(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, len(SNAPSHOT) - 1))
+    def test_any_truncation_rejected(self, cut):
+        with pytest.raises(ValidationError):
+            ModelParams.from_bytes(SNAPSHOT[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, len(SNAPSHOT) - 1), st.integers(0, 255)), max_size=4),
+        st.integers(0, len(SNAPSHOT)),
+    )
+    def test_mutated_blob_parses_or_raises_validation_error(self, edits, cut):
+        blob = bytearray(SNAPSHOT)
+        for i, byte in edits:
+            blob[i] = byte
+        try:
+            ModelParams.from_bytes(bytes(blob[:cut]))
+        except ValidationError:
+            pass
+
+
 class TestPredict:
     def test_argmax_tie_breaks_low_index(self, small_fc, binary_space):
         params = init_params(binary_space, small_fc)  # all-zero: exact tie
