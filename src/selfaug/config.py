@@ -145,6 +145,14 @@ def validate_config(raw: Mapping) -> dict:
     return config
 
 
+def _load_yaml(text: str, what: str) -> Any:
+    """``yaml.safe_load`` that raises every parse failure as ConfigValidationError."""
+    try:
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a date with month 13
+        raise ConfigValidationError(f"{what} is not valid YAML: {' '.join(str(exc).split())}") from None
+
+
 def parse_override(expr: str) -> tuple[str, str, Any]:
     """Parse a ``section.key=value`` override; values are YAML literals."""
     if "=" not in expr:
@@ -153,7 +161,7 @@ def parse_override(expr: str) -> tuple[str, str, Any]:
     if "." not in target:
         raise ConfigValidationError(f"override target {target!r} must be section.key")
     section, _, key = target.partition(".")
-    return section, key, yaml.safe_load(value)
+    return section, key, _load_yaml(value, f"override {target!r} value")
 
 
 def load_config(
@@ -164,7 +172,7 @@ def load_config(
     raw: dict = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
-        loaded = yaml.safe_load(text)
+        loaded = _load_yaml(text, f"config {path}")
         raw = loaded if loaded is not None else {}
     for expr in overrides:
         section, key, value = parse_override(expr)

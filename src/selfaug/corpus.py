@@ -209,7 +209,10 @@ def load_dataset(
     """
     path = Path(path)
     name = name or path.stem
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     examples = []
     lines = text.splitlines()
     if format == "tsv" and has_header and lines:
@@ -232,21 +235,25 @@ def load_dataset(
         else:
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
+            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', type(exc).__name__)})")
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object")
             if "text_a" not in obj:
                 raise ParseError(f"{path}:{lineno}: missing required key 'text_a'")
             text_a = obj["text_a"]
             text_b = obj.get("text_b")
             label = obj.get("label")
             ex_id = obj.get("id", f"{name}:{row}")
+            if not all(isinstance(v, str) for v in (text_a, ex_id, "" if text_b is None else text_b)):
+                raise ParseError(f"{path}:{lineno}: text_a, text_b and id must be strings")
         if not text_a:
             raise ParseError(f"{path}:{lineno}: empty segment_a")
         if label is not None:
             if label_space.kind == "continuous":
                 try:
                     label = float(label)
-                except ValueError:
+                except (TypeError, ValueError, OverflowError):
                     raise ParseError(f"{path}:{lineno}: non-numeric label {label!r}")
             try:
                 label_space.validate_label(label)

@@ -454,6 +454,12 @@ def fit(
     the earliest); fixed-step training averages the last snapshots taken at
     the configured interval. Returns the trained params and a trace of
     per-evaluation records.
+
+    Each step is bit-identical to the dense step ``w -= lr * g`` with
+    ``_, g, _ = loss_and_grad(w, b, x[batch], y[batch], l2)``, but computes
+    the gradient only on the columns the batch touches. The weights are held
+    transposed, ``[hash_dim, outputs]``, so those columns are contiguous rows;
+    snapshots transpose back.
     """
     if x.shape[0] == 0:
         raise ValidationError("training set must be nonempty")
@@ -464,12 +470,15 @@ def fit(
     y = _encode_targets(init, labels)
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
-    weights = init.weights.copy()
+    wt = init.weights.T.copy()  # [hash_dim, outputs], C-contiguous
     bias = init.bias.copy()
+    # One scratch buffer: the class-major squares for the L2 norm, then the decay.
+    decay = np.empty_like(wt)
+    squares = decay.reshape(init.weights.shape)
     trace: list[dict] = []
 
     def snapshot() -> ModelParams:
-        return ModelParams(weights.copy(), bias.copy(), init.head, init.label_space)
+        return ModelParams(wt.T.copy(), bias.copy(), init.head, init.label_space)
 
     def dev_score(p: ModelParams) -> float:
         xd, yd = dev
@@ -487,21 +496,39 @@ def fit(
     checkpoints: list[ModelParams] = []
     total = config.stopping.total if isinstance(config.stopping, FixedSteps) else config.max_steps
 
-    order = rng.permutation(n)
-    cursor = 0
+    cursor = n  # the first step draws the first permutation
     for step in range(1, total + 1):
         if cursor >= n:
             order = rng.permutation(n)
+            xs, ys = x[order], y[order]
             cursor = 0
-        batch = order[cursor : cursor + config.batch_size]
+        lo, hi = cursor, min(cursor + config.batch_size, n)
         cursor += config.batch_size
-        loss, grad_w, grad_b = loss_and_grad(
-            weights, bias, x[batch], y[batch], config.l2, init.head
+        # The batch with its columns renumbered 0..k-1 in sorted order. Each
+        # row keeps its entry order, so every sum accumulates as in the dense step.
+        start, end = xs.indptr[lo], xs.indptr[hi]
+        cols, local = np.unique(xs.indices[start:end], return_inverse=True)
+        xb = sp.csr_matrix(
+            (xs.data[start:end], local, xs.indptr[lo : hi + 1] - start),
+            shape=(hi - lo, cols.size),
         )
+        touched = wt[cols]
+        loss, grad_w, grad_b = loss_and_grad(touched.T, bias, xb, ys[lo:hi], 0.0, init.head)
+        # The L2 term over all weights, summed class-major like the dense
+        # objective; elementwise ufuncs keep it off the BLAS thread pool.
+        np.square(wt.T, out=squares)
+        loss += 0.5 * config.l2 * float(squares.sum())
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at step {step}")
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
-        weights -= lr * grad_w
+        touched -= lr * (grad_w.T + config.l2 * touched)
+        # Untouched columns have a zero data gradient: w - lr * (0.0 + l2 * w).
+        # Adding 0.0 makes l2 * -0.0 into +0.0, so a -0.0 weight stays -0.0.
+        np.multiply(wt, config.l2, out=decay)
+        np.add(decay, 0.0, out=decay)
+        np.multiply(decay, lr, out=decay)
+        wt -= decay
+        wt[cols] = touched
         bias -= lr * grad_b
 
         if early:

@@ -1,6 +1,8 @@
 """Config schema, override, and builder tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfaug.config import (
     ConfigValidationError,
@@ -63,6 +65,28 @@ class TestOverrides:
         config = load_config(path, overrides=["model.hash_dim=8192"], seed=77)
         assert config["model"]["hash_dim"] == 8192
         assert config["experiment"]["master_seed"] == 77
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        expr=st.text(max_size=30)
+        | st.builds("model.k={}".format, st.text(alphabet="[]{}:,'\"!&*|>-?#%@` \n\t019aZ.", max_size=20))
+    )
+    @example(expr="model.k=[")
+    @example(expr="model.k=2001-13-45")
+    @example(expr="model.k=!!python/object:os.system")
+    @example(expr="model.k=" + "[" * 5000)
+    def test_parse_override_raises_only_config_errors(self, expr):
+        """The CLI maps ConfigValidationError to exit 1; anything else would exit 3."""
+        try:
+            parse_override(expr)
+        except ConfigValidationError:
+            pass
+
+    def test_malformed_config_file(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("model: [hash_dim\n", encoding="utf-8")
+        with pytest.raises(ConfigValidationError, match="not valid YAML"):
+            load_config(path)
 
     def test_override_validated(self):
         with pytest.raises(ConfigValidationError):

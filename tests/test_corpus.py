@@ -1,11 +1,16 @@
 """Data model, file I/O, and regime-sampling tests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfaug.corpus import (
     CONTINUOUS_BINS,
+    CorpusError,
     DEV_SIZE,
     Dataset,
     Example,
@@ -243,3 +248,51 @@ def test_strip_labels_preserves_order():
     pool = strip_labels(corpus)
     assert pool.ids() == corpus.ids()
     assert all(ex.label is None for ex in pool)
+
+
+class TestLoadDatasetFuzz:
+    """Any file content loads or raises a CorpusError, which the CLI maps to exit 1."""
+
+    SPACES = (LabelSpace.categorical(("pos", "neg")), LabelSpace.continuous(0.0, 5.0))
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+    json_rows = st.dictionaries(
+        st.sampled_from(["text_a", "text_b", "label", "id"]), json_values | st.sampled_from(["pos", "2.5"])
+    )
+
+    @staticmethod
+    def _load(blob: bytes, fmt: str, space: LabelSpace) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"data.{fmt}"
+            path.write_bytes(blob)
+            try:
+                ds = load_dataset(path, fmt, space)
+            except CorpusError:
+                return
+        for ex in ds:
+            assert isinstance(ex.id, str) and isinstance(ex.segment_a, str)
+            assert ex.segment_b is None or isinstance(ex.segment_b, str)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.binary(max_size=200), fmt=st.sampled_from(["jsonl", "tsv"]), space=st.sampled_from(SPACES))
+    @example(blob=b"\xff\xfe", fmt="tsv", space=SPACES[0])
+    @example(blob=b"[" * 100_000 + b"]" * 100_000, fmt="jsonl", space=SPACES[0])
+    @example(blob=b"1" * 4301, fmt="jsonl", space=SPACES[0])
+    def test_arbitrary_bytes(self, blob, fmt, space):
+        self._load(blob, fmt, space)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(json_values | json_rows, max_size=4), space=st.sampled_from(SPACES))
+    @example(rows=[{"text_a": 5}], space=SPACES[0])
+    @example(rows=[{"text_a": "x", "text_b": 0}], space=SPACES[0])
+    @example(rows=[{"text_a": "x", "label": 10 ** 400}], space=SPACES[1])
+    def test_arbitrary_json_lines(self, rows, space):
+        self._load("\n".join(json.dumps(r) for r in rows).encode("utf-8"), "jsonl", space)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(st.text(max_size=8), min_size=1, max_size=4), max_size=4), space=st.sampled_from(SPACES))
+    def test_arbitrary_tsv_rows(self, rows, space):
+        self._load("\n".join("\t".join(r) for r in rows).encode("utf-8"), "tsv", space)

@@ -1,5 +1,7 @@
 """Featurizer, linear model, and trainer tests."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from selfaug.textmodel import (
     ModelParams,
     NumericError,
     TrainConfig,
+    _metric_on_matrix,
     average_checkpoints,
     evaluate,
     featurize,
@@ -332,3 +335,151 @@ class TestTrain:
         )
         rho = evaluate(model, ds, "spearman", small_fc)
         assert rho > 0.9
+
+
+def _dense_fit(init, x, labels, config, dev=None, metric="accuracy"):
+    """Reference trainer: the dense step ``w -= lr * g`` on the full weights.
+
+    Same rng, permutation, early stopping and checkpoint averaging as ``fit``;
+    ``loss_and_grad`` supplies the loss and gradient over all columns.
+    """
+    classes = init.label_space.classes
+    y = np.array([classes.index(l) for l in labels] if init.head == "classification" else labels)
+    w, b = init.weights.copy(), init.bias.copy()
+
+    def snap():
+        return ModelParams(w.copy(), b.copy(), init.head, init.label_space)
+
+    def score(p):
+        return _metric_on_matrix(p, dev[0], dev[1], metric)
+
+    early = isinstance(config.stopping, EarlyStop)
+    trace, checkpoints = [], []
+    if early:
+        best = snap()
+        best_score, since_best = score(best), 0
+        trace.append({"step": 0, "loss": None, "dev_metric": best_score})
+    total = config.max_steps if early else config.stopping.total
+    rng = np.random.default_rng(config.seed)
+    order, cursor = rng.permutation(x.shape[0]), 0
+    for step in range(1, total + 1):
+        if cursor >= x.shape[0]:
+            order, cursor = rng.permutation(x.shape[0]), 0
+        batch = order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
+        loss, gw, gb = loss_and_grad(w, b, x[batch], y[batch], config.l2, init.head)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss at step {step}")
+        lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
+        w -= lr * gw
+        b -= lr * gb
+        if early and (step % config.stopping.eval_every == 0 or step == total):
+            current = snap()
+            s = score(current)
+            trace.append({"step": step, "loss": loss, "dev_metric": s})
+            if s > best_score:
+                best, best_score, since_best = current, s, 0
+            else:
+                since_best += 1
+                if since_best >= config.stopping.patience:
+                    break
+        elif not early and step % config.stopping.checkpoint_every == 0:
+            checkpoints.append(snap())
+            trace.append({"step": step, "loss": loss, "dev_metric": None})
+    if early:
+        return best, trace
+    if not checkpoints:
+        return snap(), trace
+    return average_checkpoints(checkpoints[-config.stopping.average_last :]), trace
+
+
+def _random_rows(rng, n, hash_dim, nnz):
+    """CSR counts with sorted distinct columns per row, like ``featurize_matrix``."""
+    indices = np.concatenate([np.sort(rng.choice(hash_dim, nnz, replace=False)) for _ in range(n)])
+    data = rng.integers(1, 3, n * nnz).astype(float)
+    return sp.csr_matrix((data, indices, np.arange(n + 1) * nnz), shape=(n, hash_dim))
+
+
+_CLS = LabelSpace.categorical(("a", "b", "c"))
+_REG = LabelSpace.continuous(0.0, 3.0)
+
+
+def _parity_case(case):
+    """``(init, x, labels, config, dev, metric)`` for one named parity case."""
+    rng = np.random.default_rng(11)
+    hash_dim = 2 ** 18 if case == "hash-2^18" else 2 ** 12
+    head = "regression" if case.startswith("regression") else "classification"
+    space = _REG if head == "regression" else _CLS
+    n = 40
+    if case == "single-column":
+        # Every row holds column 7 or nothing: each batch touches one column or none.
+        rows = np.arange(n)[np.arange(n) % 5 != 0]
+        x = sp.csr_matrix((np.full(rows.size, 2.0), (rows, np.full(rows.size, 7))), shape=(n, hash_dim))
+    else:
+        x = _random_rows(rng, n, hash_dim, 12)
+    if head == "regression":
+        labels = list(rng.uniform(0.0, 3.0, n))
+    else:
+        labels = [space.classes[i] for i in rng.integers(0, 3, n)]
+    scheme = "random" if case in ("fixed-avg-random", "regression-random", "negative-zero", "hash-2^18") else "zeros"
+    init = init_params(space, FeatureConfig(hash_dim=hash_dim), seed=5, scheme=scheme, scale=0.5)
+    if case == "negative-zero":
+        init.weights[:, ::3] = -0.0  # as a loaded snapshot can hold
+    fixed = FixedSteps(60, 20, 3)
+    config = {
+        "early-stop-zeros": TrainConfig(seed=2, max_steps=200, stopping=EarlyStop(patience=2, eval_every=10)),
+        # A large l2 makes the trace's loss show the rounding of the L2 sum.
+        "fixed-avg-random": TrainConfig(seed=2, l2=0.5, stopping=fixed),
+        "regression-zeros": TrainConfig(seed=3, stopping=fixed),
+        "regression-random": TrainConfig(seed=3, max_steps=80, stopping=EarlyStop(patience=3, eval_every=20)),
+        # Early stopping returns a snapshot as it is; averaging would add +0.0.
+        "negative-zero": TrainConfig(seed=4, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
+        "lr-decay": TrainConfig(seed=4, lr_decay=0.05, stopping=fixed),
+        "full-batch": TrainConfig(seed=6, batch_size=64, stopping=fixed),
+        "single-column": TrainConfig(seed=6, batch_size=3, stopping=fixed),
+        "hash-2^18": TrainConfig(seed=7, stopping=FixedSteps(40, 20, 2)),
+    }[case]
+    metric = "spearman" if head == "regression" else "accuracy"
+    dev = (_random_rows(rng, 20, hash_dim, 12), labels[:20]) if isinstance(config.stopping, EarlyStop) else None
+    return init, x, labels, config, dev, metric
+
+
+class TestFitMatchesDenseStep:
+    """``fit``'s sparse step against the dense reference, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "early-stop-zeros", "fixed-avg-random", "regression-zeros", "regression-random",
+            "negative-zero", "lr-decay", "full-batch", "single-column", "hash-2^18",
+        ],
+    )
+    def test_params_and_trace_bit_identical(self, case):
+        init, x, labels, config, dev, metric = _parity_case(case)
+        before = init.to_bytes()
+        model, trace = fit(init, x, labels, config, dev=dev, metric=metric)
+        assert init.to_bytes() == before
+        ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
+        assert model.to_bytes() == ref.to_bytes()
+        assert trace == ref_trace
+        if case == "negative-zero":
+            assert np.signbit(model.weights[model.weights == 0]).any()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e5, 1e7, 1e160])
+    def test_divergence_raises_at_the_reference_step(self, learning_rate):
+        init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+        config = TrainConfig(seed=2, learning_rate=learning_rate, stopping=FixedSteps(400, 400, 1))
+        with pytest.raises(NumericError) as ref:
+            _dense_fit(init, x, labels, config)
+        with pytest.raises(NumericError, match=f"^{re.escape(str(ref.value))}$"):
+            fit(init, x, labels, config)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_l2_term_covers_untouched_columns(self):
+        """A weight no row touches can still make the objective non-finite."""
+        init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+        untouched = np.setdiff1d(np.arange(init.hash_dim), x.indices)[0]
+        init.weights[0, untouched] = 1e200  # finite, but its square is not
+        with pytest.raises(NumericError, match="^non-finite loss at step 1$"):
+            fit(init, x, labels, TrainConfig(stopping=FixedSteps(10, 10, 1)))
