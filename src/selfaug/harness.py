@@ -347,10 +347,15 @@ def _run_arm(
 # ---------------------------------------------------------------------------
 
 
-def make_splits(spec: ExperimentSpec) -> list[RegimeSplit]:
-    """The per-restart splits, identical for every arm."""
+def base_corpus(spec: ExperimentSpec) -> Dataset:
+    """The experiment's train partition: every split and the gold labels come from it."""
+    return synth_corpus(spec.task, spec.train_partition_size, derive_seed(spec.master_seed, "corpus"))
+
+
+def make_splits(spec: ExperimentSpec, base: Optional[Dataset] = None) -> list[RegimeSplit]:
+    """The per-restart splits of ``base`` (default ``base_corpus(spec)``), identical for every arm."""
     corpus_seed = derive_seed(spec.master_seed, "corpus")
-    base = synth_corpus(spec.task, spec.train_partition_size, corpus_seed)
+    base = base_corpus(spec) if base is None else base
     test_spec = replace(spec.task, name=(spec.task.name or spec.task.family) + "-test")
     test = synth_corpus(test_spec, spec.test_size, corpus_seed + 1)
 
@@ -382,9 +387,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     needs_aux = any(a in ("itft", "ta", "ta-st") for a in spec.arms)
     aux = build_aux_artifacts(spec) if needs_aux else None
 
-    splits = make_splits(spec)
-    corpus_seed = derive_seed(spec.master_seed, "corpus")
-    base = synth_corpus(spec.task, spec.train_partition_size, corpus_seed)
+    base = base_corpus(spec)
+    splits = make_splits(spec, base)
     gold = base.labels_by_id()
 
     scores: dict[str, list[Optional[float]]] = {a: [] for a in spec.arms}

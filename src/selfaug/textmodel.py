@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import re
 import zlib
 from dataclasses import dataclass, field, replace
@@ -35,6 +37,20 @@ class NumericError(ModelError):
     """Training produced a non-finite loss or parameter."""
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_rate(name: str, value, positive: bool = False) -> None:
+    ok = (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value) and (value > 0 if positive else value >= 0)
+    )
+    if not ok:
+        raise ValidationError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Featurization
 # ---------------------------------------------------------------------------
@@ -48,7 +64,8 @@ class FeatureConfig:
     def __post_init__(self):
         if not self.ngram_orders:
             raise ValidationError("ngram_orders must be nonempty")
-        if self.hash_dim <= 0 or (self.hash_dim & (self.hash_dim - 1)) != 0:
+        _check_count("hash_dim", self.hash_dim)
+        if self.hash_dim & (self.hash_dim - 1) != 0:
             raise ValidationError("hash_dim must be a power of two")
 
 
@@ -392,6 +409,10 @@ class EarlyStop:
     patience: int = 5
     eval_every: int = 20
 
+    def __post_init__(self):
+        _check_count("patience", self.patience)
+        _check_count("eval_every", self.eval_every)
+
 
 @dataclass(frozen=True)
 class FixedSteps:
@@ -400,6 +421,8 @@ class FixedSteps:
     average_last: int = 5
 
     def __post_init__(self):
+        for name in ("total", "checkpoint_every", "average_last"):
+            _check_count(name, getattr(self, name))
         if self.average_last > self.total // self.checkpoint_every:
             raise ValidationError("average_last exceeds the number of checkpoints")
 
@@ -413,6 +436,15 @@ class TrainConfig:
     seed: int = 0
     lr_decay: float = 0.0
     stopping: Union[EarlyStop, FixedSteps] = field(default_factory=EarlyStop)
+
+    def __post_init__(self):
+        # A positive, finite learning rate and a finite l2 are also what keep
+        # an untouched zero weight fixed under ``fit``'s decay.
+        _check_rate("learning_rate", self.learning_rate, positive=True)
+        _check_rate("l2", self.l2)
+        _check_rate("lr_decay", self.lr_decay)
+        _check_count("batch_size", self.batch_size)
+        _check_count("max_steps", self.max_steps)
 
 
 def fixed_steps(config: TrainConfig, steps: int) -> TrainConfig:
@@ -456,10 +488,13 @@ def fit(
     per-evaluation records.
 
     Each step is bit-identical to the dense step ``w -= lr * g`` with
-    ``_, g, _ = loss_and_grad(w, b, x[batch], y[batch], l2)``, but computes
-    the gradient only on the columns the batch touches. The weights are held
-    transposed, ``[hash_dim, outputs]``, so those columns are contiguous rows;
-    snapshots transpose back.
+    ``_, g, _ = loss_and_grad(w, b, x[batch], y[batch], l2)``, but updates
+    only the active columns: those ``x`` touches or ``init`` holds nonzero.
+    Every other weight is ±0.0 with a zero gradient, and for a positive,
+    finite ``lr`` and a finite ``l2`` the decay ``w - lr*(0.0 + l2*w)`` leaves
+    it bit-identical, sign included. The active weights are held transposed,
+    ``[active, outputs]``, so each batch's columns are contiguous rows;
+    snapshots write them back into a copy of ``init.weights``.
     """
     if x.shape[0] == 0:
         raise ValidationError("training set must be nonempty")
@@ -470,15 +505,25 @@ def fit(
     y = _encode_targets(init, labels)
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
-    wt = init.weights.T.copy()  # [hash_dim, outputs], C-contiguous
+    active = np.union1d(x.indices, np.flatnonzero(init.weights.any(axis=0)))
+    # Renumbering keeps the column order, so every batch below is unchanged.
+    x = sp.csr_matrix(
+        (x.data, np.searchsorted(active, x.indices), x.indptr), shape=(n, active.size)
+    )
+    wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
     # One scratch buffer: the class-major squares for the L2 norm, then the decay.
     decay = np.empty_like(wt)
-    squares = decay.reshape(init.weights.shape)
+    squares = decay.reshape(wt.shape[::-1])
     trace: list[dict] = []
 
+    def weights() -> np.ndarray:
+        w = init.weights.copy()
+        w[:, active] = wt.T
+        return w
+
     def snapshot() -> ModelParams:
-        return ModelParams(wt.T.copy(), bias.copy(), init.head, init.label_space)
+        return ModelParams(weights(), bias.copy(), init.head, init.label_space)
 
     def dev_score(p: ModelParams) -> float:
         xd, yd = dev
@@ -494,7 +539,8 @@ def fit(
         trace.append({"step": 0, "loss": None, "dev_metric": best_score})
 
     checkpoints: list[ModelParams] = []
-    total = config.stopping.total if isinstance(config.stopping, FixedSteps) else config.max_steps
+    stop = config.stopping
+    total, every = (config.max_steps, stop.eval_every) if early else (stop.total, stop.checkpoint_every)
 
     cursor = n  # the first step draws the first permutation
     for step in range(1, total + 1):
@@ -513,11 +559,18 @@ def fit(
             shape=(hi - lo, cols.size),
         )
         touched = wt[cols]
-        loss, grad_w, grad_b = loss_and_grad(touched.T, bias, xb, ys[lo:hi], 0.0, init.head)
-        # The L2 term over all weights, summed class-major like the dense
-        # objective; elementwise ufuncs keep it off the BLAS thread pool.
+        data_loss, grad_w, grad_b = loss_and_grad(touched.T, bias, xb, ys[lo:hi], 0.0, init.head)
+        # The L2 term, summed class-major; elementwise ufuncs keep it off the
+        # BLAS thread pool. Summing only the active weights can round
+        # differently from the dense objective, so a loss the trace records,
+        # or one near overflow, is summed over all weights as the dense step does.
         np.square(wt.T, out=squares)
-        loss += 0.5 * config.l2 * float(squares.sum())
+        norm = float(squares.sum())
+        loss = data_loss + 0.5 * config.l2 * norm
+        record = step % every == 0 or (early and step == total)
+        if record or not (norm < 1e300 and loss < 1e300):
+            w = weights()
+            loss = data_loss + 0.5 * config.l2 * float((w * w).sum())
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at step {step}")
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
@@ -531,22 +584,21 @@ def fit(
         wt[cols] = touched
         bias -= lr * grad_b
 
+        if not record:
+            continue
         if early:
-            stop_cfg = config.stopping
-            if step % stop_cfg.eval_every == 0 or step == total:
-                current = snapshot()
-                score = dev_score(current)
-                trace.append({"step": step, "loss": loss, "dev_metric": score})
-                if score > best_score:
-                    best, best_score, evals_since_best = current, score, 0
-                else:
-                    evals_since_best += 1
-                    if evals_since_best >= stop_cfg.patience:
-                        break
+            current = snapshot()
+            score = dev_score(current)
+            trace.append({"step": step, "loss": loss, "dev_metric": score})
+            if score > best_score:
+                best, best_score, evals_since_best = current, score, 0
+            else:
+                evals_since_best += 1
+                if evals_since_best >= stop.patience:
+                    break
         else:
-            if step % config.stopping.checkpoint_every == 0:
-                checkpoints.append(snapshot())
-                trace.append({"step": step, "loss": loss, "dev_metric": None})
+            checkpoints.append(snapshot())
+            trace.append({"step": step, "loss": loss, "dev_metric": None})
 
     if early:
         return best, trace

@@ -48,6 +48,29 @@ class TestValidate:
         assert main(["--set", override, "validate"]) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["model.learning_rate=-1"],
+            ["model.learning_rate=.nan"],
+            ["model.learning_rate=abc"],
+            ["model.batch_size=0"],
+            ["model.l2=-1"],
+            ["model.lr_decay=-0.5"],
+            ["model.eval_every=0"],
+            ["model.max_steps=0"],
+            ["model.patience=true"],
+            ["model.hash_dim=abc"],
+            ["model.stopping=fixed_steps", "model.checkpoint_every=0", "experiment.dev_mode=dev_free"],
+            ["model.stopping=fixed_steps", "model.fixed_total=0"],
+            ["model.stopping=fixed_steps", "model.average_last=0"],
+        ],
+    )
+    def test_bad_training_number_exits_1(self, overrides, capsys):
+        argv = [arg for expr in overrides for arg in ("--set", expr)]
+        assert main(argv + ["validate"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
         assert "top_k" in _last_stderr_json(capsys)["message"]

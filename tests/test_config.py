@@ -15,6 +15,7 @@ from selfaug.config import (
     parse_override,
     validate_config,
 )
+from selfaug.corpus import ValidationError
 from selfaug.textmodel import EarlyStop, FixedSteps
 
 
@@ -108,6 +109,31 @@ class TestBuilders:
         assert fixed.stopping.total == 512
         with pytest.raises(ConfigValidationError):
             build_train_config(validate_config({"model": {"stopping": "whenever"}}))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"learning_rate": -1}, {"learning_rate": 0}, {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")}, {"learning_rate": "abc"}, {"learning_rate": True},
+            {"l2": -1}, {"l2": float("inf")}, {"l2": "abc"},
+            {"lr_decay": -0.5}, {"lr_decay": float("nan")},
+            {"batch_size": 0}, {"batch_size": 2.5}, {"batch_size": True}, {"batch_size": "abc"},
+            {"max_steps": 0}, {"patience": 0}, {"patience": False}, {"eval_every": 0},
+            {"stopping": "fixed_steps", "fixed_total": 0},
+            {"stopping": "fixed_steps", "fixed_total": "abc"},
+            {"stopping": "fixed_steps", "checkpoint_every": 0},
+            {"stopping": "fixed_steps", "checkpoint_every": True},
+            {"stopping": "fixed_steps", "average_last": 0},
+        ],
+    )
+    def test_train_config_rejects_bad_numbers(self, model):
+        with pytest.raises(ValidationError):
+            build_train_config(validate_config({"model": model}))
+
+    @pytest.mark.parametrize("hash_dim", [0, "abc", True, 4096.0])
+    def test_feature_config_rejects_bad_hash_dim(self, hash_dim):
+        with pytest.raises(ValidationError):
+            build_feature_config(validate_config({"model": {"hash_dim": hash_dim}}))
 
     def test_generator_spec(self):
         config = validate_config({"generator": {"samples_per_input": 7, "flip_rate": 0.5}})

@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import pytest
 
+import selfaug.harness as harness
 from selfaug.corpus import LabelSpace, ValidationError
 from selfaug.harness import (
     ARM_NAMES,
     CoverageError,
     ExperimentSpec,
     _effective_pool,
+    base_corpus,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
@@ -117,8 +119,27 @@ class TestMakeSplits:
         splits = make_splits(spec)
         assert splits[0].dev.ids() != splits[1].dev.ids()
 
+    @pytest.mark.parametrize("resample_dev", [True, False])
+    def test_given_base_corpus_gives_the_same_splits(self, resample_dev):
+        spec = ExperimentSpec(arms=("baseline",), resample_dev=resample_dev, **FAST)
+        for given, default in zip(make_splits(spec, base_corpus(spec)), make_splits(spec)):
+            for part in ("train", "dev", "pool", "test"):
+                assert getattr(given, part).ids() == getattr(default, part).ids()
+
 
 class TestRunExperiment:
+    def test_synthesizes_the_base_corpus_once(self, monkeypatch):
+        calls = []
+        synth = harness.synth_corpus
+
+        def counted(task, size, seed):
+            calls.append((task, size))
+            return synth(task, size, seed)
+
+        monkeypatch.setattr(harness, "synth_corpus", counted)
+        spec = ExperimentSpec(arms=("baseline",), **{**FAST, "restarts": 1})
+        run_experiment(replace(spec, train_config=TrainConfig(seed=0, max_steps=20)))
+        assert calls.count((spec.task, spec.train_partition_size)) == 1
     def test_baseline_and_st_report(self):
         spec = ExperimentSpec(arms=("baseline", "st"), **FAST)
         report = run_experiment(spec)

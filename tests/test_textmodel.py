@@ -1,6 +1,7 @@
 """Featurizer, linear model, and trainer tests."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,8 +424,19 @@ def _parity_case(case):
         labels = [space.classes[i] for i in rng.integers(0, 3, n)]
     scheme = "random" if case in ("fixed-avg-random", "regression-random", "negative-zero", "hash-2^18") else "zeros"
     init = init_params(space, FeatureConfig(hash_dim=hash_dim), seed=5, scheme=scheme, scale=0.5)
+    untouched = np.setdiff1d(np.arange(hash_dim), x.indices)
     if case == "negative-zero":
         init.weights[:, ::3] = -0.0  # as a loaded snapshot can hold
+    elif case == "disjoint-init":
+        # Like a TA base model trained on other rows: weight only where x has none.
+        init.weights[:, untouched[::7]] = rng.uniform(-0.5, 0.5, (init.num_outputs, untouched[::7].size))
+    elif case == "signed-zero-inactive":
+        init.weights[:, untouched[::5]] = rng.uniform(-0.5, 0.5, (init.num_outputs, untouched[::5].size))
+        init.weights[:, untouched[1::5]] = -0.0
+    elif case == "signed-zero-active":
+        init.weights[:, x.indices] = -0.0
+    elif case == "huge-init":
+        init.weights[1, untouched[0]] = 1e152  # its square alone exceeds the 1e300 margin
     fixed = FixedSteps(60, 20, 3)
     config = {
         "early-stop-zeros": TrainConfig(seed=2, max_steps=200, stopping=EarlyStop(patience=2, eval_every=10)),
@@ -438,6 +450,12 @@ def _parity_case(case):
         "full-batch": TrainConfig(seed=6, batch_size=64, stopping=fixed),
         "single-column": TrainConfig(seed=6, batch_size=3, stopping=fixed),
         "hash-2^18": TrainConfig(seed=7, stopping=FixedSteps(40, 20, 2)),
+        "disjoint-init": TrainConfig(seed=8, l2=0.5, stopping=fixed),
+        "signed-zero-inactive": TrainConfig(seed=8, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
+        # One row per step and a snapshot per step: the best one holds columns
+        # that are active but not yet touched, decayed from -0.0.
+        "signed-zero-active": TrainConfig(seed=1, batch_size=1, max_steps=40, stopping=EarlyStop(patience=40, eval_every=1)),
+        "huge-init": TrainConfig(seed=9, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
     }[case]
     metric = "spearman" if head == "regression" else "accuracy"
     dev = (_random_rows(rng, 20, hash_dim, 12), labels[:20]) if isinstance(config.stopping, EarlyStop) else None
@@ -452,6 +470,7 @@ class TestFitMatchesDenseStep:
         [
             "early-stop-zeros", "fixed-avg-random", "regression-zeros", "regression-random",
             "negative-zero", "lr-decay", "full-batch", "single-column", "hash-2^18",
+            "disjoint-init", "signed-zero-inactive", "signed-zero-active", "huge-init",
         ],
     )
     def test_params_and_trace_bit_identical(self, case):
@@ -464,6 +483,15 @@ class TestFitMatchesDenseStep:
         assert trace == ref_trace
         if case == "negative-zero":
             assert np.signbit(model.weights[model.weights == 0]).any()
+        if case == "signed-zero-active":
+            assert max(trace, key=lambda rec: rec["dev_metric"])["step"] > 0  # not the init
+            active = model.weights[:, np.unique(x.indices)]
+            assert np.signbit(active[active == 0]).any()
+        if case == "signed-zero-inactive":
+            inactive = np.setdiff1d(np.arange(init.hash_dim), x.indices)
+            inactive = inactive[~init.weights[:, inactive].any(axis=0)]
+            assert np.signbit(init.weights[:, inactive]).any()
+            assert np.array_equal(np.signbit(model.weights[:, inactive]), np.signbit(init.weights[:, inactive]))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("learning_rate", [1e5, 1e7, 1e160])
@@ -483,3 +511,90 @@ class TestFitMatchesDenseStep:
         init.weights[0, untouched] = 1e200  # finite, but its square is not
         with pytest.raises(NumericError, match="^non-finite loss at step 1$"):
             fit(init, x, labels, TrainConfig(stopping=FixedSteps(10, 10, 1)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("dense_overflows", [True, False])
+    # (l2, scale): 2**-scale scales the weights and 0.5 * l2 = 4**scale scales
+    # their squares back, so the overflow is in ||w||^2 or only in the L2 term.
+    @pytest.mark.parametrize("l2, scale", [(1e-4, 0), (0.0, 0), (2.0 ** 29, 14)])
+    def test_overflow_margin_sums_all_weights(self, dense_overflows, l2, scale):
+        """Near overflow, the active-column ``||w||^2`` can round to the other side of inf."""
+        init, x, labels, config, dev, metric = _parity_case("early-stop-zeros")
+        init = _overflow_boundary_init(init, x, dense_overflows, scale)
+        config = replace(config, l2=l2)
+        try:
+            ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
+        except NumericError as exc:
+            assert dense_overflows == (str(exc) == "non-finite loss at step 1")
+            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
+                fit(init, x, labels, config, dev=dev, metric=metric)
+            return
+        assert not dense_overflows
+        model, trace = fit(init, x, labels, config, dev=dev, metric=metric)
+        assert model.to_bytes() == ref.to_bytes()
+        assert trace == ref_trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        head=st.sampled_from(["classification", "regression"]),
+        batch_size=st.integers(1, 16),
+        l2=st.sampled_from([0.0, 1e-4, 0.5]),
+        lr_decay=st.sampled_from([0.0, 0.1]),
+        eval_every=st.sampled_from([0, 1, 5]),  # 0: fixed steps
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_random_support_matches_the_dense_step(self, data, head, batch_size, l2, lr_decay, eval_every, seed):
+        hash_dim = 64
+        column = st.integers(0, hash_dim - 1)
+        rows = data.draw(st.lists(st.lists(column, max_size=6, unique=True), min_size=1, max_size=12))
+        indices = np.array([c for row in rows for c in sorted(row)], dtype=np.int64)
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 4, indices.size).astype(float)
+        x = sp.csr_matrix((counts, indices, indptr), shape=(len(rows), hash_dim))
+        support = data.draw(st.lists(column, max_size=20, unique=True))
+        space = _CLS if head == "classification" else _REG
+        init = init_params(space, FeatureConfig(hash_dim=hash_dim))
+        init.weights[:, support] = rng.uniform(-1.0, 1.0, (init.num_outputs, len(support)))
+        init.weights[(init.weights == 0) & (rng.random(init.weights.shape) < 0.3)] = -0.0
+        if head == "classification":
+            labels = [space.classes[i] for i in rng.integers(0, 3, len(rows))]
+        else:
+            labels = list(rng.uniform(0.0, 3.0, len(rows)))
+        early = eval_every > 0
+        stopping = EarlyStop(patience=3, eval_every=eval_every) if early else FixedSteps(30, 10, 2)
+        config = TrainConfig(seed=seed, batch_size=batch_size, max_steps=30, l2=l2, lr_decay=lr_decay, stopping=stopping)
+        metric = "accuracy" if head == "classification" else "spearman"
+        dev = (x, labels) if early else None
+        model, trace = fit(init, x, labels, config, dev=dev, metric=metric)
+        ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
+        assert model.to_bytes() == ref.to_bytes()
+        assert trace == ref_trace
+
+
+def _overflow_boundary_init(init, x, dense_overflows, scale=0):
+    """``init`` plus three large weights in columns ``x`` never touches.
+
+    Their squares are ``a = max - ulp`` and ``b``, ``c`` of 0.6 ulp each, so
+    ``(a + b) + c`` overflows and ``a + (b + c)`` does not. The cells are
+    drawn until the squares summed class-major over all weights and over the
+    active columns only (``x``'s and the nonzero ones) group them differently:
+    the sum over all weights overflows if ``dense_overflows``, else the other.
+    With ``scale``, the weights are multiplied by ``2**-scale``, and the sums
+    overflow once multiplied by ``4**scale``.
+    """
+    top = np.sqrt(np.finfo(float).max)
+    small = np.sqrt(0.6 * np.spacing(top * top))
+    rng = np.random.default_rng(0)
+    untouched = np.setdiff1d(np.arange(init.hash_dim), x.indices)
+    for _ in range(2000):
+        w = init.weights.copy()
+        cols = rng.choice(untouched, 3, replace=False)
+        w[rng.integers(0, w.shape[0], 3), cols] = np.array([top, small, small]) * 2.0 ** -scale
+        compact = np.ascontiguousarray(w[:, np.union1d(x.indices, cols)])
+        with np.errstate(over="ignore"):
+            dense, compact = (w * w).sum() * 4.0 ** scale, (compact * compact).sum() * 4.0 ** scale
+        if np.isinf(dense) == dense_overflows and np.isinf(compact) != dense_overflows:
+            return ModelParams(w, init.bias.copy(), init.head, init.label_space)
+    raise AssertionError("no cells found that group the squares differently")
