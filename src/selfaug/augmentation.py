@@ -286,22 +286,27 @@ def select_tau(
     return best_tau
 
 
+def carried_classes(source: LabelSpace, target: LabelSpace) -> list[tuple[int, int]]:
+    """``(target row, source row)`` of each class name two categorical spaces share."""
+    if source.kind != "categorical" or target.kind != "categorical":
+        return []
+    return [(i, source.classes.index(c)) for i, c in enumerate(target.classes) if c in source.classes]
+
+
 def swap_head(params: ModelParams, target_label_space: LabelSpace) -> ModelParams:
     """Re-initialize the output head for a new label space.
 
-    Rows for classes whose names match carry over; everything else starts at
+    Rows of the ``carried_classes`` carry over; everything else starts at
     zero. Feature dimensionality is unchanged.
     """
     head = "classification" if target_label_space.kind == "categorical" else "regression"
     c = target_label_space.num_classes if head == "classification" else 1
     weights = np.zeros((c, params.hash_dim))
     bias = np.zeros(c)
-    if head == "classification" and params.head == "classification":
-        for i, name in enumerate(target_label_space.classes):
-            if name in params.label_space.classes:
-                j = params.label_space.classes.index(name)
-                weights[i] = params.weights[j]
-                bias[i] = params.bias[j]
+    if params.head == "classification":
+        for i, j in carried_classes(params.label_space, target_label_space):
+            weights[i] = params.weights[j]
+            bias[i] = params.bias[j]
     return ModelParams(weights, bias, head, target_label_space)
 
 

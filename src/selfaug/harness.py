@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
@@ -21,6 +23,7 @@ from .augmentation import (
     GeneratorSpec,
     TAConfig,
     build_ta_examples,
+    carried_classes,
     intermediate_finetune,
     select_tau,
     swap_head,
@@ -36,13 +39,15 @@ from .corpus import (
     sample_regime,
     strip_labels,
 )
-from .selftrain import SelfTrainConfig, SelfTrainResult, mix_pools, self_train
+from .selftrain import SelfTrainConfig, mix_pools, self_train
 from .synth import NLI_CLASSES, SynthSpec, synth_corpus
 from .textmodel import (
     EarlyStop,
     FeatureConfig,
     ModelParams,
     TrainConfig,
+    _check_count,
+    _parse_metric,
     evaluate,
     fixed_steps,
     init_params,
@@ -50,14 +55,9 @@ from .textmodel import (
 )
 
 ARM_NAMES = ("baseline", "itft", "ta", "st", "ta-st", "cf-st")
-
-
-class HarnessError(Exception):
-    pass
-
-
-class CoverageError(HarnessError):
-    """A labeling-accuracy series was requested but gold labels were missing."""
+# The start model each arm trains from; arms of one kind share it within a restart.
+START_KIND = {"baseline": "zeros", "st": "zeros", "cf-st": "zeros", "itft": "itft", "ta": "ta", "ta-st": "ta"}
+AUX_LABEL_SPACE = LabelSpace.categorical(NLI_CLASSES)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -101,8 +101,28 @@ class ExperimentSpec:
         unknown = [a for a in self.arms if a not in ARM_NAMES]
         if unknown:
             raise ValidationError(f"unknown arms {unknown}; valid: {ARM_NAMES}")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
+        kind, positive = _parse_metric(self.metric)
+        if kind == "f1" and not positive:
+            raise ValidationError("f1 requires a positive class, e.g. 'f1:pos'")
+        if self.regime not in ("full", "limited", "few_shot"):
+            raise ValidationError(f"unknown regime {self.regime!r}")
+        if self.pool_mode not in ("in_only", "out_only", "in_plus_out"):
+            raise ValidationError(f"unknown pool_mode {self.pool_mode!r}")
+        if self.pool_mode != "in_only" and self.ood_task is None:
+            raise ValidationError(f"pool_mode {self.pool_mode!r} needs an ood_task")
+        for name in (
+            "k", "restarts", "train_partition_size", "test_size",
+            "aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit",
+        ):
+            _check_count(name, getattr(self, name))
+        limit = self.ta_pool_limit
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 0:
+            raise ValidationError(f"ta_pool_limit must be an integer >= 0 (0: no limit), got {limit!r}")
+        if self.tau is not None and not (
+            isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
+            and math.isfinite(self.tau) and 0 <= self.tau < 1
+        ):
+            raise ValidationError(f"tau must be null or a finite number in [0, 1), got {self.tau!r}")
         if self.dev_mode not in ("with_dev", "dev_free"):
             raise ValidationError(f"unknown dev_mode {self.dev_mode!r}")
         if self.dev_mode == "dev_free":
@@ -279,20 +299,8 @@ def build_ta_base_model(
     return entries, f0
 
 
-def _finetune_and_score(
-    spec: ExperimentSpec, f0: ModelParams, split: RegimeSplit, seed: int
-) -> float:
-    tc = replace(spec.train_config, seed=seed)
-    dev = split.dev if spec.dev_mode == "with_dev" else None
-    model, _ = train(
-        f0, split.train, tc, dev_set=dev,
-        feature_config=spec.feature_config, metric=spec.metric,
-    )
-    return evaluate(model, split.test, spec.metric, spec.feature_config)
-
-
 def _effective_pool(spec: ExperimentSpec, split: RegimeSplit, restart: int) -> UnlabeledPool:
-    if spec.ood_task is None or spec.pool_mode == "in_only":
+    if spec.pool_mode == "in_only":
         return split.pool
     ood_corpus = synth_corpus(
         spec.ood_task, len(split.pool) or spec.train_partition_size,
@@ -302,33 +310,41 @@ def _effective_pool(spec: ExperimentSpec, split: RegimeSplit, restart: int) -> U
     return mix_pools(split.pool, ood_pool, spec.pool_mode)
 
 
+def _needs_aux(spec: ExperimentSpec, target_space: LabelSpace) -> bool:
+    """An arm starts from the aux head, and some target class carries over from it."""
+    aux_arm = any(START_KIND[a] != "zeros" for a in spec.arms)
+    return aux_arm and bool(carried_classes(AUX_LABEL_SPACE, target_space))
+
+
+def _start_model(
+    spec: ExperimentSpec, kind: str, split: RegimeSplit, aux: Optional[AuxArtifacts], restart: int
+) -> ModelParams:
+    """One restart's start model of ``kind`` (see ``START_KIND``)."""
+    target_space = split.train.label_space
+    if kind == "zeros" or aux is None:  # no aux class carries over: swap_head gives zeros
+        return init_params(target_space, spec.feature_config)
+    if kind == "itft":  # generic intermediate fine-tuning on the auxiliary labeled set only
+        return swap_head(aux.classifier, target_space)
+    seed = derive_seed(spec.master_seed, restart, "ta-data")
+    return build_ta_base_model(spec, aux, split.pool, target_space, seed)[1]
+
+
 def _run_arm(
     spec: ExperimentSpec,
     arm: str,
     split: RegimeSplit,
-    aux: Optional[AuxArtifacts],
+    f0: ModelParams,
     restart: int,
     gold: Mapping[str, Any],
 ) -> tuple[float, Optional[list[dict]]]:
-    seed = derive_seed(spec.master_seed, restart, arm)
+    """Train ``arm`` from ``f0`` and score it on the test set."""
     fc = spec.feature_config
-    target_space = split.train.label_space
     dev = split.dev if spec.dev_mode == "with_dev" else None
-    tc = replace(spec.train_config, seed=seed)
-
-    if arm in ("baseline", "st", "cf-st"):
-        f0 = init_params(target_space, fc)
-    elif arm == "itft":
-        # Generic intermediate fine-tuning on the auxiliary labeled set only.
-        f0 = swap_head(aux.classifier, target_space)
-    else:  # ta, ta-st; ExperimentSpec has rejected any other arm name
-        _, f0 = build_ta_base_model(
-            spec, aux, split.pool, target_space,
-            derive_seed(spec.master_seed, restart, "ta-data"),
-        )
+    tc = replace(spec.train_config, seed=derive_seed(spec.master_seed, restart, arm))
 
     if arm in ("baseline", "itft", "ta"):
-        return _finetune_and_score(spec, f0, split, seed), None
+        model, _ = train(f0, split.train, tc, dev_set=dev, feature_config=fc, metric=spec.metric)
+        return evaluate(model, split.test, spec.metric, fc), None
 
     st_config = spec.st_config
     if arm == "cf-st":
@@ -338,8 +354,7 @@ def _run_arm(
         st_config=st_config, train_config=tc,
         feature_config=fc, metric=spec.metric, gold=gold,
     )
-    score = evaluate(result.final_model, split.test, spec.metric, fc)
-    return score, result.per_iteration
+    return evaluate(result.final_model, split.test, spec.metric, fc), result.per_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +397,17 @@ def make_splits(spec: ExperimentSpec, base: Optional[Dataset] = None) -> list[Re
     return splits
 
 
-def run_experiment(spec: ExperimentSpec) -> RunReport:
-    """Execute every arm on identical per-restart splits and aggregate."""
-    needs_aux = any(a in ("itft", "ta", "ta-st") for a in spec.arms)
-    aux = build_aux_artifacts(spec) if needs_aux else None
+def run_experiment(
+    spec: ExperimentSpec, base: Optional[Dataset] = None, aux: Optional[AuxArtifacts] = None
+) -> RunReport:
+    """Execute every arm on identical per-restart splits and aggregate.
 
-    base = base_corpus(spec)
+    ``sweep_k`` passes the k-independent ``base`` corpus and ``aux`` artifacts.
+    Each restart builds each kind of start model once, for the first arm of that kind.
+    """
+    base = base_corpus(spec) if base is None else base
+    if aux is None and _needs_aux(spec, base.label_space):
+        aux = build_aux_artifacts(spec)
     splits = make_splits(spec, base)
     gold = base.labels_by_id()
 
@@ -398,14 +418,22 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     partial = False
 
     for r, split in enumerate(splits):
+        start_models: dict[str, Any] = {}  # kind -> model, or the exception its build raised
         for arm in spec.arms:
             start = time.perf_counter()
+            kind = START_KIND[arm]
             try:
-                score, arm_series = _run_arm(spec, arm, split, aux, r, gold)
+                if kind not in start_models:
+                    start_models[kind] = _start_model(spec, kind, split, aux, r)
+                f0 = start_models[kind]
+                if isinstance(f0, Exception):
+                    raise f0
+                score, arm_series = _run_arm(spec, arm, split, f0, r, gold)
                 scores[arm].append(score)
                 if arm_series is not None:
                     series[arm].append(arm_series)
             except Exception as exc:  # isolated: one arm failing must not sink the rest
+                start_models.setdefault(kind, exc)  # a failed build is not retried
                 scores[arm].append(None)
                 errors[arm].append(f"restart {r}: {type(exc).__name__}: {exc}")
                 partial = True
@@ -423,10 +451,12 @@ def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
         raise ValidationError("sweep_k requires the few_shot regime")
     if list(ks) != sorted(ks):
         raise ValidationError("ks must be ascending")
+    base = base_corpus(spec)
+    aux = build_aux_artifacts(spec) if _needs_aux(spec, base.label_space) else None
     rows = []
     aggregates = []
     for k in ks:
-        report = run_experiment(replace(spec, k=k))
+        report = run_experiment(replace(spec, k=k), base, aux)
         agg = report.aggregates()
         for arm in spec.arms:
             for r, s in enumerate(report.scores[arm]):
@@ -451,25 +481,3 @@ def curve_aggregate_csv(curve: Mapping) -> str:
     for row in curve["aggregates"]:
         lines.append(f"{row['arm']},{row['k']},{row['mean']!r},{row['std']!r}")
     return "\n".join(lines) + "\n"
-
-
-def track_labeling_series(result: SelfTrainResult) -> dict[str, list]:
-    """Per-iteration labeling-accuracy / metric series from a self-train run.
-
-    The pool series requires the run to have been given gold alignments;
-    missing coverage raises rather than silently emitting gaps.
-    """
-    pool = [rec.get("pool_labeling_accuracy") for rec in result.per_iteration]
-    if any(v is None for v in pool):
-        raise CoverageError("pool labeling accuracy missing; run with gold alignments")
-    out = {
-        "pool": pool,
-        "dev": [rec.get("dev_metric") for rec in result.per_iteration],
-        "test": [rec.get("test_metric") for rec in result.per_iteration],
-    }
-    if result.mode == "confidence_filtering":
-        batches = [rec.get("added_batch_accuracy") for rec in result.per_iteration]
-        if any(v is None for v in batches):
-            raise CoverageError("added-batch accuracy missing; run with gold alignments")
-        out["self_train"] = batches
-    return out

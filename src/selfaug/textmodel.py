@@ -319,7 +319,7 @@ def loss_and_grad(
 
 
 def _parse_metric(metric: str) -> tuple[str, Optional[str]]:
-    if metric.startswith("f1:"):
+    if isinstance(metric, str) and metric.startswith("f1:"):
         return "f1", metric[3:]
     if metric in ("accuracy", "spearman", "f1"):
         return metric, None

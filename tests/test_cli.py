@@ -71,6 +71,34 @@ class TestValidate:
         assert main(argv + ["validate"]) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["experiment.metric=bogus"],
+            ["experiment.metric=f1"],
+            ["experiment.regime=bogus"],
+            ["self_training.pool_mode=bogus"],
+            ["self_training.pool_mode=bogus", "datasets.ood_family=keyword-sentiment"],
+            ["self_training.pool_mode=out_only"],
+            ["experiment.k=0"],
+            ["experiment.restarts=1.5"],
+            ["experiment.restarts=true"],
+            ["datasets.train_partition_size=0"],
+            ["datasets.test_size=0"],
+            ["augmentation.aux_train_size=0"],
+            ["augmentation.aux_dev_size=0"],
+            ["augmentation.tau_budget=0"],
+            ["augmentation.tau_source_limit=0"],
+            ["augmentation.ta_pool_limit=-3"],
+            ["augmentation.tau=1"],
+            ["augmentation.tau=.nan"],
+        ],
+    )
+    def test_bad_experiment_value_exits_1(self, overrides, capsys):
+        argv = [arg for expr in overrides for arg in ("--set", expr)]
+        assert main(argv + ["validate"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
         assert "top_k" in _last_stderr_json(capsys)["message"]

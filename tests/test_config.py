@@ -167,6 +167,45 @@ class TestBuilders:
         assert spec.ood_task.family == "keyword-sentiment"
         assert spec.restarts == 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": {"metric": "bogus"}}, {"experiment": {"metric": "f1"}},
+            {"experiment": {"metric": "f1:"}}, {"experiment": {"metric": 5}},
+            {"experiment": {"regime": "bogus"}},
+            {"self_training": {"pool_mode": "bogus"}},
+            {"self_training": {"pool_mode": "bogus"}, "datasets": {"ood_family": "keyword-sentiment"}},
+            {"self_training": {"pool_mode": "out_only"}},
+            {"self_training": {"pool_mode": "in_plus_out"}},
+            {"experiment": {"k": 0}}, {"experiment": {"k": 1.5}}, {"experiment": {"k": True}},
+            {"experiment": {"restarts": 0}}, {"experiment": {"restarts": 1.5}},
+            {"experiment": {"restarts": True}}, {"experiment": {"restarts": "abc"}},
+            {"datasets": {"train_partition_size": 0}}, {"datasets": {"test_size": -1}},
+            {"augmentation": {"aux_train_size": 0}}, {"augmentation": {"aux_dev_size": 2.0}},
+            {"augmentation": {"tau_budget": 0}}, {"augmentation": {"tau_source_limit": False}},
+            {"augmentation": {"ta_pool_limit": -3}}, {"augmentation": {"ta_pool_limit": 1.5}},
+            {"augmentation": {"ta_pool_limit": True}},
+            {"augmentation": {"tau": 1.0}}, {"augmentation": {"tau": -0.1}},
+            {"augmentation": {"tau": float("nan")}}, {"augmentation": {"tau": float("inf")}},
+            {"augmentation": {"tau": "abc"}}, {"augmentation": {"tau": True}},
+        ],
+    )
+    def test_experiment_spec_rejects_bad_values(self, config):
+        with pytest.raises(ValidationError):
+            build_experiment_spec(validate_config(config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": {"metric": "f1:pos"}}, {"experiment": {"regime": "full"}},
+            {"self_training": {"pool_mode": "out_only"}, "datasets": {"ood_family": "keyword-sentiment"}},
+            {"augmentation": {"ta_pool_limit": 0}}, {"augmentation": {"tau": None}},
+            {"augmentation": {"tau": 0}},
+        ],
+    )
+    def test_experiment_spec_accepts_edge_values(self, config):
+        build_experiment_spec(validate_config(config))
+
     def test_master_seed_propagates_to_train_config(self):
         config = validate_config({"experiment": {"master_seed": 41}})
         assert build_train_config(config).seed == 41

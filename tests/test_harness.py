@@ -6,22 +6,23 @@ from dataclasses import replace
 import pytest
 
 import selfaug.harness as harness
-from selfaug.corpus import LabelSpace, ValidationError
+from selfaug.augmentation import swap_head
+from selfaug.corpus import LabelSpace, ValidationError, strip_labels
 from selfaug.harness import (
     ARM_NAMES,
-    CoverageError,
     ExperimentSpec,
     _effective_pool,
     base_corpus,
+    build_aux_artifacts,
+    build_ta_base_model,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
     make_splits,
     run_experiment,
     sweep_k,
-    track_labeling_series,
 )
-from selfaug.selftrain import SelfTrainConfig, SelfTrainResult
+from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
 from selfaug.textmodel import FeatureConfig, FixedSteps, TrainConfig, init_params
 
@@ -34,6 +35,30 @@ FAST = dict(
     train_config=TrainConfig(seed=0, max_steps=120),
     st_config=SelfTrainConfig(max_iterations=3),
 )
+# A small task-augmentation setup: tiny aux sets, a short TA pool, short training.
+TA_FAST = dict(
+    FAST,
+    task=SynthSpec("pair-overlap-nli"),
+    restarts=1,
+    train_config=TrainConfig(seed=0, max_steps=40),
+    st_config=SelfTrainConfig(max_iterations=2),
+    aux_train_size=60,
+    aux_dev_size=20,
+    ta_pool_limit=20,
+)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``harness.<name>`` so every call is recorded; returns the call list."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 class TestDeriveSeed:
@@ -222,36 +247,78 @@ class TestSweep:
         assert agg_lines[0] == "arm,k,mean,std"
         assert len(agg_lines) == 3
 
+    def test_builds_aux_artifacts_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "build_aux_artifacts")
+        spec = ExperimentSpec(arms=("ta",), **TA_FAST)
+        curve = sweep_k(spec, [4, 8])
+        assert len(calls) == 1
+        for k in (4, 8):
+            alone = run_experiment(replace(spec, k=k)).scores["ta"]
+            assert [row["score"] for row in curve["rows"] if row["k"] == k] == alone
+            assert None not in alone
 
-class TestTrackLabelingSeries:
-    def test_series_extracted(self):
-        spec = ExperimentSpec(arms=("st",), **FAST)
+
+class TestStartModels:
+    @pytest.fixture(scope="class")
+    def aux(self):
+        return build_aux_artifacts(ExperimentSpec(arms=("ta",), **TA_FAST))
+
+    def test_ta_base_model_built_once_per_restart(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "build_ta_base_model")
+        report = run_experiment(ExperimentSpec(arms=("ta", "ta-st"), **TA_FAST))
+        assert not report.partial
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["keyword-sentiment", "drifted-cluster"])
+    def test_no_aux_work_when_no_class_carries_over(self, monkeypatch, family):
+        aux_calls = _count_calls(monkeypatch, "build_aux_artifacts")
+        ta_calls = _count_calls(monkeypatch, "build_ta_base_model")
+        spec = ExperimentSpec(arms=("itft", "ta", "ta-st"), **{**TA_FAST, "task": SynthSpec(family)})
         report = run_experiment(spec)
-        result = SelfTrainResult(
-            final_model=init_params(
-                LabelSpace.categorical(("pos", "neg")), FeatureConfig(hash_dim=2 ** 14)
-            ),
-            per_iteration=report.series["st"][0],
-            converged_at=None,
-            config=SelfTrainConfig(),
-            f0_hash="",
-        )
-        series = track_labeling_series(result)
-        assert set(series) == {"pool", "dev", "test"}
-        assert all(0 <= v <= 1 for v in series["pool"])
+        assert not report.partial
+        assert aux_calls == [] and ta_calls == []
 
-    def test_missing_gold_raises(self):
-        result = SelfTrainResult(
-            final_model=init_params(
-                LabelSpace.categorical(("pos", "neg")), FeatureConfig(hash_dim=2 ** 14)
-            ),
-            per_iteration=[{"pool_labeling_accuracy": None}],
-            converged_at=None,
-            config=SelfTrainConfig(),
-            f0_hash="",
-        )
-        with pytest.raises(CoverageError):
-            track_labeling_series(result)
+    @pytest.mark.parametrize("family", ["keyword-sentiment", "drifted-cluster", None])
+    def test_reference_start_models_are_zeros_when_no_class_carries_over(self, aux, family):
+        """What the skipped aux work would have returned: ``init_params`` zeros."""
+        spec = ExperimentSpec(arms=("ta",), **TA_FAST)
+        pool = strip_labels(base_corpus(replace(spec, task=SynthSpec("keyword-sentiment"))))
+        if family is None:
+            space = LabelSpace.continuous(0.0, 1.0)
+        else:
+            space = base_corpus(replace(spec, task=SynthSpec(family))).label_space
+        zeros = init_params(space, spec.feature_config).to_bytes()
+        assert swap_head(aux.classifier, space).to_bytes() == zeros
+        assert build_ta_base_model(spec, aux, pool, space, 3)[1].to_bytes() == zeros
+
+    @pytest.mark.parametrize("family", ["pair-overlap-nli", "keyword-sentiment"])
+    def test_arms_run_together_match_arms_run_alone(self, family):
+        """No arm changes a start model that another arm of its kind reuses."""
+        spec = ExperimentSpec(arms=ARM_NAMES, **{**TA_FAST, "task": SynthSpec(family)})
+        together = run_experiment(spec)
+        assert not together.partial
+        for arm in ARM_NAMES:
+            alone = run_experiment(replace(spec, arms=(arm,)))
+            assert alone.scores[arm] == together.scores[arm]
+            assert alone.series[arm] == together.series[arm]
+
+    def test_failed_ta_build_fails_only_the_ta_arms(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("generator down")
+
+        monkeypatch.setattr(harness, "build_ta_base_model", broken)
+        report = run_experiment(ExperimentSpec(arms=("baseline", "ta", "st", "ta-st"), **TA_FAST))
+        assert report.partial
+        assert report.errors["ta"] == report.errors["ta-st"] == [
+            "restart 0: RuntimeError: generator down"
+        ]
+        assert report.scores["ta"] == report.scores["ta-st"] == [None]
+        assert report.errors["baseline"] == report.errors["st"] == []
+        assert None not in report.scores["baseline"] + report.scores["st"]
+        assert len(calls) == 1
 
 
 def test_arm_names_frozen():
