@@ -30,7 +30,7 @@ from .textmodel import (
     fit,
     fixed_steps,
     labeled_matrix,
-    predict_proba_matrix,
+    predict_labels,
 )
 
 
@@ -156,27 +156,22 @@ def filter_candidates(
     """Keep candidates the classifier assigns the intended label with p > tau."""
     if not candidates:
         return []
+    if label not in classifier.label_space.classes:
+        raise ValueError(f"{label!r} is not a class of the filter classifier")
     feature_config = feature_config or FeatureConfig()
-    classes = classifier.label_space.classes
-    label_idx = classes.index(label)
     pairs = [
         Example(id=f"cand:{i}", segment_a=source, segment_b=c)
         for i, c in enumerate(candidates)
     ]
-    probs = predict_proba_matrix(classifier, featurize_matrix(pairs, feature_config))
-    kept = []
-    for cand, p in zip(candidates, probs):
-        if int(np.argmax(p)) == label_idx and p[label_idx] > tau:
-            kept.append(
-                AugmentedExample(
-                    premise=source,
-                    hypothesis=cand,
-                    label=label,
-                    filter_confidence=float(p[label_idx]),
-                    source_id=source_id,
-                )
-            )
-    return kept
+    labels, confidences = predict_labels(classifier, featurize_matrix(pairs, feature_config))
+    return [
+        AugmentedExample(
+            premise=source, hypothesis=cand, label=label,
+            filter_confidence=float(conf), source_id=source_id,
+        )
+        for cand, lab, conf in zip(candidates, labels, confidences)
+        if lab == label and conf > tau
+    ]
 
 
 def _sentence_seed(seed: int, sentence_id: str) -> int:

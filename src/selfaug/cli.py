@@ -32,6 +32,7 @@ from .corpus import (
     CorpusError,
     Dataset,
     LabelSpace,
+    ValidationError,
     load_dataset,
     sample_regime,
     save_dataset,
@@ -40,11 +41,13 @@ from .corpus import (
 from .harness import (
     build_aux_artifacts,
     build_ta_base_model,
+    check_sweep_ks,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
     run_experiment,
-    sweep_k,
+    run_per_k,
+    sweep_curve,
 )
 from .selftrain import UnsupportedModeError, mix_pools, self_train
 from .synth import synth_corpus
@@ -192,26 +195,39 @@ def cmd_selftrain(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _sweep_ks(config: dict, args, spec) -> list[int]:
+    """The checked k sweep of ``--sweep`` or ``experiment.sweep_ks``; [] for none."""
+    ks = config["experiment"]["sweep_ks"]
+    if getattr(args, "sweep", None):
+        try:
+            ks = [int(k) for k in args.sweep.split(",")]
+        except ValueError:
+            raise ValidationError(f"--sweep must list integers, got {args.sweep!r}") from None
+    if ks is None or ks == []:
+        return []
+    check_sweep_ks(spec, ks)
+    return list(ks)
+
+
 def cmd_experiment(config: dict, args) -> int:
     spec = build_experiment_spec(config)
+    sweep_ks = _sweep_ks(config, args, spec)
     out_dir = Path(args.out or "experiment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
 
-    sweep_ks = None
-    if args.sweep:
-        sweep_ks = [int(k) for k in args.sweep.split(",")]
-    elif config["experiment"]["sweep_ks"]:
-        sweep_ks = list(config["experiment"]["sweep_ks"])
-
-    report = run_experiment(spec)
+    if sweep_ks:  # one base corpus and aux build; the main run is the sweep's run at spec.k
+        reports = run_per_k(spec, sorted({spec.k, *sweep_ks}))
+        report = reports[spec.k]
+    else:
+        report = run_experiment(spec)
     (out_dir / "report.json").write_text(report.to_json_str() + "\n", encoding="utf-8")
     (out_dir / "scores.csv").write_text(report.scores_csv(), encoding="utf-8")
     (out_dir / "aggregate.csv").write_text(report.aggregate_csv(), encoding="utf-8")
     files += [out_dir / "report.json", out_dir / "scores.csv", out_dir / "aggregate.csv"]
 
     if sweep_ks:
-        curve = sweep_k(spec, sweep_ks)
+        curve = sweep_curve(spec.arms, {k: reports[k] for k in sweep_ks})
         (out_dir / "curve.csv").write_text(curve_csv(curve), encoding="utf-8")
         (out_dir / "curve_aggregate.csv").write_text(curve_aggregate_csv(curve), encoding="utf-8")
         files += [out_dir / "curve.csv", out_dir / "curve_aggregate.csv"]
@@ -228,7 +244,7 @@ def cmd_experiment(config: dict, args) -> int:
 
 
 def cmd_validate(config: dict, args) -> int:
-    build_experiment_spec(config)  # full construction = full validation
+    _sweep_ks(config, args, build_experiment_spec(config))  # full construction = full validation
     if not args.quiet:
         print("config ok")
     return EXIT_OK

@@ -354,7 +354,8 @@ def _run_arm(
         st_config=st_config, train_config=tc,
         feature_config=fc, metric=spec.metric, gold=gold,
     )
-    return evaluate(result.final_model, split.test, spec.metric, fc), result.per_iteration
+    # self_train scored its final model on the test set in its last record.
+    return result.per_iteration[-1]["test_metric"], result.per_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def run_experiment(
 ) -> RunReport:
     """Execute every arm on identical per-restart splits and aggregate.
 
-    ``sweep_k`` passes the k-independent ``base`` corpus and ``aux`` artifacts.
+    ``run_per_k`` passes the k-independent ``base`` corpus and ``aux`` artifacts.
     Each restart builds each kind of start model once, for the first arm of that kind.
     """
     base = base_corpus(spec) if base is None else base
@@ -445,20 +446,32 @@ def run_experiment(
     )
 
 
-def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
-    """Sample-efficiency sweep: rerun the experiment per examples-per-class k."""
+def check_sweep_ks(spec: ExperimentSpec, ks) -> None:
+    """A k sweep is a strictly ascending list of integers >= 1 in the few_shot regime."""
     if spec.regime != "few_shot":
-        raise ValidationError("sweep_k requires the few_shot regime")
-    if list(ks) != sorted(ks):
-        raise ValidationError("ks must be ascending")
+        raise ValidationError("a k sweep requires the few_shot regime")
+    if isinstance(ks, str) or not isinstance(ks, Sequence):
+        raise ValidationError(f"sweep ks must be a list of integers, got {ks!r}")
+    for k in ks:
+        _check_count("sweep k", k)
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValidationError(f"sweep ks must be strictly ascending, got {list(ks)}")
+
+
+def run_per_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict[int, RunReport]:
+    """``spec`` run at each k in ``ks``, on one base corpus and one set of aux artifacts."""
     base = base_corpus(spec)
     aux = build_aux_artifacts(spec) if _needs_aux(spec, base.label_space) else None
+    return {k: run_experiment(replace(spec, k=k), base, aux) for k in ks}
+
+
+def sweep_curve(arms: Sequence[str], reports: Mapping[int, RunReport]) -> dict:
+    """Per-restart rows and per-arm aggregates of k -> report, in k order."""
     rows = []
     aggregates = []
-    for k in ks:
-        report = run_experiment(replace(spec, k=k), base, aux)
+    for k, report in reports.items():
         agg = report.aggregates()
-        for arm in spec.arms:
+        for arm in arms:
             for r, s in enumerate(report.scores[arm]):
                 rows.append({"arm": arm, "k": k, "restart": r, "score": s})
             if arm in agg:
@@ -466,6 +479,12 @@ def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
                     {"arm": arm, "k": k, "mean": agg[arm]["mean"], "std": agg[arm]["std"]}
                 )
     return {"rows": rows, "aggregates": aggregates}
+
+
+def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
+    """Sample-efficiency sweep: rerun the experiment per examples-per-class k."""
+    check_sweep_ks(spec, ks)
+    return sweep_curve(spec.arms, run_per_k(spec, ks))
 
 
 def curve_csv(curve: Mapping) -> str:

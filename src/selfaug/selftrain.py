@@ -25,8 +25,7 @@ from .textmodel import (
     featurize_matrix,
     fit,
     labeled_matrix,
-    predict_proba_matrix,
-    predict_values_matrix,
+    predict_labels,
 )
 
 
@@ -36,23 +35,6 @@ class SelfTrainError(Exception):
 
 class UnsupportedModeError(SelfTrainError):
     pass
-
-
-@dataclass(frozen=True)
-class PseudoLabeledSet:
-    """Teacher-assigned labels for pool examples, in pool order."""
-
-    entries: tuple[tuple[str, Label, Optional[float]], ...]
-    produced_by_iteration: int = 0
-
-    def labels(self) -> list[Label]:
-        return [e[1] for e in self.entries]
-
-    def confidences(self) -> list[Optional[float]]:
-        return [e[2] for e in self.entries]
-
-    def ids(self) -> list[str]:
-        return [e[0] for e in self.entries]
 
 
 @dataclass(frozen=True)
@@ -109,52 +91,20 @@ class SelfTrainResult:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def annotate_pool(
-    teacher: ModelParams,
-    pool: UnlabeledPool,
-    feature_config: Optional[FeatureConfig] = None,
-    iteration: int = 0,
-) -> PseudoLabeledSet:
-    """One prediction per pool example, in pool order."""
-    feature_config = feature_config or FeatureConfig()
-    x = featurize_matrix(pool.examples, feature_config)
-    return _annotate_matrix(teacher, x, pool.ids(), iteration)
-
-
-def _annotate_matrix(
-    teacher: ModelParams, x: sp.csr_matrix, ids: Sequence[str], iteration: int
-) -> PseudoLabeledSet:
-    if x.shape[0] == 0:
-        return PseudoLabeledSet(entries=(), produced_by_iteration=iteration)
-    if teacher.head == "classification":
-        probs = predict_proba_matrix(teacher, x)
-        idx = np.argmax(probs, axis=1)
-        classes = teacher.label_space.classes
-        entries = tuple(
-            (ids[i], classes[idx[i]], float(probs[i, idx[i]])) for i in range(len(ids))
-        )
-    else:
-        values = predict_values_matrix(teacher, x)
-        entries = tuple((ids[i], float(values[i]), None) for i in range(len(ids)))
-    return PseudoLabeledSet(entries=entries, produced_by_iteration=iteration)
-
-
 def _labeling_accuracy(
-    pseudo: PseudoLabeledSet, gold: Optional[Mapping[str, Label]]
+    ids: Sequence[str], labels: Sequence[Label], gold: Optional[Mapping[str, Label]]
 ) -> Optional[float]:
-    if gold is None or not pseudo.entries:
+    if gold is None or not ids:
         return None
-    hits = sum(1 for ex_id, label, _ in pseudo.entries if gold.get(ex_id) == label)
-    return hits / len(pseudo.entries)
+    return sum(1 for i, label in zip(ids, labels) if gold.get(i) == label) / len(ids)
 
 
-def _drop_lowest(pseudo: PseudoLabeledSet, fraction: float) -> list[int]:
-    """Kept pool indices after removing the lowest-confidence fraction."""
-    n = len(pseudo.entries)
+def _drop_lowest(conf: np.ndarray, fraction: float) -> list[int]:
+    """Kept indices after removing the lowest-confidence fraction."""
+    n = len(conf)
     n_drop = int(fraction * n)
     if n_drop == 0:
         return list(range(n))
-    conf = np.array([c for _, _, c in pseudo.entries])
     # Stable: equal confidences drop in pool order.
     dropped = set(np.argsort(conf, kind="stable")[:n_drop].tolist())
     return [i for i in range(n) if i not in dropped]
@@ -173,7 +123,6 @@ def self_train(
     test: Optional[Dataset] = None,
     st_config: Optional[SelfTrainConfig] = None,
     train_config: Optional[TrainConfig] = None,
-    seed: int = 0,
     feature_config: Optional[FeatureConfig] = None,
     metric: str = "accuracy",
     gold: Optional[Mapping[str, Label]] = None,
@@ -196,7 +145,7 @@ def self_train(
     ``gold`` (id -> gold label) enables the pool labeling-accuracy series.
     """
     st_config = st_config or SelfTrainConfig()
-    train_config = train_config or TrainConfig(seed=seed)
+    train_config = train_config or TrainConfig()
     feature_config = feature_config or FeatureConfig()
     broad = st_config.mode == "broad"
     if not broad and f0.head != "classification":
@@ -246,30 +195,26 @@ def self_train(
 
     for t in range(1, iterations + 1):
         if broad:
-            pseudo = _annotate_matrix(teacher, x_pool, pool_ids, iteration=t)
-            labels_now = pseudo.labels()
+            pool_labels, conf = predict_labels(teacher, x_pool)
             agreement = None
             if prev_labels is not None:
-                agreement = sum(1 for a, b in zip(labels_now, prev_labels) if a == b) / len(labels_now)
-            prev_labels = labels_now
-            train_idx = _drop_lowest(pseudo, st_config.drop_lowest_confidence_fraction)
-            train_labels = [labels_now[i] for i in train_idx]
+                agreement = sum(1 for a, b in zip(pool_labels, prev_labels) if a == b) / len(pool_labels)
+            prev_labels = pool_labels
+            drop = st_config.drop_lowest_confidence_fraction  # 0 for a regression head
+            train_idx = _drop_lowest(conf, drop) if drop else list(range(len(pool_ids)))
+            train_labels = [pool_labels[i] for i in train_idx]
         else:
-            probs = predict_proba_matrix(teacher, x_pool[remaining])
-            arg = np.argmax(probs, axis=1)
-            conf = probs[np.arange(len(remaining)), arg]
+            labels_now, conf = predict_labels(teacher, x_pool[remaining])
             chosen = _most_confident(conf, remaining, st_config.cf_batch)
             added_idx = remaining[chosen].tolist()
-            added_labels = [f0.label_space.classes[a] for a in arg[chosen]]
+            added_labels = [labels_now[c] for c in chosen]
             remaining = np.delete(remaining, chosen)
             train_idx.extend(added_idx)
             train_labels.extend(added_labels)
-            pseudo, agreement, batch_accuracy = None, None, None
-            if gold is not None:
-                hits = sum(
-                    1 for i, lab in zip(added_idx, added_labels) if gold.get(pool_ids[i]) == lab
-                )
-                batch_accuracy = hits / len(added_idx)
+            pool_labels, agreement = None, None
+            batch_accuracy = _labeling_accuracy(
+                [pool_ids[i] for i in added_idx], added_labels, gold
+            )
 
         x_train = sp.vstack([x_l, x_pool[train_idx]], format="csr")
         y_train = y_l + train_labels
@@ -290,12 +235,12 @@ def self_train(
 
         if not broad and gold is not None:
             # Confidence filtering scores the new student's labels on the whole pool.
-            pseudo = _annotate_matrix(student, x_pool, pool_ids, iteration=t)
+            pool_labels = predict_labels(student, x_pool)[0]
 
         record = {
             "iteration": t,
             "train_size": len(y_train),
-            "pool_labeling_accuracy": _labeling_accuracy(pseudo, gold),
+            "pool_labeling_accuracy": _labeling_accuracy(pool_ids, pool_labels, gold),
             "agreement": agreement,
             "student_init_hash": student_init_hash,
             "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,

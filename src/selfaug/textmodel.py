@@ -20,7 +20,6 @@ from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import spearmanr
 
 from .corpus import Dataset, Example, LabelSpace, ValidationError
 
@@ -263,6 +262,17 @@ def predict_values_matrix(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
     return np.clip(raw, space.lo, space.hi)
 
 
+def predict_labels(params: ModelParams, x: sp.csr_matrix) -> tuple[list, Optional[np.ndarray]]:
+    """Each row's argmax class name (ties go to the lowest class index) and its
+    probability; for a regression head, each row's clamped value and None."""
+    if params.head == "regression":
+        return predict_values_matrix(params, x).tolist(), None
+    probs = predict_proba_matrix(params, x)
+    idx = np.argmax(probs, axis=1)
+    classes = params.label_space.classes
+    return [classes[i] for i in idx], probs[np.arange(len(idx)), idx]
+
+
 def predict(params: ModelParams, example: Example, config: FeatureConfig) -> Prediction:
     x = featurize_matrix([example], config)
     if params.head == "classification":
@@ -355,8 +365,11 @@ def score_predictions(
     g = np.asarray(gold, dtype=float)
     if np.ptp(p) == 0 or np.ptp(g) == 0:
         return 0.0
-    rho = spearmanr(p, g).statistic
-    return float(rho)
+    # Imported here: scipy.stats takes most of a second to import, and only
+    # a regression metric needs it.
+    from scipy.stats import spearmanr
+
+    return float(spearmanr(p, g).statistic)
 
 
 def _metric_on_matrix(
@@ -366,13 +379,9 @@ def _metric_on_matrix(
     if params.head == "regression":
         if kind in ("accuracy", "f1"):
             raise ValidationError(f"metric {metric!r} is not defined for a regression head")
-        return score_predictions(predict_values_matrix(params, x), gold_labels, metric)
-    probs = predict_proba_matrix(params, x)
-    classes = params.label_space.classes
-    preds = [classes[i] for i in np.argmax(probs, axis=1)]
-    if kind == "spearman":
+    elif kind == "spearman":
         raise ValidationError("spearman is not defined for a classification head")
-    return score_predictions(preds, gold_labels, metric)
+    return score_predictions(predict_labels(params, x)[0], gold_labels, metric)
 
 
 def labeled_matrix(

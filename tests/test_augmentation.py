@@ -144,6 +144,10 @@ class TestFilterCandidates:
     def test_empty_candidates_ok(self, nli_classifier):
         assert filter_candidates(nli_classifier, "src", [], "neutral", 0.5, FC) == []
 
+    def test_unknown_label_raises(self, nli_classifier):
+        with pytest.raises(ValueError):
+            filter_candidates(nli_classifier, "src", ["a hypothesis"], "paraphrase", 0.5, FC)
+
 
 class TestBuildTaDataset:
     def test_dataset_shape_and_determinism(self, nli_classifier):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from selfaug import harness
 from selfaug.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from selfaug.config import build_experiment_spec, load_config
 from selfaug.corpus import LabelSpace
@@ -98,6 +99,32 @@ class TestValidate:
         argv = [arg for expr in overrides for arg in ("--set", expr)]
         assert main(argv + ["validate"]) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["experiment.sweep_ks=abc"],
+            ["experiment.sweep_ks=5"],
+            ["experiment.sweep_ks=[8, 4]"],
+            ["experiment.sweep_ks=[4, 4]"],
+            ["experiment.sweep_ks=[0, 4]"],
+            ["experiment.sweep_ks=[true, 4]"],
+            ["experiment.sweep_ks=[4.5]"],
+            ["experiment.sweep_ks=[4, 8]", "experiment.regime=full"],
+        ],
+    )
+    def test_bad_sweep_exits_1(self, overrides, capsys):
+        argv = [arg for expr in overrides for arg in ("--set", expr)]
+        assert main(argv + ["validate"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("sweep", ["[4, 8]", "[]", "null"])
+    def test_good_sweep_ok(self, sweep):
+        assert main(["--set", f"experiment.sweep_ks={sweep}", "--quiet", "validate"]) == EXIT_OK
+
+    def test_validate_only_checks_the_sweep_option(self, capsys):
+        assert main(["--validate-only", "experiment", "--sweep", "4,abc"]) == EXIT_VALIDATION
+        assert "--sweep" in _last_stderr_json(capsys)["message"]
 
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
@@ -283,6 +310,53 @@ class TestExperiment:
         assert (out / "curve_aggregate.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "curve.csv" in manifest["files"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["experiment", "--sweep", "4,abc"],
+            ["experiment", "--sweep", "8,4"],
+            ["experiment", "--sweep", "4,0"],
+            ["--set", "experiment.regime=full", "experiment", "--sweep", "4,8"],
+            ["--set", "experiment.sweep_ks=abc", "experiment"],
+        ],
+    )
+    def test_bad_sweep_exits_1_before_any_artifact(self, tmp_path, capsys, extra):
+        out = tmp_path / "exp"
+        assert main(self.ARGS + ["--out", str(out), "--quiet"] + extra) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_sweep_runs_each_k_once_and_builds_aux_once(self, tmp_path, monkeypatch):
+        args = SMALL + [
+            "--set", "datasets.task_family=pair-overlap-nli",
+            "--set", "experiment.arms=[ta]",
+            "--set", "experiment.restarts=1",
+            "--set", "model.max_steps=40",
+            "--set", "augmentation.aux_train_size=60",
+            "--set", "augmentation.aux_dev_size=20",
+            "--set", "augmentation.ta_pool_limit=20",
+        ]
+        counts = {}
+        for name in ("build_aux_artifacts", "run_experiment"):
+            original = getattr(harness, name)
+            counts[name] = 0
+
+            def counted(*a, _name=name, _original=original, **kw):
+                counts[_name] += 1
+                return _original(*a, **kw)
+
+            monkeypatch.setattr(harness, name, counted)
+        swept = tmp_path / "swept"
+        assert main(args + ["--out", str(swept), "--quiet", "experiment", "--sweep", "4,8"]) == EXIT_OK
+        assert counts == {"build_aux_artifacts": 1, "run_experiment": 2}
+        # report.json is the sweep's k=8 run, byte for byte the report of a plain run.
+        plain = tmp_path / "plain"
+        assert main(args + ["--out", str(plain), "--quiet", "experiment"]) == EXIT_OK
+        for name in ("report.json", "scores.csv", "aggregate.csv"):
+            assert (swept / name).read_bytes() == (plain / name).read_bytes()
+        rows = (swept / "curve.csv").read_text().splitlines()
+        assert [r.split(",")[1] for r in rows[1:]] == ["4", "8"]
 
     def test_bare_off_finetune_runs_clean(self, tmp_path):
         out = tmp_path / "exp"

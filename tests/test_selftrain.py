@@ -14,12 +14,10 @@ from selfaug.corpus import (
     sample_regime,
 )
 from selfaug.selftrain import (
-    PseudoLabeledSet,
     SelfTrainConfig,
     UnsupportedModeError,
     _drop_lowest,
     _most_confident,
-    annotate_pool,
     mix_pools,
     self_train,
 )
@@ -41,36 +39,15 @@ def _setup(corpus_size=320, seed=0, k=8):
     return corpus, split, f0
 
 
-class TestAnnotatePool:
-    def test_covers_pool_in_order(self):
-        _, split, f0 = _setup()
-        pseudo = annotate_pool(f0, split.pool, FC, iteration=3)
-        assert pseudo.ids() == list(split.pool.ids())
-        assert pseudo.produced_by_iteration == 3
-        assert all(c is not None for c in pseudo.confidences())
-
-    def test_empty_pool(self):
-        space = LabelSpace.categorical(("pos", "neg"))
-        pseudo = annotate_pool(init_params(space, FC), UnlabeledPool("empty", ()), FC)
-        assert pseudo.entries == ()
-
-
 class TestDropLowest:
     def test_zero_fraction_keeps_all(self):
-        pseudo = PseudoLabeledSet(entries=(("a", "pos", 0.9), ("b", "neg", 0.6)))
-        assert _drop_lowest(pseudo, 0.0) == [0, 1]
+        assert _drop_lowest(np.array([0.9, 0.6]), 0.0) == [0, 1]
 
     def test_drops_lowest_confidence(self):
-        pseudo = PseudoLabeledSet(
-            entries=(("a", "pos", 0.9), ("b", "neg", 0.5), ("c", "pos", 0.7), ("d", "neg", 0.6))
-        )
-        assert _drop_lowest(pseudo, 0.5) == [0, 2]
+        assert _drop_lowest(np.array([0.9, 0.5, 0.7, 0.6]), 0.5) == [0, 2]
 
     def test_ties_drop_in_pool_order(self):
-        pseudo = PseudoLabeledSet(
-            entries=(("a", "pos", 0.5), ("b", "neg", 0.5), ("c", "pos", 0.5), ("d", "neg", 0.9))
-        )
-        assert _drop_lowest(pseudo, 0.25) == [1, 2, 3]
+        assert _drop_lowest(np.array([0.5, 0.5, 0.5, 0.9]), 0.25) == [1, 2, 3]
 
 
 class TestMostConfident:

@@ -26,6 +26,7 @@ from selfaug.textmodel import (
     init_params,
     loss_and_grad,
     predict,
+    predict_labels,
     score_predictions,
     tokenize,
     train,
@@ -179,6 +180,56 @@ class TestPredict:
         params.bias[0] = 10.0
         pred = predict(params, Example(id="t", segment_a="x"), small_fc)
         assert pred.value == 1.0
+
+
+PREDICT_EXAMPLES = [
+    Example(id=f"t:{i}", segment_a=t)
+    for i, t in enumerate(["good fresh plot", "bad slow plot", "a plain report", "good but slow", "x"])
+]
+
+
+class TestPredictLabels:
+    """``predict_labels`` agrees row by row with the single-example ``predict``."""
+
+    @staticmethod
+    def _check_against_predict(params, fc):
+        labels, confidences = predict_labels(params, featurize_matrix(PREDICT_EXAMPLES, fc))
+        preds = [predict(params, ex, fc) for ex in PREDICT_EXAMPLES]
+        assert labels == [p.argmax_label for p in preds]
+        assert confidences.tolist() == [p.confidence for p in preds]
+        return labels, confidences
+
+    def test_all_zero_model_ties_go_to_the_lowest_index(self, small_fc, binary_space):
+        labels, confidences = self._check_against_predict(init_params(binary_space, small_fc), small_fc)
+        assert labels == ["pos"] * len(PREDICT_EXAMPLES)
+        assert confidences.tolist() == [0.5] * len(PREDICT_EXAMPLES)
+
+    def test_trained_three_class_model(self, small_fc):
+        space = LabelSpace.categorical(("pos", "neg", "neutral"))
+        rows = [("good great fresh", "pos"), ("bad awful slow", "neg"), ("plain report today", "neutral")]
+        examples = tuple(
+            Example(id=f"c:{i}", segment_a=text, label=label) for i, (text, label) in enumerate(rows * 4)
+        )
+        model, _ = train(
+            init_params(space, small_fc), Dataset("three", space, examples),
+            TrainConfig(seed=0, stopping=FixedSteps(40, 40, 1)), feature_config=small_fc,
+        )
+        labels, _ = self._check_against_predict(model, small_fc)
+        assert set(labels) == {"pos", "neg", "neutral"}
+
+    def test_regression_values_clamped_without_confidences(self, small_fc):
+        params = init_params(LabelSpace.continuous(0.0, 1.0), small_fc)
+        params.bias[0] = 10.0
+        values, confidences = predict_labels(params, featurize_matrix(PREDICT_EXAMPLES, small_fc))
+        assert confidences is None
+        assert values == [predict(params, ex, small_fc).value for ex in PREDICT_EXAMPLES]
+        assert values == [1.0] * len(PREDICT_EXAMPLES)
+
+    def test_empty_matrix(self, small_fc, binary_space):
+        labels, confidences = predict_labels(
+            init_params(binary_space, small_fc), featurize_matrix([], small_fc)
+        )
+        assert labels == [] and confidences.shape == (0,)
 
 
 class TestMetrics:
