@@ -25,7 +25,10 @@ from .textmodel import (
     FeatureConfig,
     ModelParams,
     TrainConfig,
-    evaluate,
+    _check_count,
+    _check_flag,
+    _check_rate,
+    _metric_on_matrix,
     featurize_matrix,
     fit,
     fixed_steps,
@@ -61,8 +64,10 @@ class GeneratorSpec:
     command: Optional[str] = None  # external: shell command
 
     def __post_init__(self):
-        if self.samples_per_input < 1:
-            raise ValidationError("samples_per_input must be >= 1")
+        _check_count("samples_per_input", self.samples_per_input)
+        _check_rate("flip_rate", self.flip_rate)
+        if self.flip_rate > 1:
+            raise ValidationError("flip_rate must lie in [0, 1]")
         if self.kind not in ("rule_based", "external"):
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         if self.kind == "external" and not self.command:
@@ -76,8 +81,12 @@ class TAConfig:
     include_original_aux: bool = True
 
     def __post_init__(self):
-        if not all(0 < t < 1 for t in self.tau_grid):
-            raise ValidationError("tau grid values must lie in (0, 1)")
+        _check_flag("two_stage", self.two_stage)
+        _check_flag("include_original_aux", self.include_original_aux)
+        for t in self.tau_grid:
+            _check_rate("tau grid value", t, positive=True)
+            if t >= 1:
+                raise ValidationError("tau grid values must lie in (0, 1)")
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
             raise ValidationError("tau grid must be strictly increasing")
 
@@ -241,9 +250,9 @@ def select_tau(
 
     Candidates are generated (from ``pool`` sentences, or the aux dev
     premises when no pool is given) and scored once; each grid point keeps
-    the scored candidates above its threshold, a copy of the classifier is
-    fine-tuned on them under the step budget, and dev accuracy decides. Ties
-    go to the smallest threshold.
+    the scored candidates above its threshold, the classifier is fine-tuned
+    on them under the step budget, and dev accuracy decides. Ties go to the
+    smallest threshold.
     """
     if not grid:
         raise ValidationError("tau grid must be nonempty")
@@ -260,20 +269,22 @@ def select_tau(
     scored = build_ta_examples(
         pool, generator, classifier, 0.0, labels, seed, feature_config=feature_config
     )
+    # Each candidate and dev example is featurized once; a grid point trains on a row subset.
+    x = featurize_matrix(ta_examples_to_dataset(scored, labels).examples, feature_config)
+    conf = np.array([e.filter_confidence for e in scored])
+    dev = labeled_matrix(aux_dev, feature_config)
+    if dev is None or None in dev[1]:
+        raise ValidationError("tau selection needs a nonempty, fully labeled aux dev set")
 
     best_tau = None
     best_score = -np.inf
     for tau in grid:
-        entries = [e for e in scored if e.filter_confidence > tau]
-        if not entries:
+        keep = np.flatnonzero(conf > tau)
+        if keep.size == 0:
             continue
-        synthetic = ta_examples_to_dataset(entries, labels)
-        tuned, _ = fit(
-            classifier.copy(),
-            *labeled_matrix(synthetic, feature_config),
-            fixed_steps(train_config, train_budget),
-        )
-        score = evaluate(tuned, aux_dev, "accuracy", feature_config)
+        kept_labels = [scored[i].label for i in keep]
+        tuned, _ = fit(classifier, x[keep], kept_labels, fixed_steps(train_config, train_budget))
+        score = _metric_on_matrix(tuned, *dev, "accuracy")
         if score > best_score:
             best_tau, best_score = tau, score
     if best_tau is None:
@@ -330,7 +341,7 @@ def intermediate_finetune(
         raise ValidationError("intermediate_finetune needs synthetic or original aux data")
 
     config = fixed_steps(train_config, train_config.max_steps)
-    params = init.copy()
+    params = init
 
     def run(dataset: Dataset, p: ModelParams) -> ModelParams:
         fitted, _ = fit(p, *labeled_matrix(dataset, feature_config), config)

@@ -49,7 +49,7 @@ from .harness import (
     run_per_k,
     sweep_curve,
 )
-from .selftrain import UnsupportedModeError, mix_pools, self_train
+from .selftrain import UnsupportedModeError, mix_gold, mix_pools, self_train
 from .synth import synth_corpus
 from .textmodel import ModelParams, evaluate
 
@@ -163,15 +163,15 @@ def cmd_selftrain(config: dict, args) -> int:
         )
     exp = config["experiment"]
     split = sample_regime(corpus, exp["regime"], exp["k"], derive_seed(master_seed, "restart", 0))
-    pool = split.pool
+    pool, gold = split.pool, corpus.labels_by_id()
     pool_mode = args.pool or config["self_training"]["pool_mode"]
     if pool_mode in ("out_only", "in_plus_out"):
         if not args.ood:
             raise CliError(EXIT_VALIDATION, "--ood is required for an out-of-domain pool", {})
         ood = load_dataset(args.ood, "jsonl", corpus.label_space)
         pool = mix_pools(split.pool, strip_labels(ood), pool_mode)
+        gold = mix_gold(gold, ood.labels_by_id(), pool_mode)
 
-    gold = corpus.labels_by_id()
     result = self_train(
         f0, split.train, pool, dev=split.dev, test=split.test or None,
         st_config=st_cfg, train_config=tc, feature_config=fc,

@@ -16,6 +16,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .augmentation import GeneratorSpec, TAConfig
+from .corpus import ValidationError
 from .harness import ExperimentSpec
 from .selftrain import SelfTrainConfig
 from .synth import SynthSpec
@@ -187,8 +188,14 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
+def _check_list(name: str, value) -> None:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+
+
 def build_feature_config(config: Mapping) -> FeatureConfig:
     model = config["model"]
+    _check_list("model.ngram_orders", model["ngram_orders"])
     return FeatureConfig(
         ngram_orders=frozenset(model["ngram_orders"]), hash_dim=model["hash_dim"]
     )
@@ -229,6 +236,7 @@ def build_generator_spec(config: Mapping) -> GeneratorSpec:
 
 def build_ta_config(config: Mapping) -> TAConfig:
     aug = config["augmentation"]
+    _check_list("augmentation.tau_grid", aug["tau_grid"])
     return TAConfig(
         tau_grid=tuple(aug["tau_grid"]),
         two_stage=aug["two_stage"],

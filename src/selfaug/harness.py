@@ -39,7 +39,7 @@ from .corpus import (
     sample_regime,
     strip_labels,
 )
-from .selftrain import SelfTrainConfig, mix_pools, self_train
+from .selftrain import SelfTrainConfig, mix_gold, mix_pools, self_train
 from .synth import NLI_CLASSES, SynthSpec, synth_corpus
 from .textmodel import (
     EarlyStop,
@@ -47,6 +47,7 @@ from .textmodel import (
     ModelParams,
     TrainConfig,
     _check_count,
+    _check_flag,
     _parse_metric,
     evaluate,
     fixed_steps,
@@ -115,6 +116,8 @@ class ExperimentSpec:
             "aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit",
         ):
             _check_count(name, getattr(self, name))
+        _check_flag("resample_dev", self.resample_dev)
+        _check_flag("top3_aggregate", self.top3_aggregate)
         limit = self.ta_pool_limit
         if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 0:
             raise ValidationError(f"ta_pool_limit must be an integer >= 0 (0: no limit), got {limit!r}")
@@ -299,15 +302,29 @@ def build_ta_base_model(
     return entries, f0
 
 
-def _effective_pool(spec: ExperimentSpec, split: RegimeSplit, restart: int) -> UnlabeledPool:
+def _pool_and_gold(
+    spec: ExperimentSpec, split: RegimeSplit, restart: int, gold: Mapping[str, Any]
+) -> tuple[UnlabeledPool, Mapping[str, Any]]:
+    """The restart's self-training pool and gold labels keyed by its ids.
+
+    ``gold`` holds the in-domain labels; out-of-domain rows take the labels
+    of their own synthesized corpus.
+    """
     if spec.pool_mode == "in_only":
-        return split.pool
+        return split.pool, gold
     ood_corpus = synth_corpus(
         spec.ood_task, len(split.pool) or spec.train_partition_size,
         derive_seed(spec.master_seed, "ood", restart),
     )
-    ood_pool = strip_labels(ood_corpus)
-    return mix_pools(split.pool, ood_pool, spec.pool_mode)
+    return (
+        mix_pools(split.pool, strip_labels(ood_corpus), spec.pool_mode),
+        mix_gold(gold, ood_corpus.labels_by_id(), spec.pool_mode),
+    )
+
+
+def _effective_pool(spec: ExperimentSpec, split: RegimeSplit, restart: int) -> UnlabeledPool:
+    """The restart's self-training pool alone."""
+    return _pool_and_gold(spec, split, restart, {})[0]
 
 
 def _needs_aux(spec: ExperimentSpec, target_space: LabelSpace) -> bool:
@@ -349,10 +366,11 @@ def _run_arm(
     st_config = spec.st_config
     if arm == "cf-st":
         st_config = replace(st_config, mode="confidence_filtering")
+    pool, pool_gold = _pool_and_gold(spec, split, restart, gold)
     result = self_train(
-        f0, split.train, _effective_pool(spec, split, restart), dev=dev, test=split.test,
+        f0, split.train, pool, dev=dev, test=split.test,
         st_config=st_config, train_config=tc,
-        feature_config=fc, metric=spec.metric, gold=gold,
+        feature_config=fc, metric=spec.metric, gold=pool_gold,
     )
     # self_train scored its final model on the test set in its last record.
     return result.per_iteration[-1]["test_metric"], result.per_iteration

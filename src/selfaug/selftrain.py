@@ -21,6 +21,8 @@ from .textmodel import (
     FeatureConfig,
     ModelParams,
     TrainConfig,
+    _check_count,
+    _check_rate,
     _metric_on_matrix,
     featurize_matrix,
     fit,
@@ -49,9 +51,13 @@ class SelfTrainConfig:
     cf_batch: int = 32
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not (0 <= self.drop_lowest_confidence_fraction < 1):
+        for name in ("max_iterations", "agreement_patience", "cf_batch"):
+            _check_count(name, getattr(self, name))
+        _check_rate("agreement_threshold", self.agreement_threshold)
+        if self.agreement_threshold > 1:
+            raise ValidationError("agreement_threshold must lie in [0, 1]")
+        _check_rate("drop_lowest_confidence_fraction", self.drop_lowest_confidence_fraction)
+        if self.drop_lowest_confidence_fraction >= 1:
             raise ValidationError("drop fraction must lie in [0, 1)")
         if self.mode not in ("broad", "confidence_filtering"):
             raise ValidationError(f"unknown self-training mode {self.mode!r}")
@@ -60,8 +66,6 @@ class SelfTrainConfig:
                 f"final_finetune_on_l must be 'on', 'off' or 'auto_by_dev', "
                 f"not {self.final_finetune_on_l!r}"
             )
-        if self.cf_batch < 1:
-            raise ValidationError("confidence-filtering batch must be >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -94,9 +98,13 @@ class SelfTrainResult:
 def _labeling_accuracy(
     ids: Sequence[str], labels: Sequence[Label], gold: Optional[Mapping[str, Label]]
 ) -> Optional[float]:
-    if gold is None or not ids:
+    """Share of the rows with a gold label that carry it; None when no row has one."""
+    if gold is None:
         return None
-    return sum(1 for i, label in zip(ids, labels) if gold.get(i) == label) / len(ids)
+    pairs = [(gold[i], label) for i, label in zip(ids, labels) if i in gold]
+    if not pairs:
+        return None
+    return sum(1 for g, label in pairs if g == label) / len(pairs)
 
 
 def _drop_lowest(conf: np.ndarray, fraction: float) -> list[int]:
@@ -170,7 +178,7 @@ def self_train(
 
     f0_hash = f0.params_hash()
 
-    teacher, _ = fit(f0.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
+    teacher, _ = fit(f0, x_l, y_l, train_config, dev=dev_pack, metric=metric)
 
     finetune_on_l: Optional[bool]
     if broad:
@@ -218,20 +226,18 @@ def self_train(
 
         x_train = sp.vstack([x_l, x_pool[train_idx]], format="csr")
         y_train = y_l + train_labels
-        student_init = f0.copy()
-        student_init_hash = student_init.params_hash()
-        student, _ = fit(student_init, x_train, y_train, train_config, dev=dev_pack, metric=metric)
+        student, _ = fit(f0, x_train, y_train, train_config, dev=dev_pack, metric=metric)
 
         if finetune_on_l is None:
             # Resolved once, at the first iteration, by dev comparison.
-            with_ft, _ = fit(student.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
+            with_ft, _ = fit(student, x_l, y_l, train_config, dev=dev_pack, metric=metric)
             score_plain = _metric_on_matrix(student, *dev_pack, metric)
             score_ft = _metric_on_matrix(with_ft, *dev_pack, metric)
             finetune_on_l = score_ft > score_plain
             if finetune_on_l:
                 student = with_ft
         elif finetune_on_l:
-            student, _ = fit(student.copy(), x_l, y_l, train_config, dev=dev_pack, metric=metric)
+            student, _ = fit(student, x_l, y_l, train_config, dev=dev_pack, metric=metric)
 
         if not broad and gold is not None:
             # Confidence filtering scores the new student's labels on the whole pool.
@@ -242,7 +248,7 @@ def self_train(
             "train_size": len(y_train),
             "pool_labeling_accuracy": _labeling_accuracy(pool_ids, pool_labels, gold),
             "agreement": agreement,
-            "student_init_hash": student_init_hash,
+            "student_init_hash": f0.params_hash(),
             "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,
             "test_metric": _metric_on_matrix(student, *test_pack, metric) if test_pack else None,
         }
@@ -303,3 +309,21 @@ def mix_pools(
         source_name=f"{in_domain.source_name}+{out_of_domain.source_name}",
         examples=examples,
     )
+
+
+def mix_gold(
+    in_domain: Mapping[str, Label],
+    out_of_domain: Mapping[str, Label],
+    mode: Literal["in_only", "out_only", "in_plus_out"],
+) -> Mapping[str, Label]:
+    """Gold labels keyed by the ids of ``mix_pools(..., mode)``."""
+    if mode == "in_only":
+        return in_domain
+    if mode == "out_only":
+        return out_of_domain
+    if mode != "in_plus_out":
+        raise ValidationError(f"unknown pool mode {mode!r}")
+    return {
+        **{f"in:{i}": label for i, label in in_domain.items()},
+        **{f"out:{i}": label for i, label in out_of_domain.items()},
+    }

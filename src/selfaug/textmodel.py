@@ -50,6 +50,11 @@ def _check_rate(name: str, value, positive: bool = False) -> None:
         raise ValidationError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
 
 
+def _check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Featurization
 # ---------------------------------------------------------------------------
@@ -63,6 +68,8 @@ class FeatureConfig:
     def __post_init__(self):
         if not self.ngram_orders:
             raise ValidationError("ngram_orders must be nonempty")
+        for order in self.ngram_orders:
+            _check_count("ngram order", order)
         _check_count("hash_dim", self.hash_dim)
         if self.hash_dim & (self.hash_dim - 1) != 0:
             raise ValidationError("hash_dim must be a power of two")
@@ -296,13 +303,14 @@ def loss_and_grad(
     bias: np.ndarray,
     x: sp.csr_matrix,
     y: np.ndarray,
-    l2: float,
+    l2: Optional[float],
     head: Literal["classification", "regression"] = "classification",
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean loss over the batch plus L2 on the weights, and its gradient.
 
     Classification: cross-entropy with integer class targets.
     Regression: half squared error with float targets.
+    ``l2=None`` gives the data term alone, with no L2 loss or gradient term.
     """
     n = x.shape[0]
     logits = x @ weights.T + bias
@@ -317,9 +325,11 @@ def loss_and_grad(
         resid = logits[:, 0] - y
         loss = 0.5 * float(resid @ resid) / n
         delta = (resid / n)[:, None]
-    grad_w = np.asarray((x.T @ delta).T) + l2 * weights
+    grad_w = np.asarray((x.T @ delta).T)
     grad_b = delta.sum(axis=0)
-    loss += 0.5 * l2 * float((weights * weights).sum())
+    if l2 is not None:
+        grad_w = grad_w + l2 * weights
+        loss += 0.5 * l2 * float((weights * weights).sum())
     return float(loss), grad_w, grad_b
 
 
@@ -448,7 +458,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # A positive, finite learning rate and a finite l2 are also what keep
-        # an untouched zero weight fixed under ``fit``'s decay.
+        # an untouched zero weight fixed under ``fit``'s update.
         _check_rate("learning_rate", self.learning_rate, positive=True)
         _check_rate("l2", self.l2)
         _check_rate("lr_decay", self.lr_decay)
@@ -497,13 +507,16 @@ def fit(
     per-evaluation records.
 
     Each step is bit-identical to the dense step ``w -= lr * g`` with
-    ``_, g, _ = loss_and_grad(w, b, x[batch], y[batch], l2)``, but updates
+    ``_, g, _ = loss_and_grad(w, b, x[batch], y[batch], l2)``, but trains
     only the active columns: those ``x`` touches or ``init`` holds nonzero.
     Every other weight is ±0.0 with a zero gradient, and for a positive,
-    finite ``lr`` and a finite ``l2`` the decay ``w - lr*(0.0 + l2*w)`` leaves
-    it bit-identical, sign included. The active weights are held transposed,
-    ``[active, outputs]``, so each batch's columns are contiguous rows;
-    snapshots write them back into a copy of ``init.weights``.
+    finite ``lr`` and a finite ``l2`` the step leaves it bit-identical, sign
+    included. ``x`` is renumbered to the active columns once; each step takes
+    the data term of ``loss_and_grad`` on its batch and applies the dense
+    update to every active weight, where an untouched column's data gradient
+    is exactly +0.0. The active weights are held transposed, ``[active,
+    outputs]``; snapshots write them back into a copy of ``init.weights``,
+    which ``fit`` never writes.
     """
     if x.shape[0] == 0:
         raise ValidationError("training set must be nonempty")
@@ -521,9 +534,7 @@ def fit(
     )
     wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
-    # One scratch buffer: the class-major squares for the L2 norm, then the decay.
-    decay = np.empty_like(wt)
-    squares = decay.reshape(wt.shape[::-1])
+    squares = np.empty(wt.shape[::-1])  # class-major, for the L2 norm
     trace: list[dict] = []
 
     def weights() -> np.ndarray:
@@ -559,16 +570,12 @@ def fit(
             cursor = 0
         lo, hi = cursor, min(cursor + config.batch_size, n)
         cursor += config.batch_size
-        # The batch with its columns renumbered 0..k-1 in sorted order. Each
-        # row keeps its entry order, so every sum accumulates as in the dense step.
         start, end = xs.indptr[lo], xs.indptr[hi]
-        cols, local = np.unique(xs.indices[start:end], return_inverse=True)
         xb = sp.csr_matrix(
-            (xs.data[start:end], local, xs.indptr[lo : hi + 1] - start),
-            shape=(hi - lo, cols.size),
+            (xs.data[start:end], xs.indices[start:end], xs.indptr[lo : hi + 1] - start),
+            shape=(hi - lo, active.size),
         )
-        touched = wt[cols]
-        data_loss, grad_w, grad_b = loss_and_grad(touched.T, bias, xb, ys[lo:hi], 0.0, init.head)
+        data_loss, grad_w, grad_b = loss_and_grad(wt.T, bias, xb, ys[lo:hi], None, init.head)
         # The L2 term, summed class-major; elementwise ufuncs keep it off the
         # BLAS thread pool. Summing only the active weights can round
         # differently from the dense objective, so a loss the trace records,
@@ -583,14 +590,7 @@ def fit(
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at step {step}")
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
-        touched -= lr * (grad_w.T + config.l2 * touched)
-        # Untouched columns have a zero data gradient: w - lr * (0.0 + l2 * w).
-        # Adding 0.0 makes l2 * -0.0 into +0.0, so a -0.0 weight stays -0.0.
-        np.multiply(wt, config.l2, out=decay)
-        np.add(decay, 0.0, out=decay)
-        np.multiply(decay, lr, out=decay)
-        wt -= decay
-        wt[cols] = touched
+        wt -= lr * (grad_w.T + config.l2 * wt)
         bias -= lr * grad_b
 
         if not record:

@@ -7,9 +7,9 @@ import pytest
 from selfaug import harness
 from selfaug.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from selfaug.config import build_experiment_spec, load_config
-from selfaug.corpus import LabelSpace
+from selfaug.corpus import Dataset, LabelSpace, save_dataset
 from selfaug.harness import build_aux_artifacts
-from selfaug.synth import NLI_CLASSES
+from selfaug.synth import NLI_CLASSES, SynthSpec, synth_corpus
 from selfaug.textmodel import FeatureConfig, evaluate, init_params
 
 SMALL = [
@@ -43,6 +43,17 @@ class TestValidate:
             "self_training.mode=bogus",
             "self_training.final_finetune_on_l=sometimes",
             "self_training.batch=0",
+            "self_training.batch=1.5",
+            "self_training.batch=true",
+            "self_training.max_iterations=1.5",
+            "self_training.max_iterations=true",
+            "self_training.max_iterations=abc",
+            "self_training.agreement_patience=0",
+            "self_training.agreement_patience=-1",
+            "self_training.agreement_threshold=abc",
+            "self_training.agreement_threshold=.nan",
+            "self_training.agreement_threshold=2",
+            "self_training.drop_lowest_confidence_fraction=abc",
         ],
     )
     def test_bad_self_training_value_exits_1(self, override, capsys):
@@ -65,6 +76,10 @@ class TestValidate:
             ["model.stopping=fixed_steps", "model.checkpoint_every=0", "experiment.dev_mode=dev_free"],
             ["model.stopping=fixed_steps", "model.fixed_total=0"],
             ["model.stopping=fixed_steps", "model.average_last=0"],
+            ["model.ngram_orders=[0]"],
+            ["model.ngram_orders=[-1]"],
+            ["model.ngram_orders=[a]"],
+            ["model.ngram_orders=3"],
         ],
     )
     def test_bad_training_number_exits_1(self, overrides, capsys):
@@ -93,6 +108,17 @@ class TestValidate:
             ["augmentation.ta_pool_limit=-3"],
             ["augmentation.tau=1"],
             ["augmentation.tau=.nan"],
+            ["generator.samples_per_input=1.5"],
+            ["generator.samples_per_input=abc"],
+            ["generator.flip_rate=2"],
+            ["generator.flip_rate=-1"],
+            ["generator.flip_rate=.nan"],
+            ["generator.flip_rate=abc"],
+            ["augmentation.two_stage=maybe"],
+            ["augmentation.tau_grid=[a]"],
+            ["augmentation.tau_grid=abc"],
+            ["experiment.resample_dev=maybe"],
+            ["experiment.top3_aggregate=3"],
         ],
     )
     def test_bad_experiment_value_exits_1(self, overrides, capsys):
@@ -268,6 +294,25 @@ class TestSelftrain:
         payload = _last_stderr_json(capsys)
         assert "label space" in payload["message"]
         assert payload["context"]["task"]["classes"] == ["pos", "neg"]
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_ood_pool_accuracy_reads_the_ood_file_labels(self, tmp_path, labeled):
+        ood = synth_corpus(SynthSpec("keyword-sentiment", params={"noise_rate": 0.3}), 200, 99)
+        if not labeled:
+            ood = Dataset(ood.name, ood.label_space, tuple(ex.without_label() for ex in ood.examples))
+        save_dataset(ood, tmp_path / "ood.jsonl")
+        out = tmp_path / "st"
+        code = main(
+            SMALL + [
+                "--out", str(out), "--quiet", "selftrain", "--f0", str(self._save_f0(tmp_path)),
+                "--max-iterations", "2", "--pool", "out_only", "--ood", str(tmp_path / "ood.jsonl"),
+            ]
+        )
+        assert code == EXIT_OK
+        records = json.loads((out / "result.json").read_text())["per_iteration"]
+        accuracies = [rec["pool_labeling_accuracy"] for rec in records]
+        # An unlabeled OOD file leaves no pool row with a gold label to score.
+        assert all(a > 0.4 for a in accuracies) if labeled else set(accuracies) == {None}
 
     def test_missing_model_exits_3(self, tmp_path, capsys):
         code = main(SMALL + ["--quiet", "selftrain", "--f0", str(tmp_path / "absent.model")])

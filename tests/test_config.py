@@ -188,6 +188,22 @@ class TestBuilders:
             {"augmentation": {"tau": 1.0}}, {"augmentation": {"tau": -0.1}},
             {"augmentation": {"tau": float("nan")}}, {"augmentation": {"tau": float("inf")}},
             {"augmentation": {"tau": "abc"}}, {"augmentation": {"tau": True}},
+            {"self_training": {"max_iterations": 1.5}}, {"self_training": {"max_iterations": True}},
+            {"self_training": {"max_iterations": "abc"}},
+            {"self_training": {"agreement_patience": 0}}, {"self_training": {"agreement_patience": -1}},
+            {"self_training": {"agreement_threshold": "abc"}},
+            {"self_training": {"agreement_threshold": float("nan")}},
+            {"self_training": {"agreement_threshold": 2}},
+            {"self_training": {"batch": 1.5}}, {"self_training": {"batch": True}},
+            {"self_training": {"drop_lowest_confidence_fraction": "abc"}},
+            {"generator": {"samples_per_input": 1.5}}, {"generator": {"samples_per_input": "abc"}},
+            {"generator": {"flip_rate": 2}}, {"generator": {"flip_rate": -1}},
+            {"generator": {"flip_rate": float("nan")}}, {"generator": {"flip_rate": "abc"}},
+            {"model": {"ngram_orders": [0]}}, {"model": {"ngram_orders": [-1]}},
+            {"model": {"ngram_orders": ["a"]}}, {"model": {"ngram_orders": 3}},
+            {"augmentation": {"two_stage": "maybe"}},
+            {"augmentation": {"tau_grid": ["a"]}}, {"augmentation": {"tau_grid": "abc"}},
+            {"experiment": {"resample_dev": "maybe"}}, {"experiment": {"top3_aggregate": 3}},
         ],
     )
     def test_experiment_spec_rejects_bad_values(self, config):
@@ -201,6 +217,7 @@ class TestBuilders:
             {"self_training": {"pool_mode": "out_only"}, "datasets": {"ood_family": "keyword-sentiment"}},
             {"augmentation": {"ta_pool_limit": 0}}, {"augmentation": {"tau": None}},
             {"augmentation": {"tau": 0}},
+            {"self_training": {"agreement_threshold": 1}}, {"generator": {"flip_rate": 1}},
         ],
     )
     def test_experiment_spec_accepts_edge_values(self, config):

@@ -221,6 +221,22 @@ class TestRunExperiment:
         assert len(mixed) > len(split.pool)
         assert sum(rec["added"] for rec in report.series["cf-st"][0]) == len(mixed)
 
+    @pytest.mark.parametrize("pool_mode", ["out_only", "in_plus_out"])
+    def test_ood_pool_accuracy_reads_the_pool_gold(self, pool_mode):
+        # Out-of-domain rows are scored against their own corpus's labels
+        # (30% label noise), not looked up in the in-domain gold and missed.
+        spec = ExperimentSpec(
+            arms=("st", "cf-st"),
+            **{**FAST, "restarts": 1, "st_config": SelfTrainConfig(max_iterations=2, cf_batch=256)},
+            ood_task=SynthSpec("keyword-sentiment", params={"noise_rate": 0.3}),
+            pool_mode=pool_mode,
+        )
+        report = run_experiment(spec)
+        assert not report.partial
+        records = report.series["st"][0] + report.series["cf-st"][0]
+        assert all(rec["pool_labeling_accuracy"] > 0.5 for rec in records)
+        assert all(rec["added_batch_accuracy"] > 0.5 for rec in report.series["cf-st"][0])
+
     def test_timing_excluded_from_report(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)
         report = run_experiment(spec)

@@ -18,6 +18,7 @@ from selfaug.selftrain import (
     UnsupportedModeError,
     _drop_lowest,
     _most_confident,
+    mix_gold,
     mix_pools,
     self_train,
 )
@@ -214,3 +215,13 @@ class TestMixPools:
         a, b = self._pools()
         with pytest.raises(ValidationError):
             mix_pools(a, b, "shuffled")
+        with pytest.raises(ValidationError):
+            mix_gold({}, {}, "shuffled")
+
+    @pytest.mark.parametrize("mode", ["in_only", "out_only", "in_plus_out"])
+    def test_gold_is_keyed_by_the_mixed_ids(self, mode):
+        a, b = self._pools()
+        gold = mix_gold({"x": "pos"}, {"x": "neg"}, mode)
+        assert set(gold) == set(mix_pools(a, b, mode).ids())
+        expected = {"in_only": {"x": "pos"}, "out_only": {"x": "neg"}, "in_plus_out": {"in:x": "pos", "out:x": "neg"}}
+        assert gold == expected[mode]

@@ -618,7 +618,9 @@ class TestFitMatchesDenseStep:
         config = TrainConfig(seed=seed, batch_size=batch_size, max_steps=30, l2=l2, lr_decay=lr_decay, stopping=stopping)
         metric = "accuracy" if head == "classification" else "spearman"
         dev = (x, labels) if early else None
+        before = init.to_bytes()
         model, trace = fit(init, x, labels, config, dev=dev, metric=metric)
+        assert init.to_bytes() == before  # callers pass their models without a copy
         ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
         assert model.to_bytes() == ref.to_bytes()
         assert trace == ref_trace
