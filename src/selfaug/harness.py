@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .textmodel import (
 ARM_NAMES = ("baseline", "itft", "ta", "st", "ta-st", "cf-st")
 # The start model each arm trains from; arms of one kind share it within a restart.
 START_KIND = {"baseline": "zeros", "st": "zeros", "cf-st": "zeros", "itft": "itft", "ta": "ta", "ta-st": "ta"}
+SELF_TRAINING_ARMS = ("st", "ta-st", "cf-st")
 AUX_LABEL_SPACE = LabelSpace.categorical(NLI_CLASSES)
 
 
@@ -352,21 +353,24 @@ def _run_arm(
     split: RegimeSplit,
     f0: ModelParams,
     restart: int,
-    gold: Mapping[str, Any],
+    pool: Optional[tuple[UnlabeledPool, Mapping[str, Any]]],
 ) -> tuple[float, Optional[list[dict]]]:
-    """Train ``arm`` from ``f0`` and score it on the test set."""
+    """Train ``arm`` from ``f0`` and score it on the test set.
+
+    ``pool`` is the restart's ``_pool_and_gold``; only self-training arms read it.
+    """
     fc = spec.feature_config
     dev = split.dev if spec.dev_mode == "with_dev" else None
     tc = replace(spec.train_config, seed=derive_seed(spec.master_seed, restart, arm))
 
-    if arm in ("baseline", "itft", "ta"):
+    if arm not in SELF_TRAINING_ARMS:
         model, _ = train(f0, split.train, tc, dev_set=dev, feature_config=fc, metric=spec.metric)
         return evaluate(model, split.test, spec.metric, fc), None
 
     st_config = spec.st_config
     if arm == "cf-st":
         st_config = replace(st_config, mode="confidence_filtering")
-    pool, pool_gold = _pool_and_gold(spec, split, restart, gold)
+    pool, pool_gold = pool
     result = self_train(
         f0, split.train, pool, dev=dev, test=split.test,
         st_config=st_config, train_config=tc,
@@ -416,13 +420,27 @@ def make_splits(spec: ExperimentSpec, base: Optional[Dataset] = None) -> list[Re
     return splits
 
 
+def _once(built: dict[str, Any], key: str, build: Callable[[], Any]) -> Any:
+    """``built[key]``, from ``build()`` on first use. A build that raised is
+    not retried: its exception is kept and raised again."""
+    if key not in built:
+        try:
+            built[key] = build()
+        except Exception as exc:
+            built[key] = exc
+    if isinstance(built[key], Exception):
+        raise built[key]
+    return built[key]
+
+
 def run_experiment(
     spec: ExperimentSpec, base: Optional[Dataset] = None, aux: Optional[AuxArtifacts] = None
 ) -> RunReport:
     """Execute every arm on identical per-restart splits and aggregate.
 
     ``run_per_k`` passes the k-independent ``base`` corpus and ``aux`` artifacts.
-    Each restart builds each kind of start model once, for the first arm of that kind.
+    Each restart builds each kind of start model once, for the first arm of that
+    kind, and its self-training pool once, for the first self-training arm.
     """
     base = base_corpus(spec) if base is None else base
     if aux is None and _needs_aux(spec, base.label_space):
@@ -437,22 +455,20 @@ def run_experiment(
     partial = False
 
     for r, split in enumerate(splits):
-        start_models: dict[str, Any] = {}  # kind -> model, or the exception its build raised
+        built: dict[str, Any] = {}  # start model kind, or "pool"
         for arm in spec.arms:
             start = time.perf_counter()
             kind = START_KIND[arm]
             try:
-                if kind not in start_models:
-                    start_models[kind] = _start_model(spec, kind, split, aux, r)
-                f0 = start_models[kind]
-                if isinstance(f0, Exception):
-                    raise f0
-                score, arm_series = _run_arm(spec, arm, split, f0, r, gold)
+                f0 = _once(built, kind, lambda: _start_model(spec, kind, split, aux, r))
+                pool = None
+                if arm in SELF_TRAINING_ARMS:
+                    pool = _once(built, "pool", lambda: _pool_and_gold(spec, split, r, gold))
+                score, arm_series = _run_arm(spec, arm, split, f0, r, pool)
                 scores[arm].append(score)
                 if arm_series is not None:
                     series[arm].append(arm_series)
             except Exception as exc:  # isolated: one arm failing must not sink the rest
-                start_models.setdefault(kind, exc)  # a failed build is not retried
                 scores[arm].append(None)
                 errors[arm].append(f"restart {r}: {type(exc).__name__}: {exc}")
                 partial = True

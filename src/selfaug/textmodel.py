@@ -16,10 +16,13 @@ import re
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+
+# scipy's private CSR kernels behind ``x @ w``: an SGD step calls them on bare arrays.
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .corpus import Dataset, Example, LabelSpace, ValidationError
 
@@ -298,10 +301,19 @@ def predict(params: ModelParams, example: Example, config: FeatureConfig) -> Pre
 # ---------------------------------------------------------------------------
 
 
+class CSRRows(NamedTuple):
+    """The arrays of a CSR matrix, all that ``loss_and_grad`` reads of ``x``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    x: sp.csr_matrix,
+    x: Union[sp.csr_matrix, CSRRows],
     y: np.ndarray,
     l2: Optional[float],
     head: Literal["classification", "regression"] = "classification",
@@ -311,9 +323,19 @@ def loss_and_grad(
     Classification: cross-entropy with integer class targets.
     Regression: half squared error with float targets.
     ``l2=None`` gives the data term alone, with no L2 loss or gradient term.
+
+    ``x`` is a CSR matrix or a ``CSRRows``; only its ``data``, ``indices``,
+    ``indptr`` and ``shape`` are read. The products run scipy's kernels on
+    those arrays as ``x @ weights.T`` and ``x.T @ delta`` do, so every sum
+    keeps their order and the result matches theirs bit for bit.
     """
-    n = x.shape[0]
-    logits = x @ weights.T + bias
+    n, d = x.shape
+    if weights.shape[1] != d:
+        raise ValueError(f"weights have {weights.shape[1]} columns, x has {d}")
+    c = weights.shape[0]
+    logits = np.zeros((n, c), dtype=np.result_type(x.data, weights))
+    csr_matvecs(n, d, c, x.indptr, x.indices, x.data, np.ascontiguousarray(weights.T), logits)
+    logits += bias
     if head == "classification":
         probs = _softmax(logits)
         eps = 1e-12
@@ -325,7 +347,10 @@ def loss_and_grad(
         resid = logits[:, 0] - y
         loss = 0.5 * float(resid @ resid) / n
         delta = (resid / n)[:, None]
-    grad_w = np.asarray((x.T @ delta).T)
+    # x.T is the CSC matrix on the same three arrays.
+    grad_t = np.zeros((d, c), dtype=np.result_type(x.data, delta))
+    csc_matvecs(d, n, c, x.indptr, x.indices, x.data, delta, grad_t)
+    grad_w = grad_t.T
     grad_b = delta.sum(axis=0)
     if l2 is not None:
         grad_w = grad_w + l2 * weights
@@ -491,6 +516,25 @@ def _encode_targets(params: ModelParams, labels: Sequence) -> np.ndarray:
     return np.array([float(l) for l in labels])
 
 
+def _gather_rows(x: CSRRows, order: np.ndarray) -> CSRRows:
+    """Rows ``order`` of ``x``, each copied whole and in order, as ``x[order]`` does."""
+    lengths = np.diff(x.indptr)[order]
+    indptr = np.zeros(order.size + 1, dtype=x.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    pos = np.repeat(x.indptr[order] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return CSRRows(x.data[pos], x.indices[pos], indptr, (order.size, x.shape[1]))
+
+
+def _keep_columns(x: sp.csr_matrix, columns: np.ndarray) -> sp.csr_matrix:
+    """``x`` on the sorted ``columns`` only, renumbered to their positions."""
+    keep = np.isin(x.indices, columns)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix(
+        (x.data[keep], np.searchsorted(columns, x.indices[keep]), kept_before[x.indptr]),
+        shape=(x.shape[0], columns.size),
+    )
+
+
 def fit(
     init: ModelParams,
     x: sp.csr_matrix,
@@ -511,27 +555,37 @@ def fit(
     only the active columns: those ``x`` touches or ``init`` holds nonzero.
     Every other weight is ±0.0 with a zero gradient, and for a positive,
     finite ``lr`` and a finite ``l2`` the step leaves it bit-identical, sign
-    included. ``x`` is renumbered to the active columns once; each step takes
-    the data term of ``loss_and_grad`` on its batch and applies the dense
-    update to every active weight, where an untouched column's data gradient
-    is exactly +0.0. The active weights are held transposed, ``[active,
-    outputs]``; snapshots write them back into a copy of ``init.weights``,
-    which ``fit`` never writes.
+    included. ``x`` is renumbered to the active columns once, and its rows
+    are permuted once per epoch by a numpy gather on its arrays. Each step
+    hands ``loss_and_grad`` its batch as slices of those arrays (a
+    ``CSRRows``, no sparse matrix), takes the data term, and applies the
+    dense update to every active weight, where an untouched column's data
+    gradient is exactly +0.0. The active weights are held transposed,
+    ``[active, outputs]``; snapshots write them back into a copy of
+    ``init.weights``, which ``fit`` never writes.
+
+    The dev set is renumbered to the active columns once, and each eval
+    scores the active weights. Its other columns meet ±0.0 weights, so the
+    logits only lose ±0 terms; a full snapshot is built only for a new best.
     """
     if x.shape[0] == 0:
         raise ValidationError("training set must be nonempty")
     early = isinstance(config.stopping, EarlyStop)
     if early and dev is None:
         raise ValidationError("early stopping requires a dev set")
+    if early and dev[0].shape[1] != init.hash_dim:
+        raise ValidationError(f"dev matrix has {dev[0].shape[1]} columns, the model {init.hash_dim}")
 
     y = _encode_targets(init, labels)
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
     active = np.union1d(x.indices, np.flatnonzero(init.weights.any(axis=0)))
     # Renumbering keeps the column order, so every batch below is unchanged.
+    # scipy picks the index dtype (int32 when it fits); every batch keeps it.
     x = sp.csr_matrix(
         (x.data, np.searchsorted(active, x.indices), x.indptr), shape=(n, active.size)
     )
+    x = CSRRows(x.data, x.indices, x.indptr, x.shape)
     wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
     squares = np.empty(wt.shape[::-1])  # class-major, for the L2 norm
@@ -545,9 +599,12 @@ def fit(
     def snapshot() -> ModelParams:
         return ModelParams(weights(), bias.copy(), init.head, init.label_space)
 
-    def dev_score(p: ModelParams) -> float:
-        xd, yd = dev
-        return _metric_on_matrix(p, xd, yd, metric)
+    if early:
+        dev_x = _keep_columns(dev[0], active)
+
+    def dev_score() -> float:
+        current = ModelParams(wt.T, bias, init.head, init.label_space)
+        return _metric_on_matrix(current, dev_x, dev[1], metric)
 
     best: Optional[ModelParams] = None
     best_score = -np.inf
@@ -555,7 +612,7 @@ def fit(
 
     if early:
         best = snapshot()
-        best_score = dev_score(best)
+        best_score = dev_score()
         trace.append({"step": 0, "loss": None, "dev_metric": best_score})
 
     checkpoints: list[ModelParams] = []
@@ -566,14 +623,14 @@ def fit(
     for step in range(1, total + 1):
         if cursor >= n:
             order = rng.permutation(n)
-            xs, ys = x[order], y[order]
+            xs, ys = _gather_rows(x, order), y[order]
             cursor = 0
         lo, hi = cursor, min(cursor + config.batch_size, n)
         cursor += config.batch_size
         start, end = xs.indptr[lo], xs.indptr[hi]
-        xb = sp.csr_matrix(
-            (xs.data[start:end], xs.indices[start:end], xs.indptr[lo : hi + 1] - start),
-            shape=(hi - lo, active.size),
+        xb = CSRRows(
+            xs.data[start:end], xs.indices[start:end], xs.indptr[lo : hi + 1] - start,
+            (hi - lo, active.size),
         )
         data_loss, grad_w, grad_b = loss_and_grad(wt.T, bias, xb, ys[lo:hi], None, init.head)
         # The L2 term, summed class-major; elementwise ufuncs keep it off the
@@ -596,11 +653,10 @@ def fit(
         if not record:
             continue
         if early:
-            current = snapshot()
-            score = dev_score(current)
+            score = dev_score()
             trace.append({"step": step, "loss": loss, "dev_metric": score})
             if score > best_score:
-                best, best_score, evals_since_best = current, score, 0
+                best, best_score, evals_since_best = snapshot(), score, 0
             else:
                 evals_since_best += 1
                 if evals_since_best >= stop.patience:

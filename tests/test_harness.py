@@ -237,6 +237,25 @@ class TestRunExperiment:
         assert all(rec["pool_labeling_accuracy"] > 0.5 for rec in records)
         assert all(rec["added_batch_accuracy"] > 0.5 for rec in report.series["cf-st"][0])
 
+    @pytest.mark.parametrize("pool_mode", ["out_only", "in_plus_out"])
+    def test_builds_the_ood_pool_once_per_restart(self, monkeypatch, pool_mode):
+        spec = ExperimentSpec(
+            arms=("st", "ta-st", "cf-st"),
+            **{**FAST, "st_config": SelfTrainConfig(max_iterations=2, cf_batch=256)},
+            ood_task=SynthSpec("keyword-sentiment", name="ood", params={"noise_rate": 0.3}),
+            pool_mode=pool_mode,
+        )
+        calls = _count_calls(monkeypatch, "synth_corpus")
+        shared = run_experiment(spec)
+        assert not shared.partial
+        assert [args[0] for args in calls].count(spec.ood_task) == spec.restarts
+        # Reference: every build runs again for every arm, as before the pool was shared.
+        monkeypatch.setattr(harness, "_once", lambda built, key, build: build())
+        calls.clear()
+        rebuilt = run_experiment(spec)
+        assert [args[0] for args in calls].count(spec.ood_task) == 3 * spec.restarts
+        assert shared.to_json_str() == rebuilt.to_json_str()
+
     def test_timing_excluded_from_report(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)
         report = run_experiment(spec)

@@ -9,8 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selfaug.textmodel as textmodel
 from selfaug.corpus import Dataset, Example, LabelSpace, ValidationError
 from selfaug.textmodel import (
+    CSRRows,
     EarlyStop,
     FeatureConfig,
     FixedSteps,
@@ -18,6 +20,7 @@ from selfaug.textmodel import (
     NumericError,
     TrainConfig,
     _metric_on_matrix,
+    _softmax,
     average_checkpoints,
     evaluate,
     featurize,
@@ -281,6 +284,63 @@ class TestLossAndGrad:
         loss, _, _ = loss_and_grad(w, b, x, y, 0.0, head="regression")
         assert loss == pytest.approx(0.5 * np.mean(y ** 2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        head=st.sampled_from(["classification", "regression"]),
+        l2=st.sampled_from([None, 0.0, 0.3]),
+        index_dtype=st.sampled_from([np.int32, np.int64]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_matches_the_public_matmul_body(self, data, head, l2, index_dtype, fortran, seed):
+        """Byte for byte, on rows that may be empty, unsorted or hold a column twice."""
+        d = data.draw(st.integers(1, 10))
+        c = 1 if head == "regression" else data.draw(st.integers(2, 4))
+        rows = data.draw(st.lists(st.lists(st.integers(0, d - 1), max_size=6), min_size=1, max_size=8))
+        rng = np.random.default_rng(seed)
+        indices = np.array([j for row in rows for j in row], dtype=index_dtype)
+        indptr = np.cumsum([0] + [len(row) for row in rows]).astype(index_dtype)
+        values = rng.uniform(-3.0, 3.0, indices.size)
+        x = sp.csr_matrix((values, indices, indptr), shape=(len(rows), d))
+        x.indices, x.indptr = indices, indptr  # the constructor may narrow int64
+        weights = rng.normal(size=(c, d))
+        weights[rng.random(weights.shape) < 0.2] = -0.0
+        weights = np.asfortranarray(weights) if fortran else weights
+        bias = rng.normal(size=c)
+        y = rng.integers(0, c, len(rows)) if head == "classification" else rng.normal(size=len(rows))
+        ref = _reference_loss_and_grad(weights, bias, x, y, l2, head)
+        for operand in (x, CSRRows(values, indices, indptr, x.shape)):
+            got = loss_and_grad(weights, bias, operand, y, l2, head)
+            assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+            for a, b in zip(got[1:], ref[1:]):
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert a.tobytes() == b.tobytes()
+
+
+def _reference_loss_and_grad(weights, bias, x, y, l2, head="classification"):
+    """``loss_and_grad`` through scipy's public ``@``, as it was written before
+    it called the kernels directly."""
+    n = x.shape[0]
+    logits = x @ weights.T + bias
+    if head == "classification":
+        probs = _softmax(logits)
+        eps = 1e-12
+        loss = -np.log(probs[np.arange(n), y] + eps).mean()
+        delta = probs
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+    else:
+        resid = logits[:, 0] - y
+        loss = 0.5 * float(resid @ resid) / n
+        delta = (resid / n)[:, None]
+    grad_w = np.asarray((x.T @ delta).T)
+    grad_b = delta.sum(axis=0)
+    if l2 is not None:
+        grad_w = grad_w + l2 * weights
+        loss += 0.5 * l2 * float((weights * weights).sum())
+    return float(loss), grad_w, grad_b
+
 
 def _training_setup(small_fc, tiny_dataset):
     x = featurize_matrix(tiny_dataset.examples, small_fc)
@@ -340,6 +400,25 @@ class TestFit:
         empty = sp.csr_matrix((0, small_fc.hash_dim))
         with pytest.raises(ValidationError):
             fit(init, empty, [], TrainConfig(stopping=FixedSteps(10, 10, 1)))
+
+    @pytest.mark.parametrize("n, batch_size", [(5, 32), (40, 16), (40, 40)])
+    @pytest.mark.parametrize("early", [False, True])
+    def test_builds_no_sparse_matrix_per_step(self, monkeypatch, n, batch_size, early):
+        """One ``csr_matrix`` renumbers the training matrix, and one the dev matrix."""
+        init, x, labels, _, _, _ = _parity_case("early-stop-zeros")
+        x, labels = x[:n], labels[:n]
+        stopping = EarlyStop(patience=10, eval_every=10) if early else FixedSteps(60, 20, 2)
+        config = TrainConfig(seed=3, batch_size=batch_size, max_steps=60, stopping=stopping)
+        calls = []
+        csr_matrix = textmodel.sp.csr_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return csr_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(textmodel.sp, "csr_matrix", counted)
+        fit(init, x, labels, config, dev=(x, labels) if early else None)
+        assert len(calls) == 1 + early
 
     def test_lr_decay_changes_result(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
@@ -624,6 +703,45 @@ class TestFitMatchesDenseStep:
         ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
         assert model.to_bytes() == ref.to_bytes()
         assert trace == ref_trace
+
+
+class TestFitDevColumns:
+    """Evals score the active weights on the dev columns they share."""
+
+    @pytest.mark.parametrize("dev_columns", ["untouched-only", "mixed"])
+    @pytest.mark.parametrize("head", ["classification", "regression"])
+    def test_dev_columns_the_training_set_never_touches(self, dev_columns, head):
+        rng = np.random.default_rng(4)
+        hash_dim = 256
+        x = _random_rows(rng, 30, 64, 6)  # columns 0..63 only
+        x = sp.csr_matrix((x.data, x.indices, x.indptr), shape=(30, hash_dim))
+        space = _CLS if head == "classification" else _REG
+        init = init_params(space, FeatureConfig(hash_dim=hash_dim), seed=1, scheme="random", scale=0.5)
+        init.weights[:, :200] = 0.0
+        init.weights[:, 100:120] = -0.0
+        # Dev rows reach columns 64..255: untouched, some held nonzero by init.
+        dev_x = _random_rows(rng, 12, hash_dim - 64, 8)
+        dev_x = sp.csr_matrix((dev_x.data, dev_x.indices + 64, dev_x.indptr), shape=(12, hash_dim))
+        if dev_columns == "mixed":
+            dev_x = sp.vstack([dev_x, x[:8]]).tocsr()
+        if head == "classification":
+            labels = [space.classes[i] for i in rng.integers(0, 3, 30)]
+            dev_labels = [space.classes[i] for i in rng.integers(0, 3, dev_x.shape[0])]
+        else:
+            labels = list(rng.uniform(0.0, 3.0, 30))
+            dev_labels = list(rng.uniform(0.0, 3.0, dev_x.shape[0]))
+        config = TrainConfig(seed=5, batch_size=8, max_steps=40, stopping=EarlyStop(patience=40, eval_every=1))
+        metric = "accuracy" if head == "classification" else "spearman"
+        model, trace = fit(init, x, labels, config, dev=(dev_x, dev_labels), metric=metric)
+        ref, ref_trace = _dense_fit(init, x, labels, config, dev=(dev_x, dev_labels), metric=metric)
+        assert model.to_bytes() == ref.to_bytes()
+        assert trace == ref_trace
+
+    def test_dev_matrix_must_match_the_model_width(self, small_fc, tiny_dataset):
+        x, labels, init = _training_setup(small_fc, tiny_dataset)
+        narrow = sp.csr_matrix((x.data, x.indices % 64, x.indptr), shape=(x.shape[0], 64))
+        with pytest.raises(ValidationError, match="dev matrix has 64 columns"):
+            fit(init, x, labels, TrainConfig(stopping=EarlyStop()), dev=(narrow, labels))
 
 
 def _overflow_boundary_init(init, x, dense_overflows, scale=0):

@@ -7,12 +7,18 @@ temporary directory. Each workload of ``perfbench/workloads.json`` then runs
 through ``selfaug.cli.main`` (its argv plus ``--seed N ... experiment``) in a
 fresh interpreter, once on each tree, at the file's ``default_seed`` and
 ``held_out_seed``. ``report.json``, ``scores.csv``, ``aggregate.csv`` and
-``manifest.json`` are compared by sha256. Exit status: 0 when every artifact
-and exit code matches, 1 on any difference.
+``manifest.json`` are compared by sha256.
 
-The artifacts hold scores, not trained weights, so a change too small to
-move a score passes here; ``TestFitMatchesDenseStep`` compares ``fit`` with
-the dense reference bit for bit.
+Those artifacts hold scores, not trained weights, so a change too small to
+move a score would pass them. A weight-level leg follows at both seeds: on
+each tree, ``augment`` runs with the ta-overgen-nli argv, then ``selftrain
+--f0`` from that tree's ``f0.model`` in ``--mode broad`` and ``--mode
+confidence-filter``. ``f0.model``, ``synthetic.jsonl`` and both
+``final.model`` and ``result.json`` files are compared by sha256, so any
+change to a trained weight shows. Only long-standing CLI commands are used,
+so the leg runs against any ref.
+
+Exit status: 0 when every file and exit code matches, 1 on any difference.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("report.json", "scores.csv", "aggregate.csv", "manifest.json")
+WEIGHT_WORKLOAD = "ta-overgen-nli"
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
@@ -35,15 +42,36 @@ def export(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run(tree: Path, seed: int, argv: list[str], out: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and artifact sha256 digests of one ``experiment`` run on ``tree``."""
-    full = ["--seed", str(seed), "--out", str(out), "--quiet", *argv, "experiment"]
+def run(tree: Path, seed: int, argv: list[str], out: Path, files: tuple[str, ...]) -> dict[str, str]:
+    """Exit code and sha256 of each of ``files`` after one CLI run on ``tree``."""
+    full = ["--seed", str(seed), "--out", str(out), "--quiet", *argv]
     code = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *full], cwd=out.parent).returncode
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).exists() else "missing"
-        for name in ARTIFACTS
+        for name in files
     }
-    return code, digests
+    return {"exit code": str(code), **digests}
+
+
+def experiment_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
+    """Exit code and artifact digests of ``experiment`` on ``tree``."""
+    return run(tree, seed, [*argv, "experiment"], out, ARTIFACTS)
+
+
+def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
+    """Exit codes and file digests of ``augment``, then ``selftrain`` from its
+    ``f0.model`` in both modes, on ``tree``."""
+    out.mkdir()
+    f0 = str(out / "augment" / "f0.model")
+    steps = [("augment", ["augment"], ("f0.model", "synthetic.jsonl"))] + [
+        (mode, ["selftrain", "--f0", f0, "--mode", mode], ("final.model", "result.json"))
+        for mode in ("broad", "confidence-filter")
+    ]
+    result = {}
+    for step, command, files in steps:
+        digests = run(tree, seed, [*argv, *command], out / step, files)
+        result.update({f"{step} {k}": v for k, v in digests.items()})
+    return result
 
 
 def main(argv=None) -> int:
@@ -53,25 +81,21 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
     seeds = (spec["default_seed"], spec["held_out_seed"])
+    workloads = spec["workloads"]
+    legs = [(f"{name} seed {seed}", experiment_leg, seed, w["argv"]) for name, w in workloads.items() for seed in seeds]
+    legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         ref_tree = tmp / "ref"
         ref_tree.mkdir()
         export(args.ref, ref_tree)
-        for name, workload in spec["workloads"].items():
-            for seed in seeds:
-                runs = []
-                for label, tree in (("ref", ref_tree), ("here", ROOT)):
-                    out = tmp / f"{name}-{seed}-{label}"
-                    runs.append(run(tree, seed, workload["argv"], out))
-                (ref_code, ref_digests), (code, digests) = runs
-                diff = [f for f in ARTIFACTS if digests[f] != ref_digests[f]]
-                if code != ref_code:
-                    diff.append(f"exit code {ref_code} -> {code}")
-                differences += bool(diff)
-                print(f"{name} seed {seed}: " + ("identical" if not diff else "DIFFERS: " + ", ".join(diff)))
-    print("parity ok" if not differences else f"{differences} workload/seed pair(s) differ")
+        for i, (label, leg, seed, leg_argv) in enumerate(legs):
+            ref, here = (leg(tree, seed, leg_argv, tmp / f"{i}-{side}") for side, tree in (("ref", ref_tree), ("here", ROOT)))
+            diff = [k for k in ref if here[k] != ref[k]]
+            differences += bool(diff)
+            print(f"{label}: " + ("identical" if not diff else "DIFFERS: " + ", ".join(diff)))
+    print("parity ok" if not differences else f"{differences} leg(s) differ")
     return 1 if differences else 0
 
 
