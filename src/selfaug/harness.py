@@ -323,11 +323,6 @@ def _pool_and_gold(
     )
 
 
-def _effective_pool(spec: ExperimentSpec, split: RegimeSplit, restart: int) -> UnlabeledPool:
-    """The restart's self-training pool alone."""
-    return _pool_and_gold(spec, split, restart, {})[0]
-
-
 def _needs_aux(spec: ExperimentSpec, target_space: LabelSpace) -> bool:
     """An arm starts from the aux head, and some target class carries over from it."""
     aux_arm = any(START_KIND[a] != "zeros" for a in spec.arms)

@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 import zlib
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal, NamedTuple, Optional, Sequence, Union
@@ -21,8 +22,9 @@ from typing import Literal, NamedTuple, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-# scipy's private CSR kernels behind ``x @ w``: an SGD step calls them on bare arrays.
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+# scipy's private CSR kernels behind ``x @ w``: an SGD step and prediction call
+# them on bare arrays.
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvec, csr_matvecs
 
 from .corpus import Dataset, Example, LabelSpace, ValidationError
 
@@ -103,19 +105,90 @@ def featurize(example: Example, config: FeatureConfig) -> dict[int, int]:
     return counts
 
 
+# The segment memo. For each (n-gram orders, hash_dim) key, ``_MEMO`` holds
+# two dicts keyed by a segment's text: "buckets" maps it to the packed buckets
+# (C unsigned ints) of the n-grams inside it, and "edges" to its first and
+# last ``max(orders) - 1`` tokens, from which the n-grams that span SEP_TOKEN
+# in a pair are hashed. Inner keys are str and values bytes or str, so the
+# garbage collector tracks no entry. An entry is a pure function of its keys,
+# so no result depends on call history; the memo is cleared once it holds
+# more than _MEMO_LIMIT entries (two per text).
+_MEMO_LIMIT = 1 << 17
+_MEMO: dict[str, dict[str, Union[bytes, str]]] = {}
+
+
+def _memo_segment(text: str, orders: list[int], mask: int, buckets: dict, edges: dict) -> bytes:
+    """Hash ``text`` into the memo and return its packed buckets."""
+    tokens = tokenize(text)
+    grams = [
+        zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
+        for k in orders
+        for i in range(len(tokens) - k + 1)
+    ]
+    edge = orders[-1] - 1
+    # max(..., 0): a negative slice start would wrap around.
+    edges[text] = "\x1f".join(tokens[:edge]) + "\x1e" + "\x1f".join(tokens[max(len(tokens) - edge, 0) :])
+    packed = buckets[text] = array("I", grams).tobytes()
+    return packed
+
+
+def _spanning_buckets(left: str, right: str, orders: list[int], mask: int) -> bytes:
+    """The packed buckets of the n-grams that hold SEP_TOKEN in ``a + [SEP] + b``,
+    given the "edges" entries of ``a`` and ``b``."""
+    tail, head = left.partition("\x1e")[2], right.partition("\x1e")[0]
+    tail = tail.split("\x1f") if tail else []
+    head = head.split("\x1f") if head else []
+    # j tokens of a, then SEP, then k - 1 - j tokens of b.
+    grams = [
+        zlib.crc32("\x1f".join(tail[len(tail) - j :] + [SEP_TOKEN] + head[: k - 1 - j]).encode("utf-8")) & mask
+        for k in orders
+        for j in range(max(0, k - 1 - len(head)), min(k - 1, len(tail)) + 1)
+    ]
+    return array("I", grams).tobytes()
+
+
 def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> sp.csr_matrix:
-    """CSR matrix of hashed n-gram counts, one row per example."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    """CSR matrix of hashed n-gram counts, one row per example.
+
+    Row i holds ``featurize(examples[i], config)`` with its buckets sorted.
+    Each distinct segment text is hashed once per (orders, ``hash_dim``)
+    through the segment memo; a pair adds the n-grams that span the
+    separator. The rows are counted in one pass: the keys ``row << bits |
+    bucket`` are sorted once and their run lengths are the counts.
+    """
+    if sum(map(len, _MEMO.values())) > _MEMO_LIMIT:
+        _MEMO.clear()
+    orders = sorted(config.ngram_orders)
+    memo_key = f"{orders}/{config.hash_dim}/"
+    buckets = _MEMO.setdefault(memo_key + "buckets", {})
+    edges = _MEMO.setdefault(memo_key + "edges", {})
+    mask = config.hash_dim - 1
+    chunks: list[bytes] = []
+    row_bytes: list[int] = []
     for ex in examples:
-        vec = featurize(ex, config)
-        for bucket in sorted(vec):
-            indices.append(bucket)
-            data.append(float(vec[bucket]))
-        indptr.append(len(indices))
+        a, b = ex.segment_a, ex.segment_b
+        packed = buckets.get(a)
+        if packed is None:
+            packed = _memo_segment(a, orders, mask, buckets, edges)
+        if b is not None:
+            packed_b = buckets.get(b)
+            if packed_b is None:
+                packed_b = _memo_segment(b, orders, mask, buckets, edges)
+            packed = packed + packed_b + _spanning_buckets(edges[a], edges[b], orders, mask)
+        chunks.append(packed)
+        row_bytes.append(len(packed))
+    # Buckets are below 2**32, so 32 bits of row offset keep the keys apart.
+    bits = min(config.hash_dim.bit_length() - 1, 32)
+    rows = np.arange(len(examples) + 1, dtype=np.uint64)
+    keys = np.repeat(rows[:-1], np.array(row_bytes, dtype=np.int64) // array("I").itemsize) << bits
+    keys |= np.frombuffer(b"".join(chunks), dtype=np.uintc)
+    keys, counts = np.unique(keys, return_counts=True)
     return sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        (
+            counts.astype(np.float64),
+            (keys & ((1 << bits) - 1)).astype(np.int64),
+            np.searchsorted(keys >> bits, rows).astype(np.int64, copy=False),
+        ),
         shape=(len(examples), config.hash_dim),
     )
 
@@ -261,13 +334,30 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _logits(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
+    """``x @ params.weights.T + params.bias``, bit for bit, with no copy of the weights.
+
+    scipy's kernel behind ``x @ weights.T`` sums each row's products in
+    storage order, starting from zero; ``csr_matvec`` on one weight row sums
+    the same products in the same order. ``x @ weights.T`` would first copy
+    the whole F-ordered ``weights.T``.
+    """
+    weights = params.weights
+    n, d = x.shape
+    if weights.shape[1] != d:
+        raise ValueError(f"weights have {weights.shape[1]} columns, x has {d}")
+    logits = np.zeros((weights.shape[0], n), dtype=np.result_type(x.data, weights))
+    for row, out in zip(weights, logits):
+        csr_matvec(n, d, x.indptr, x.indices, x.data, row, out)
+    return np.add(logits.T, params.bias, order="C")
+
+
 def predict_proba_matrix(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
-    logits = x @ params.weights.T + params.bias
-    return _softmax(logits)
+    return _softmax(_logits(params, x))
 
 
 def predict_values_matrix(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
-    raw = (x @ params.weights.T + params.bias)[:, 0]
+    raw = _logits(params, x)[:, 0]
     space = params.label_space
     return np.clip(raw, space.lo, space.hi)
 
@@ -589,6 +679,9 @@ def fit(
     wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
     squares = np.empty(wt.shape[::-1])  # class-major, for the L2 norm
+    # The squares of all weights, for the norm the trace records: inactive
+    # weights are ±0.0, so their squares stay +0.0 as in ``(w * w).sum()``.
+    all_squares = np.zeros(init.weights.shape)
     trace: list[dict] = []
 
     def weights() -> np.ndarray:
@@ -642,8 +735,8 @@ def fit(
         loss = data_loss + 0.5 * config.l2 * norm
         record = step % every == 0 or (early and step == total)
         if record or not (norm < 1e300 and loss < 1e300):
-            w = weights()
-            loss = data_loss + 0.5 * config.l2 * float((w * w).sum())
+            all_squares[:, active] = squares
+            loss = data_loss + 0.5 * config.l2 * float(all_squares.sum())
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at step {step}")
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))

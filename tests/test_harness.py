@@ -11,7 +11,7 @@ from selfaug.corpus import LabelSpace, ValidationError, strip_labels
 from selfaug.harness import (
     ARM_NAMES,
     ExperimentSpec,
-    _effective_pool,
+    _pool_and_gold,
     base_corpus,
     build_aux_artifacts,
     build_ta_base_model,
@@ -217,7 +217,7 @@ class TestRunExperiment:
         report = run_experiment(spec)
         assert not report.partial
         split = make_splits(spec)[0]
-        mixed = _effective_pool(spec, split, 0)
+        mixed = _pool_and_gold(spec, split, 0, {})[0]
         assert len(mixed) > len(split.pool)
         assert sum(rec["added"] for rec in report.series["cf-st"][0]) == len(mixed)
 

@@ -1,5 +1,6 @@
 """Featurizer, linear model, and trainer tests."""
 
+import gc
 import re
 from dataclasses import replace
 
@@ -30,12 +31,16 @@ from selfaug.textmodel import (
     loss_and_grad,
     predict,
     predict_labels,
+    predict_proba_matrix,
+    predict_values_matrix,
     score_predictions,
     tokenize,
     train,
 )
 
 words = st.text(alphabet="abcdefg ", min_size=1, max_size=40).filter(str.strip)
+# Segments that may hold no token ("", "?!") or fewer than max(orders) - 1.
+texts = st.text(alphabet="abcAB '?!\u212a", max_size=12)
 
 
 class TestFeaturize:
@@ -77,6 +82,69 @@ class TestFeaturize:
             for bucket, count in vec.items():
                 assert dense[bucket] == count
             assert dense.sum() == sum(vec.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(texts.filter(bool), st.none() | texts), max_size=8),
+        orders=st.sampled_from([{1}, {2}, {3}, {1, 4}, {1, 2, 3}]),
+        other_orders=st.sampled_from([{1}, {1, 2}, {2, 5}]),
+        bits=st.integers(1, 32),
+        other_bits=st.integers(1, 32),
+    )
+    def test_matrix_bytes_match_the_per_example_build(self, rows, orders, other_orders, bits, other_bits):
+        """Byte for byte against the former body, with a cold memo, under two
+        configs in alternation, and again with a warm memo."""
+        examples = [Example(id=f"r:{i}", segment_a=a, segment_b=b) for i, (a, b) in enumerate(rows)]
+        config = FeatureConfig(ngram_orders=frozenset(orders), hash_dim=2 ** bits)
+        other = FeatureConfig(ngram_orders=frozenset(other_orders), hash_dim=2 ** other_bits)
+        textmodel._MEMO.clear()
+        for fc in (config, other, config, other):
+            got, ref = featurize_matrix(examples, fc), _reference_featurize_matrix(examples, fc)
+            assert got.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_memo_holds_no_tracked_object(self, small_fc):
+        examples = [
+            Example(id="p:0", segment_a="alpha beta", segment_b="gamma"),
+            Example(id="p:1", segment_a="...", segment_b="alpha beta"),
+        ]
+        textmodel._MEMO.clear()
+        featurize_matrix(examples, small_fc)
+        featurize_matrix(examples, FeatureConfig(ngram_orders=frozenset({3}), hash_dim=64))
+        assert len(textmodel._MEMO) == 4
+        for key, inner in textmodel._MEMO.items():
+            assert not gc.is_tracked(inner)
+            kind = str if key.endswith("edges") else bytes
+            assert all(type(k) is str and type(v) is kind for k, v in inner.items())
+
+    def test_memo_is_cleared_past_its_limit(self, small_fc, monkeypatch):
+        monkeypatch.setattr(textmodel, "_MEMO_LIMIT", 4)
+        textmodel._MEMO.clear()
+        for i in range(12):
+            examples = [Example(id=f"m:{i}", segment_a=f"w{i} x", segment_b=f"y{i}")]
+            x = featurize_matrix(examples, small_fc)
+            ref = _reference_featurize_matrix(examples, small_fc)
+            assert (x != ref).nnz == 0
+            assert sum(map(len, textmodel._MEMO.values())) <= 4 + 4  # one call adds 4 entries
+
+
+def _reference_featurize_matrix(examples, config):
+    """``featurize_matrix`` as it was written before the segment memo."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for ex in examples:
+        vec = featurize(ex, config)
+        for bucket in sorted(vec):
+            indices.append(bucket)
+            data.append(float(vec[bucket]))
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(examples), config.hash_dim),
+    )
 
 
 class TestModelParams:
@@ -233,6 +301,54 @@ class TestPredictLabels:
             init_params(binary_space, small_fc), featurize_matrix([], small_fc)
         )
         assert labels == [] and confidences.shape == (0,)
+
+
+class TestPredictMatchesMatmul:
+    """The prediction functions against ``x @ W.T + b``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        head=st.sampled_from(["classification", "regression"]),
+        index_dtype=st.sampled_from([np.int32, np.int64]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_bytes_match_the_public_matmul(self, data, head, index_dtype, fortran, seed):
+        d = data.draw(st.integers(1, 12))
+        c = 1 if head == "regression" else data.draw(st.integers(2, 4))
+        rows = data.draw(st.lists(st.lists(st.integers(0, d - 1), max_size=6), max_size=8))
+        rng = np.random.default_rng(seed)
+        indices = np.array([j for row in rows for j in row], dtype=index_dtype)
+        indptr = np.cumsum([0] + [len(row) for row in rows]).astype(index_dtype)
+        x = sp.csr_matrix((rng.uniform(-3.0, 3.0, indices.size), indices, indptr), shape=(len(rows), d))
+        x.indices, x.indptr = indices, indptr  # the constructor may narrow int64
+        weights = rng.normal(size=(c, d))
+        weights[rng.random(weights.shape) < 0.2] = -0.0
+        if fortran:  # the ``wt.T`` view over ``[columns, outputs]`` that ``fit``'s evals pass
+            weights = np.ascontiguousarray(weights.T).T
+        if head == "classification":
+            space = LabelSpace.categorical([f"k{i}" for i in range(c)])
+        else:
+            space = LabelSpace.continuous(-1.0, 1.0)
+        params = ModelParams(weights, rng.normal(size=c), head, space)
+        logits = x @ params.weights.T + params.bias
+        if head == "classification":
+            got, ref = predict_proba_matrix(params, x), _softmax(logits)
+            labels, confidences = predict_labels(params, x)
+            idx = np.argmax(ref, axis=1)
+            assert labels == [space.classes[i] for i in idx]
+            assert confidences.tobytes() == ref[np.arange(len(rows)), idx].tobytes()
+        else:
+            got, ref = predict_values_matrix(params, x), np.clip(logits[:, 0], -1.0, 1.0)
+            assert predict_labels(params, x) == (ref.tolist(), None)
+        assert (got.dtype, got.shape, got.strides) == (ref.dtype, ref.shape, ref.strides)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_width_mismatch_is_an_error(self, small_fc, binary_space):
+        x = featurize_matrix(PREDICT_EXAMPLES, FeatureConfig(hash_dim=small_fc.hash_dim * 2))
+        with pytest.raises(ValueError, match="columns"):
+            predict_labels(init_params(binary_space, small_fc), x)
 
 
 class TestMetrics:
