@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Literal, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError
 from .textmodel import (
@@ -24,6 +23,7 @@ from .textmodel import (
     _check_count,
     _check_rate,
     _metric_on_matrix,
+    _stack_rows,
     featurize_matrix,
     fit,
     labeled_matrix,
@@ -224,7 +224,7 @@ def self_train(
                 [pool_ids[i] for i in added_idx], added_labels, gold
             )
 
-        x_train = sp.vstack([x_l, x_pool[train_idx]], format="csr")
+        x_train = _stack_rows([x_l, x_pool[train_idx]])
         y_train = y_l + train_labels
         student, _ = fit(f0, x_train, y_train, train_config, dev=dev_pack, metric=metric)
 
@@ -248,7 +248,7 @@ def self_train(
             "train_size": len(y_train),
             "pool_labeling_accuracy": _labeling_accuracy(pool_ids, pool_labels, gold),
             "agreement": agreement,
-            "student_init_hash": f0.params_hash(),
+            "student_init_hash": f0_hash,
             "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,
             "test_metric": _metric_on_matrix(student, *test_pack, metric) if test_pack else None,
         }

@@ -9,24 +9,72 @@ training dynamics.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import numbers
+import os
 import re
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Literal, NamedTuple, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
-# scipy's private CSR kernels behind ``x @ w``: an SGD step and prediction call
-# them on bare arrays.
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvec, csr_matvecs
+# numpy loads these on first use: ``np.random.default_rng`` in ``fit`` and the
+# ``np.ma.is_masked`` check inside ``np.union1d``. Importing them here keeps
+# that load out of the first run.
+import numpy.ma
+import numpy.random
 
 from .corpus import Dataset, Example, LabelSpace, ValidationError
+
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _load_kernels(scipy_dirs: Optional[Sequence[str]] = None):
+    """scipy's compiled sparse kernels, without running ``scipy.sparse``'s
+    package import, which pulls in much of numpy and scipy.
+
+    A module already imported under that name is reused. Otherwise the
+    extension file is loaded from ``sparse/`` under ``scipy_dirs`` (by
+    default those of the top-level ``scipy`` spec, found without importing
+    scipy) and registered under its own name, so a later ``import
+    scipy.sparse`` reuses it. A missing file is an ImportError naming every
+    path searched.
+    """
+    module = sys.modules.get(_KERNELS)
+    if module is not None:
+        return module
+    if scipy_dirs is None:
+        spec = importlib.util.find_spec("scipy")
+        scipy_dirs = spec.submodule_search_locations if spec else []
+    paths = [
+        os.path.join(d, "sparse", "_sparsetools" + suffix)
+        for d in scipy_dirs
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's {_KERNELS} extension not found; searched {paths}", name=_KERNELS)
+    loader = importlib.machinery.ExtensionFileLoader(_KERNELS, path)
+    spec = importlib.util.spec_from_file_location(_KERNELS, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[_KERNELS] = module
+    return module
+
+
+# scipy's kernels behind ``x @ w`` and ``x.T @ d``: an SGD step and prediction
+# call them on bare arrays.
+_sparsetools = _load_kernels()
+csc_matvecs = _sparsetools.csc_matvecs
+csr_matvec = _sparsetools.csr_matvec
+csr_matvecs = _sparsetools.csr_matvecs
 
 SEP_TOKEN = "\x1esep\x1e"
 
@@ -58,6 +106,78 @@ def _check_rate(name: str, value, positive: bool = False) -> None:
 def _check_flag(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# Sparse rows
+# ---------------------------------------------------------------------------
+
+
+class CSRRows:
+    """A CSR matrix as its four parts: the one matrix type of ``selfaug``.
+
+    Every function that takes a matrix reads only ``data``, ``indices``,
+    ``indptr`` and ``shape``, so a scipy CSR matrix serves as well.
+    ``x[rows]``, for an index array or a boolean mask, copies the chosen rows
+    whole and in order, with the dtypes and bytes of scipy's ``x[rows]``.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    def __getitem__(self, rows) -> "CSRRows":
+        order = np.arange(self.shape[0])[rows]
+        x = _gather_rows(self, order)
+        if order.size == 0:
+            # scipy builds an empty selection from its shape alone.
+            dtype = _index_dtype(self.shape[1])
+            return CSRRows(x.data, x.indices.astype(dtype), x.indptr.astype(dtype), x.shape)
+        return _csr(x.data, x.indices, x.indptr, x.shape)
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _index_dtype(maxval: int, *arrays: np.ndarray) -> type:
+    """scipy's ``get_index_dtype(arrays, maxval, check_contents=True)``: int32
+    unless ``maxval`` or a value stored in ``arrays`` lies outside its range."""
+    if maxval > _INT32.max:
+        return np.int64
+    for a in arrays:
+        if a.size and not np.can_cast(a.dtype, np.int32):
+            if not _INT32.min <= int(a.min()) <= int(a.max()) <= _INT32.max:
+                return np.int64
+    return np.int32
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> CSRRows:
+    """``csr_matrix((data, indices, indptr), shape)``'s arrays, index dtype included."""
+    dtype = _index_dtype(0 if 0 in shape else max(shape), indices, indptr)
+    return CSRRows(data, indices.astype(dtype, copy=False), indptr.astype(dtype, copy=False), shape)
+
+
+def _gather_rows(x: CSRRows, order: np.ndarray) -> CSRRows:
+    """Rows ``order`` of ``x``, each copied whole and in order, as ``x[order]`` does."""
+    lengths = np.diff(x.indptr)[order]
+    indptr = np.zeros(order.size + 1, dtype=x.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    pos = np.repeat(x.indptr[order] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return CSRRows(x.data[pos], x.indices[pos], indptr, (order.size, x.shape[1]))
+
+
+def _stack_rows(blocks: Sequence[CSRRows]) -> CSRRows:
+    """The rows of ``blocks`` one after another, as ``vstack(blocks, format="csr")``."""
+    lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return _csr(
+        np.concatenate([b.data for b in blocks]),
+        np.concatenate([b.indices for b in blocks]),
+        indptr,
+        (lengths.size, blocks[0].shape[1]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +267,7 @@ def _spanning_buckets(left: str, right: str, orders: list[int], mask: int) -> by
     return array("I", grams).tobytes()
 
 
-def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> sp.csr_matrix:
+def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> CSRRows:
     """CSR matrix of hashed n-gram counts, one row per example.
 
     Row i holds ``featurize(examples[i], config)`` with its buckets sorted.
@@ -183,13 +303,11 @@ def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> sp.c
     keys = np.repeat(rows[:-1], np.array(row_bytes, dtype=np.int64) // array("I").itemsize) << bits
     keys |= np.frombuffer(b"".join(chunks), dtype=np.uintc)
     keys, counts = np.unique(keys, return_counts=True)
-    return sp.csr_matrix(
-        (
-            counts.astype(np.float64),
-            (keys & ((1 << bits) - 1)).astype(np.int64),
-            np.searchsorted(keys >> bits, rows).astype(np.int64, copy=False),
-        ),
-        shape=(len(examples), config.hash_dim),
+    return _csr(
+        counts.astype(np.float64),
+        keys & ((1 << bits) - 1),
+        np.searchsorted(keys >> bits, rows),
+        (len(examples), config.hash_dim),
     )
 
 
@@ -334,7 +452,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logits(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
+def _logits(params: ModelParams, x: CSRRows) -> np.ndarray:
     """``x @ params.weights.T + params.bias``, bit for bit, with no copy of the weights.
 
     scipy's kernel behind ``x @ weights.T`` sums each row's products in
@@ -352,17 +470,17 @@ def _logits(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
     return np.add(logits.T, params.bias, order="C")
 
 
-def predict_proba_matrix(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
+def predict_proba_matrix(params: ModelParams, x: CSRRows) -> np.ndarray:
     return _softmax(_logits(params, x))
 
 
-def predict_values_matrix(params: ModelParams, x: sp.csr_matrix) -> np.ndarray:
+def predict_values_matrix(params: ModelParams, x: CSRRows) -> np.ndarray:
     raw = _logits(params, x)[:, 0]
     space = params.label_space
     return np.clip(raw, space.lo, space.hi)
 
 
-def predict_labels(params: ModelParams, x: sp.csr_matrix) -> tuple[list, Optional[np.ndarray]]:
+def predict_labels(params: ModelParams, x: CSRRows) -> tuple[list, Optional[np.ndarray]]:
     """Each row's argmax class name (ties go to the lowest class index) and its
     probability; for a regression head, each row's clamped value and None."""
     if params.head == "regression":
@@ -391,19 +509,10 @@ def predict(params: ModelParams, example: Example, config: FeatureConfig) -> Pre
 # ---------------------------------------------------------------------------
 
 
-class CSRRows(NamedTuple):
-    """The arrays of a CSR matrix, all that ``loss_and_grad`` reads of ``x``."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-
 def loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    x: Union[sp.csr_matrix, CSRRows],
+    x: CSRRows,
     y: np.ndarray,
     l2: Optional[float],
     head: Literal["classification", "regression"] = "classification",
@@ -414,10 +523,10 @@ def loss_and_grad(
     Regression: half squared error with float targets.
     ``l2=None`` gives the data term alone, with no L2 loss or gradient term.
 
-    ``x`` is a CSR matrix or a ``CSRRows``; only its ``data``, ``indices``,
-    ``indptr`` and ``shape`` are read. The products run scipy's kernels on
-    those arrays as ``x @ weights.T`` and ``x.T @ delta`` do, so every sum
-    keeps their order and the result matches theirs bit for bit.
+    Only ``x``'s ``data``, ``indices``, ``indptr`` and ``shape`` are read.
+    The products run scipy's kernels on those arrays as ``x @ weights.T`` and
+    ``x.T @ delta`` do, so every sum keeps their order and the result matches
+    theirs bit for bit.
     """
     n, d = x.shape
     if weights.shape[1] != d:
@@ -498,7 +607,7 @@ def score_predictions(
 
 
 def _metric_on_matrix(
-    params: ModelParams, x: sp.csr_matrix, gold_labels: Sequence, metric: str
+    params: ModelParams, x: CSRRows, gold_labels: Sequence, metric: str
 ) -> float:
     kind, _ = _parse_metric(metric)
     if params.head == "regression":
@@ -511,7 +620,7 @@ def _metric_on_matrix(
 
 def labeled_matrix(
     dataset: Optional[Dataset], config: FeatureConfig
-) -> Optional[tuple[sp.csr_matrix, list]]:
+) -> Optional[tuple[CSRRows, list]]:
     """``(features, labels)`` of a dataset, or None when it is absent or empty."""
     if dataset is None or len(dataset) == 0:
         return None
@@ -606,31 +715,21 @@ def _encode_targets(params: ModelParams, labels: Sequence) -> np.ndarray:
     return np.array([float(l) for l in labels])
 
 
-def _gather_rows(x: CSRRows, order: np.ndarray) -> CSRRows:
-    """Rows ``order`` of ``x``, each copied whole and in order, as ``x[order]`` does."""
-    lengths = np.diff(x.indptr)[order]
-    indptr = np.zeros(order.size + 1, dtype=x.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    pos = np.repeat(x.indptr[order] - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return CSRRows(x.data[pos], x.indices[pos], indptr, (order.size, x.shape[1]))
-
-
-def _keep_columns(x: sp.csr_matrix, columns: np.ndarray) -> sp.csr_matrix:
+def _keep_columns(x: CSRRows, columns: np.ndarray) -> CSRRows:
     """``x`` on the sorted ``columns`` only, renumbered to their positions."""
     keep = np.isin(x.indices, columns)
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return sp.csr_matrix(
-        (x.data[keep], np.searchsorted(columns, x.indices[keep]), kept_before[x.indptr]),
-        shape=(x.shape[0], columns.size),
+    return _csr(
+        x.data[keep], np.searchsorted(columns, x.indices[keep]), kept_before[x.indptr], (x.shape[0], columns.size)
     )
 
 
 def fit(
     init: ModelParams,
-    x: sp.csr_matrix,
+    x: CSRRows,
     labels: Sequence,
     config: TrainConfig,
-    dev: Optional[tuple[sp.csr_matrix, Sequence]] = None,
+    dev: Optional[tuple[CSRRows, Sequence]] = None,
     metric: str = "accuracy",
 ) -> tuple[ModelParams, list[dict]]:
     """Mini-batch SGD on a precomputed feature matrix.
@@ -671,11 +770,8 @@ def fit(
     n = x.shape[0]
     active = np.union1d(x.indices, np.flatnonzero(init.weights.any(axis=0)))
     # Renumbering keeps the column order, so every batch below is unchanged.
-    # scipy picks the index dtype (int32 when it fits); every batch keeps it.
-    x = sp.csr_matrix(
-        (x.data, np.searchsorted(active, x.indices), x.indptr), shape=(n, active.size)
-    )
-    x = CSRRows(x.data, x.indices, x.indptr, x.shape)
+    # The index dtype is int32 when it fits; every batch keeps it.
+    x = _csr(x.data, np.searchsorted(active, x.indices), x.indptr, (n, active.size))
     wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
     squares = np.empty(wt.shape[::-1])  # class-major, for the L2 norm

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import selfaug
 from selfaug.corpus import Dataset, Example, LabelSpace
 from selfaug.textmodel import FeatureConfig, TrainConfig, init_params, train
 
@@ -46,3 +52,18 @@ def tiny_model(tiny_dataset, small_fc):
         feature_config=small_fc,
     )
     return params
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python source in a fresh interpreter that imports this ``selfaug``;
+    returns its stdout, and fails the test on a nonzero exit."""
+    src = str(Path(selfaug.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code: str) -> str:
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

@@ -22,6 +22,7 @@ from selfaug.textmodel import (
     TrainConfig,
     _metric_on_matrix,
     _softmax,
+    _stack_rows,
     average_checkpoints,
     evaluate,
     featurize,
@@ -78,10 +79,9 @@ class TestFeaturize:
         assert x.shape == (2, small_fc.hash_dim)
         for row, ex in enumerate(examples):
             vec = featurize(ex, small_fc)
-            dense = x[row].toarray()[0]
-            for bucket, count in vec.items():
-                assert dense[bucket] == count
-            assert dense.sum() == sum(vec.values())
+            lo, hi = x.indptr[row], x.indptr[row + 1]
+            assert x.indices[lo:hi].tolist() == sorted(vec)
+            assert x.data[lo:hi].tolist() == [vec[bucket] for bucket in sorted(vec)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -124,10 +124,49 @@ class TestFeaturize:
         textmodel._MEMO.clear()
         for i in range(12):
             examples = [Example(id=f"m:{i}", segment_a=f"w{i} x", segment_b=f"y{i}")]
-            x = featurize_matrix(examples, small_fc)
-            ref = _reference_featurize_matrix(examples, small_fc)
-            assert (x != ref).nnz == 0
+            _assert_same_csr(featurize_matrix(examples, small_fc), _reference_featurize_matrix(examples, small_fc))
             assert sum(map(len, textmodel._MEMO.values())) <= 4 + 4  # one call adds 4 entries
+
+
+def _assert_same_csr(got, ref):
+    """Same shape, and ``data``, ``indices`` and ``indptr`` of the same dtypes and bytes."""
+    assert got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRowSelection:
+    """``CSRRows[rows]`` and ``_stack_rows`` against scipy's ``x[rows]`` and
+    ``vstack``, byte for byte; scipy is the reference here only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(texts.filter(bool), st.none() | texts), max_size=8),
+        more=st.lists(st.tuples(texts.filter(bool), st.none() | texts), max_size=4),
+        bits=st.sampled_from([4, 12, 31, 32]),
+        wide=st.booleans(),
+        draw=st.data(),
+    )
+    def test_bytes_match_scipy(self, rows, more, bits, wide, draw):
+        fc = FeatureConfig(hash_dim=2 ** bits)
+        x, y = (
+            featurize_matrix([Example(id=f"r:{i}", segment_a=a, segment_b=b) for i, (a, b) in enumerate(part)], fc)
+            for part in (rows, more)
+        )
+        ref_x, ref_y = (sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) for m in (x, y))
+        if wide:  # int64 indices where scipy would keep int32
+            x = CSRRows(x.data, x.indices.astype(np.int64), x.indptr.astype(np.int64), x.shape)
+        n = x.shape[0]
+        idx = np.array(draw.draw(st.lists(st.integers(0, n - 1), max_size=10) if n else st.just([])), dtype=np.int64)
+        mask, y_mask = (
+            np.array(draw.draw(st.lists(st.booleans(), min_size=m.shape[0], max_size=m.shape[0])), dtype=bool)
+            for m in (x, y)
+        )
+        for picked in (idx, mask, np.array([], dtype=np.int64)):
+            _assert_same_csr(x[picked], ref_x[picked])
+        _assert_same_csr(_stack_rows([x, y[y_mask]]), sp.vstack([ref_x, ref_y[y_mask]], format="csr"))
+        _assert_same_csr(_stack_rows([y, x[idx]]), sp.vstack([ref_y, ref_x[idx]], format="csr"))
 
 
 def _reference_featurize_matrix(examples, config):
@@ -519,22 +558,23 @@ class TestFit:
 
     @pytest.mark.parametrize("n, batch_size", [(5, 32), (40, 16), (40, 40)])
     @pytest.mark.parametrize("early", [False, True])
-    def test_builds_no_sparse_matrix_per_step(self, monkeypatch, n, batch_size, early):
-        """One ``csr_matrix`` renumbers the training matrix, and one the dev matrix."""
-        init, x, labels, _, _, _ = _parity_case("early-stop-zeros")
-        x, labels = x[:n], labels[:n]
-        stopping = EarlyStop(patience=10, eval_every=10) if early else FixedSteps(60, 20, 2)
-        config = TrainConfig(seed=3, batch_size=batch_size, max_steps=60, stopping=stopping)
-        calls = []
-        csr_matrix = textmodel.sp.csr_matrix
+    def test_builds_no_sparse_matrix_per_step(self, fresh_python, n, batch_size, early):
+        """``fit``, in a fresh interpreter, loads scipy's kernels and no other part of scipy."""
+        out = fresh_python(f"""
+import sys
+from selfaug.corpus import Example, LabelSpace
+from selfaug.textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig, featurize_matrix, fit, init_params
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return csr_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(textmodel.sp, "csr_matrix", counted)
-        fit(init, x, labels, config, dev=(x, labels) if early else None)
-        assert len(calls) == 1 + early
+fc = FeatureConfig(hash_dim=2 ** 12)
+space = LabelSpace.categorical(("a", "b", "c"))
+x = featurize_matrix([Example(id=str(i), segment_a=f"w{{i % 7}} v{{i % 5}} u") for i in range({n})], fc)
+labels = [space.classes[i % 3] for i in range({n})]
+stopping = EarlyStop(patience=10, eval_every=10) if {early} else FixedSteps(60, 20, 2)
+config = TrainConfig(seed=3, batch_size={batch_size}, max_steps=60, stopping=stopping)
+fit(init_params(space, fc), x, labels, config, dev=(x, labels) if {early} else None)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+        assert out.strip() == "['scipy.sparse._sparsetools']"
 
     def test_lr_decay_changes_result(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
