@@ -111,15 +111,30 @@ def _rule_based_candidates(
     return out
 
 
+# Seconds an external generator may take to answer one input.
+EXTERNAL_TIMEOUT_S = 60.0
+
+
 def _external_candidates(spec: GeneratorSpec, label: str, sentence: str) -> list[str]:
-    """Line protocol: send ``label<TAB>sentence``, read lines until blank."""
+    """Line protocol: send ``label<TAB>sentence``, read lines until blank.
+
+    A command that has not exited after EXTERNAL_TIMEOUT_S is killed and
+    reaped, and raises AugmentationError.
+    """
     proc = subprocess.Popen(
         shlex.split(spec.command),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
     )
-    stdout, _ = proc.communicate(f"{label}\t{sentence}\n")
+    try:
+        stdout, _ = proc.communicate(f"{label}\t{sentence}\n", timeout=EXTERNAL_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise AugmentationError(
+            f"generator command {spec.command!r} did not exit within {EXTERNAL_TIMEOUT_S} s"
+        ) from None
     if proc.returncode != 0:
         raise AugmentationError(
             f"generator command {spec.command!r} exited with status {proc.returncode}"

@@ -53,6 +53,8 @@ class SelfTrainConfig:
     def __post_init__(self):
         for name in ("max_iterations", "agreement_patience", "cf_batch"):
             _check_count(name, getattr(self, name))
+        if self.dev_patience is not None:
+            _check_count("dev_patience", self.dev_patience)
         _check_rate("agreement_threshold", self.agreement_threshold)
         if self.agreement_threshold > 1:
             raise ValidationError("agreement_threshold must lie in [0, 1]")

@@ -208,15 +208,21 @@ def _hash_ngram(ngram: str, hash_dim: int) -> int:
     return zlib.crc32(ngram.encode("utf-8")) & (hash_dim - 1)
 
 
+def _tokens(example: Example) -> list[str]:
+    """The example's tokens; a pair's two segments are joined by SEP_TOKEN."""
+    tokens = tokenize(example.segment_a)
+    if example.segment_b is not None:
+        tokens = tokens + [SEP_TOKEN] + tokenize(example.segment_b)
+    return tokens
+
+
 def featurize(example: Example, config: FeatureConfig) -> dict[int, int]:
     """Sparse bucket -> count mapping for one example.
 
     Segment pairs are joined with a reserved separator token before
     n-gramming, so (a, b) never collides with the single segment "a b".
     """
-    tokens = tokenize(example.segment_a)
-    if example.segment_b is not None:
-        tokens = tokens + [SEP_TOKEN] + tokenize(example.segment_b)
+    tokens = _tokens(example)
     counts: dict[int, int] = {}
     for order in config.ngram_orders:
         for i in range(len(tokens) - order + 1):
@@ -225,82 +231,52 @@ def featurize(example: Example, config: FeatureConfig) -> dict[int, int]:
     return counts
 
 
-# The segment memo. For each (n-gram orders, hash_dim) key, ``_MEMO`` holds
-# two dicts keyed by a segment's text: "buckets" maps it to the packed buckets
-# (C unsigned ints) of the n-grams inside it, and "edges" to its first and
-# last ``max(orders) - 1`` tokens, from which the n-grams that span SEP_TOKEN
-# in a pair are hashed. Inner keys are str and values bytes or str, so the
-# garbage collector tracks no entry. An entry is a pure function of its keys,
-# so no result depends on call history; the memo is cleared once it holds
-# more than _MEMO_LIMIT entries (two per text).
-_MEMO_LIMIT = 1 << 17
-_MEMO: dict[str, dict[str, Union[bytes, str]]] = {}
-
-
-def _memo_segment(text: str, orders: list[int], mask: int, buckets: dict, edges: dict) -> bytes:
-    """Hash ``text`` into the memo and return its packed buckets."""
-    tokens = tokenize(text)
-    grams = [
-        zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
-        for k in orders
-        for i in range(len(tokens) - k + 1)
-    ]
-    edge = orders[-1] - 1
-    # max(..., 0): a negative slice start would wrap around.
-    edges[text] = "\x1f".join(tokens[:edge]) + "\x1e" + "\x1f".join(tokens[max(len(tokens) - edge, 0) :])
-    packed = buckets[text] = array("I", grams).tobytes()
-    return packed
-
-
-def _spanning_buckets(left: str, right: str, orders: list[int], mask: int) -> bytes:
-    """The packed buckets of the n-grams that hold SEP_TOKEN in ``a + [SEP] + b``,
-    given the "edges" entries of ``a`` and ``b``."""
-    tail, head = left.partition("\x1e")[2], right.partition("\x1e")[0]
-    tail = tail.split("\x1f") if tail else []
-    head = head.split("\x1f") if head else []
-    # j tokens of a, then SEP, then k - 1 - j tokens of b.
-    grams = [
-        zlib.crc32("\x1f".join(tail[len(tail) - j :] + [SEP_TOKEN] + head[: k - 1 - j]).encode("utf-8")) & mask
-        for k in orders
-        for j in range(max(0, k - 1 - len(head)), min(k - 1, len(tail)) + 1)
-    ]
-    return array("I", grams).tobytes()
+# The row memo. For each (n-gram orders, hash_dim) key, ``_MEMO`` holds two
+# dicts that map a row to the packed buckets (C unsigned ints) of all its
+# n-grams: one keyed by a single segment's text, one by a pair's
+# ``f"{len(a)}:{a}{b}"``, which no other pair spells. Keys are str and values
+# bytes, so the garbage collector tracks no entry. An entry is a pure function
+# of its keys, so no result depends on call history; the memo is cleared once
+# it holds more than _MEMO_LIMIT entries (one per distinct row): 2**15 pairs
+# eight times as long as pair-overlap-nli's hold about 62 MiB.
+_MEMO_LIMIT = 1 << 15
+_MEMO: dict[str, dict[str, bytes]] = {}
 
 
 def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> CSRRows:
     """CSR matrix of hashed n-gram counts, one row per example.
 
     Row i holds ``featurize(examples[i], config)`` with its buckets sorted.
-    Each distinct segment text is hashed once per (orders, ``hash_dim``)
-    through the segment memo; a pair adds the n-grams that span the
-    separator. The rows are counted in one pass: the keys ``row << bits |
+    Each distinct row is hashed once per (orders, ``hash_dim``) through the
+    row memo. The rows are counted in one pass: the keys ``row << bits |
     bucket`` are sorted once and their run lengths are the counts.
     """
     if sum(map(len, _MEMO.values())) > _MEMO_LIMIT:
         _MEMO.clear()
     orders = sorted(config.ngram_orders)
     memo_key = f"{orders}/{config.hash_dim}/"
-    buckets = _MEMO.setdefault(memo_key + "buckets", {})
-    edges = _MEMO.setdefault(memo_key + "edges", {})
+    singles = _MEMO.setdefault(memo_key + "single", {})
+    pairs = _MEMO.setdefault(memo_key + "pair", {})
     mask = config.hash_dim - 1
     chunks: list[bytes] = []
-    row_bytes: list[int] = []
     for ex in examples:
         a, b = ex.segment_a, ex.segment_b
-        packed = buckets.get(a)
+        memo, key = (singles, a) if b is None else (pairs, f"{len(a)}:{a}{b}")
+        packed = memo.get(key)
         if packed is None:
-            packed = _memo_segment(a, orders, mask, buckets, edges)
-        if b is not None:
-            packed_b = buckets.get(b)
-            if packed_b is None:
-                packed_b = _memo_segment(b, orders, mask, buckets, edges)
-            packed = packed + packed_b + _spanning_buckets(edges[a], edges[b], orders, mask)
+            tokens = _tokens(ex)
+            grams = [
+                zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
+                for k in orders
+                for i in range(len(tokens) - k + 1)
+            ]
+            packed = memo[key] = array("I", grams).tobytes()
         chunks.append(packed)
-        row_bytes.append(len(packed))
     # Buckets are below 2**32, so 32 bits of row offset keep the keys apart.
     bits = min(config.hash_dim.bit_length() - 1, 32)
     rows = np.arange(len(examples) + 1, dtype=np.uint64)
-    keys = np.repeat(rows[:-1], np.array(row_bytes, dtype=np.int64) // array("I").itemsize) << bits
+    sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks)) // array("I").itemsize
+    keys = np.repeat(rows[:-1], sizes) << bits
     keys |= np.frombuffer(b"".join(chunks), dtype=np.uintc)
     keys, counts = np.unique(keys, return_counts=True)
     return _csr(

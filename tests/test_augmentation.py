@@ -1,6 +1,8 @@
 """Augmentation pipeline tests: generation, filtering, tau selection, head swap."""
 
 import json
+import re
+import signal
 import sys
 
 import numpy as np
@@ -110,6 +112,24 @@ class TestGenerateCandidates:
         spec = GeneratorSpec(kind="external", command=command)
         with pytest.raises(AugmentationError, match="exited with status 3"):
             generate_candidates(spec, "entailment", "base sentence", 0)
+
+    def test_external_timeout_kills_the_command(self, tmp_path, monkeypatch):
+        script = tmp_path / "sleep.py"
+        script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+        command = f"{sys.executable} {script}"
+        monkeypatch.setattr(augmentation, "EXTERNAL_TIMEOUT_S", 0.2)
+        spawned = []
+        real_popen = augmentation.subprocess.Popen
+
+        def popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(augmentation.subprocess, "Popen", popen)
+        spec = GeneratorSpec(kind="external", command=command)
+        with pytest.raises(AugmentationError, match=re.escape(f"{command!r} did not exit within 0.2 s")):
+            generate_candidates(spec, "entailment", "base sentence", 0)
+        assert spawned[0].returncode == -signal.SIGKILL  # killed and reaped
 
 
 class TestFilterCandidates:

@@ -16,6 +16,8 @@ from selfaug.config import (
     validate_config,
 )
 from selfaug.corpus import ValidationError
+from selfaug.harness import ExperimentSpec
+from selfaug.synth import SynthSpec
 from selfaug.textmodel import EarlyStop, FixedSteps
 
 
@@ -153,6 +155,9 @@ class TestBuilders:
         for value, expected in ((True, "on"), (False, "off")):
             config = validate_config({"self_training": {"final_finetune_on_l": value}})
             assert build_st_config(config).final_finetune_on_l == expected
+
+    def test_schema_defaults_match_the_dataclass_defaults(self):
+        assert build_experiment_spec(validate_config({})) == ExperimentSpec(task=SynthSpec("keyword-sentiment"))
 
     def test_full_experiment_spec(self):
         config = validate_config(

@@ -71,17 +71,31 @@ class TestFeaturize:
         assert joined != paired
 
     def test_matrix_rows_match_dict(self, small_fc):
-        examples = [
-            Example(id="m:0", segment_a="one two two"),
-            Example(id="m:1", segment_a="three"),
+        """Each row against ``featurize``: all rows in one call, then one call
+        per row in order and in reverse, each from a cold memo."""
+        cases = [
+            [("one two two", None), ("three", None)],
+            # Pairs whose segments concatenate to the same text.
+            [("ab", "c"), ("a", "bc"), ("abc", None)],
+            # A single segment that spells a pair's memo key.
+            [("a", "b"), ("1:ab", None), ("1:a", "b")],
+            # Token-less segments.
+            [("...", None), ("...", "..."), ("...", "x y"), ("x y", "..."), ("...", ""), ("x", "y...")],
         ]
-        x = featurize_matrix(examples, small_fc)
-        assert x.shape == (2, small_fc.hash_dim)
-        for row, ex in enumerate(examples):
-            vec = featurize(ex, small_fc)
-            lo, hi = x.indptr[row], x.indptr[row + 1]
-            assert x.indices[lo:hi].tolist() == sorted(vec)
-            assert x.data[lo:hi].tolist() == [vec[bucket] for bucket in sorted(vec)]
+        for rows in cases:
+            examples = [Example(id=f"m:{i}", segment_a=a, segment_b=b) for i, (a, b) in enumerate(rows)]
+            textmodel._MEMO.clear()
+            together = featurize_matrix(examples, small_fc)
+            assert together.shape == (len(examples), small_fc.hash_dim)
+            for order in (examples, examples[::-1]):
+                textmodel._MEMO.clear()
+                apart = {ex.id: featurize_matrix([ex], small_fc) for ex in order}
+                for row, ex in enumerate(examples):
+                    vec = featurize(ex, small_fc)
+                    for x, i in ((together, row), (apart[ex.id], 0)):
+                        lo, hi = x.indptr[i], x.indptr[i + 1]
+                        assert x.indices[lo:hi].tolist() == sorted(vec), rows
+                        assert x.data[lo:hi].tolist() == [vec[bucket] for bucket in sorted(vec)], rows
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -109,23 +123,30 @@ class TestFeaturize:
         examples = [
             Example(id="p:0", segment_a="alpha beta", segment_b="gamma"),
             Example(id="p:1", segment_a="...", segment_b="alpha beta"),
+            Example(id="p:2", segment_a="alpha beta"),
         ]
         textmodel._MEMO.clear()
         featurize_matrix(examples, small_fc)
         featurize_matrix(examples, FeatureConfig(ngram_orders=frozenset({3}), hash_dim=64))
-        assert len(textmodel._MEMO) == 4
-        for key, inner in textmodel._MEMO.items():
+        assert sorted(map(len, textmodel._MEMO.values())) == [1, 1, 2, 2]  # singles and pairs per config
+        for inner in textmodel._MEMO.values():
             assert not gc.is_tracked(inner)
-            kind = str if key.endswith("edges") else bytes
-            assert all(type(k) is str and type(v) is kind for k, v in inner.items())
+            assert all(type(k) is str and type(v) is bytes for k, v in inner.items())
 
     def test_memo_is_cleared_past_its_limit(self, small_fc, monkeypatch):
         monkeypatch.setattr(textmodel, "_MEMO_LIMIT", 4)
         textmodel._MEMO.clear()
+        held = 0
         for i in range(12):
-            examples = [Example(id=f"m:{i}", segment_a=f"w{i} x", segment_b=f"y{i}")]
+            # Two distinct rows, one of them twice: one entry per distinct row.
+            examples = [
+                Example(id=f"m:{i}", segment_a=f"w{i} x", segment_b=f"y{i}"),
+                Example(id=f"s:{i}", segment_a=f"y{i}"),
+                Example(id=f"t:{i}", segment_a=f"y{i}"),
+            ]
             _assert_same_csr(featurize_matrix(examples, small_fc), _reference_featurize_matrix(examples, small_fc))
-            assert sum(map(len, textmodel._MEMO.values())) <= 4 + 4  # one call adds 4 entries
+            held = 2 if held > 4 else held + 2
+            assert sum(map(len, textmodel._MEMO.values())) == held
 
 
 def _assert_same_csr(got, ref):

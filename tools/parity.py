@@ -7,7 +7,10 @@ temporary directory. Each workload of ``perfbench/workloads.json`` then runs
 through ``selfaug.cli.main`` (its argv plus ``--seed N ... experiment``) in a
 fresh interpreter, once on each tree, at the file's ``default_seed`` and
 ``held_out_seed``. ``report.json``, ``scores.csv``, ``aggregate.csv`` and
-``manifest.json`` are compared by sha256.
+``manifest.json`` are compared by sha256. A pair-pool leg does the same for
+acceptance criterion 3's config at 2 restarts (pair-overlap-nli, arms
+``baseline, ta, st, ta-st``, 8 self-training iterations), the one config in
+which self-training featurizes pair rows.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
@@ -34,6 +37,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("report.json", "scores.csv", "aggregate.csv", "manifest.json")
 WEIGHT_WORKLOAD = "ta-overgen-nli"
+CRITERION_3_ARGV = [
+    "--set", "datasets.task_family=pair-overlap-nli",
+    "--set", "experiment.arms=[baseline, ta, st, ta-st]",
+    "--set", "experiment.restarts=2",
+    "--set", "self_training.max_iterations=8",
+]
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
@@ -83,6 +92,7 @@ def main(argv=None) -> int:
     seeds = (spec["default_seed"], spec["held_out_seed"])
     workloads = spec["workloads"]
     legs = [(f"{name} seed {seed}", experiment_leg, seed, w["argv"]) for name, w in workloads.items() for seed in seeds]
+    legs += [(f"criterion-3 seed {seed}", experiment_leg, seed, CRITERION_3_ARGV) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
