@@ -29,6 +29,7 @@ from .textmodel import (
     _check_flag,
     _check_rate,
     _metric_on_matrix,
+    _stack_rows,
     featurize_matrix,
     fit,
     fixed_steps,
@@ -281,15 +282,15 @@ def select_tau(
         )
         pool = UnlabeledPool(source_name="aux-dev-premises", examples=sources)
 
+    dev = labeled_matrix(aux_dev, feature_config)
+    if dev is None:
+        raise ValidationError("tau selection needs a nonempty aux dev set")
     scored = build_ta_examples(
         pool, generator, classifier, 0.0, labels, seed, feature_config=feature_config
     )
     # Each candidate and dev example is featurized once; a grid point trains on a row subset.
     x = featurize_matrix(ta_examples_to_dataset(scored, labels).examples, feature_config)
     conf = np.array([e.filter_confidence for e in scored])
-    dev = labeled_matrix(aux_dev, feature_config)
-    if dev is None or None in dev[1]:
-        raise ValidationError("tau selection needs a nonempty, fully labeled aux dev set")
 
     best_tau = None
     best_score = -np.inf
@@ -351,29 +352,15 @@ def intermediate_finetune(
     feature_config = feature_config or FeatureConfig()
     if not ta_config.include_original_aux:
         original_aux = None
-    datasets = [d for d in (synthetic, original_aux) if d is not None and len(d) > 0]
-    if not datasets:
+    packs = [labeled_matrix(d, feature_config) for d in (synthetic, original_aux)]
+    packs = [p for p in packs if p is not None]
+    if not packs:
         raise ValidationError("intermediate_finetune needs synthetic or original aux data")
+    if not ta_config.two_stage:  # one stage on the rows of both sets, in order
+        packs = [(_stack_rows([x for x, _ in packs]), [y for _, labels in packs for y in labels])]
 
     config = fixed_steps(train_config, train_config.max_steps)
     params = init
-
-    def run(dataset: Dataset, p: ModelParams) -> ModelParams:
-        fitted, _ = fit(p, *labeled_matrix(dataset, feature_config), config)
-        return fitted
-
-    if ta_config.two_stage:
-        for dataset in datasets:
-            params = run(dataset, params)
-    else:
-        merged = Dataset(
-            "aux-merged",
-            datasets[0].label_space,
-            tuple(
-                Example(id=f"aux:{i}", segment_a=e.segment_a, segment_b=e.segment_b, label=e.label)
-                for i, e in enumerate(e for d in datasets for e in d.examples)
-            ),
-        )
-        params = run(merged, params)
-
+    for pack in packs:
+        params, _ = fit(params, *pack, config)
     return swap_head(params, target_label_space)

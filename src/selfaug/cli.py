@@ -49,7 +49,7 @@ from .harness import (
     run_per_k,
     sweep_curve,
 )
-from .selftrain import UnsupportedModeError, mix_gold, mix_pools, self_train
+from .selftrain import POOL_MODES, MissingOODError, UnsupportedModeError, mix_pools, self_train
 from .synth import synth_corpus
 from .textmodel import ModelParams, evaluate
 
@@ -163,14 +163,12 @@ def cmd_selftrain(config: dict, args) -> int:
         )
     exp = config["experiment"]
     split = sample_regime(corpus, exp["regime"], exp["k"], derive_seed(master_seed, "restart", 0))
-    pool, gold = split.pool, corpus.labels_by_id()
     pool_mode = args.pool or config["self_training"]["pool_mode"]
-    if pool_mode in ("out_only", "in_plus_out"):
-        if not args.ood:
-            raise CliError(EXIT_VALIDATION, "--ood is required for an out-of-domain pool", {})
-        ood = load_dataset(args.ood, "jsonl", corpus.label_space)
-        pool = mix_pools(split.pool, strip_labels(ood), pool_mode)
-        gold = mix_gold(gold, ood.labels_by_id(), pool_mode)
+    ood = load_dataset(args.ood, "jsonl", corpus.label_space) if args.ood else None
+    try:
+        pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
+    except MissingOODError:
+        raise CliError(EXIT_VALIDATION, "--ood is required for an out-of-domain pool", {}) from None
 
     result = self_train(
         f0, split.train, pool, dev=split.dev, test=split.test or None,
@@ -275,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--mode", choices=["broad", "confidence-filter"])
     p_st.add_argument("--batch", type=int)
     p_st.add_argument("--max-iterations", type=int)
-    p_st.add_argument("--pool", choices=["in_only", "out_only", "in_plus_out"])
+    p_st.add_argument("--pool", choices=POOL_MODES)
     p_st.add_argument("--ood", help="out-of-domain pool (JSONL)")
 
     p_exp = sub.add_parser("experiment", help="run the experiment harness")

@@ -263,7 +263,7 @@ def build_st_config(config: Mapping) -> SelfTrainConfig:
 def build_task_spec(config: Mapping) -> SynthSpec:
     ds = config["datasets"]
     return SynthSpec(
-        family=ds["task_family"], name=ds["task_name"], params=dict(ds["task_params"])
+        family=ds["task_family"], name=ds["task_name"], params=ds["task_params"]
     )
 
 
@@ -271,7 +271,7 @@ def build_ood_spec(config: Mapping) -> Optional[SynthSpec]:
     ds = config["datasets"]
     if ds["ood_family"] is None:
         return None
-    return SynthSpec(family=ds["ood_family"], params=dict(ds["ood_params"]))
+    return SynthSpec(family=ds["ood_family"], params=ds["ood_params"])
 
 
 def build_experiment_spec(config: Mapping) -> ExperimentSpec:

@@ -7,7 +7,7 @@ explicit seeds, so datasets and splits can be shared freely across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
@@ -207,6 +207,8 @@ def load_dataset(
     Row-index-derived ids are assigned when the file carries none; labels are
     validated against ``label_space``.
     """
+    if format not in ("tsv", "jsonl"):
+        raise ValidationError(f"unknown input format {format!r}; valid: 'tsv', 'jsonl'")
     path = Path(path)
     name = name or path.stem
     try:

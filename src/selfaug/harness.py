@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .corpus import (
     UnlabeledPool,
     ValidationError,
     sample_regime,
-    strip_labels,
 )
-from .selftrain import SelfTrainConfig, mix_gold, mix_pools, self_train
+from .selftrain import POOL_MODES, SelfTrainConfig, mix_pools, self_train
 from .synth import NLI_CLASSES, SynthSpec, synth_corpus
 from .textmodel import (
     EarlyStop,
@@ -108,7 +107,7 @@ class ExperimentSpec:
             raise ValidationError("f1 requires a positive class, e.g. 'f1:pos'")
         if self.regime not in ("full", "limited", "few_shot"):
             raise ValidationError(f"unknown regime {self.regime!r}")
-        if self.pool_mode not in ("in_only", "out_only", "in_plus_out"):
+        if self.pool_mode not in POOL_MODES:
             raise ValidationError(f"unknown pool_mode {self.pool_mode!r}")
         if self.pool_mode != "in_only" and self.ood_task is None:
             raise ValidationError(f"pool_mode {self.pool_mode!r} needs an ood_task")
@@ -208,19 +207,23 @@ class RunReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
     def scores_csv(self) -> str:
-        lines = ["arm,restart,score"]
-        for arm in self.spec.arms:
-            for r, s in enumerate(self.scores.get(arm, [])):
-                lines.append(f"{arm},{r},{'' if s is None else repr(s)}")
-        return "\n".join(lines) + "\n"
+        return _csv(
+            "arm,restart,score",
+            ((arm, r, s) for arm in self.spec.arms for r, s in enumerate(self.scores.get(arm, []))),
+        )
 
     def aggregate_csv(self) -> str:
-        lines = ["arm,mean,std"]
         agg = self.aggregates()
-        for arm in self.spec.arms:
-            if arm in agg:
-                lines.append(f"{arm},{agg[arm]['mean']!r},{agg[arm]['std']!r}")
-        return "\n".join(lines) + "\n"
+        return _csv("arm,mean,std", ((a, agg[a]["mean"], agg[a]["std"]) for a in self.spec.arms if a in agg))
+
+
+def _cell(value: Any) -> str:
+    """A CSV cell: a string as it is, ``None`` empty, a number by ``repr``."""
+    return value if isinstance(value, str) else "" if value is None else repr(value)
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +314,13 @@ def _pool_and_gold(
     ``gold`` holds the in-domain labels; out-of-domain rows take the labels
     of their own synthesized corpus.
     """
-    if spec.pool_mode == "in_only":
-        return split.pool, gold
-    ood_corpus = synth_corpus(
-        spec.ood_task, len(split.pool) or spec.train_partition_size,
-        derive_seed(spec.master_seed, "ood", restart),
-    )
-    return (
-        mix_pools(split.pool, strip_labels(ood_corpus), spec.pool_mode),
-        mix_gold(gold, ood_corpus.labels_by_id(), spec.pool_mode),
-    )
+    ood = None
+    if spec.pool_mode != "in_only":
+        ood = synth_corpus(
+            spec.ood_task, len(split.pool) or spec.train_partition_size,
+            derive_seed(spec.master_seed, "ood", restart),
+        )
+    return mix_pools(split.pool, gold, ood, spec.pool_mode)
 
 
 def _needs_aux(spec: ExperimentSpec, target_space: LabelSpace) -> bool:
@@ -517,15 +517,8 @@ def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
 
 
 def curve_csv(curve: Mapping) -> str:
-    lines = ["arm,k,restart,score"]
-    for row in curve["rows"]:
-        s = row["score"]
-        lines.append(f"{row['arm']},{row['k']},{row['restart']},{'' if s is None else repr(s)}")
-    return "\n".join(lines) + "\n"
+    return _csv("arm,k,restart,score", ((r["arm"], r["k"], r["restart"], r["score"]) for r in curve["rows"]))
 
 
 def curve_aggregate_csv(curve: Mapping) -> str:
-    lines = ["arm,k,mean,std"]
-    for row in curve["aggregates"]:
-        lines.append(f"{row['arm']},{row['k']},{row['mean']!r},{row['std']!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("arm,k,mean,std", ((r["arm"], r["k"], r["mean"], r["std"]) for r in curve["aggregates"]))

@@ -15,7 +15,7 @@ from typing import Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError
+from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError, strip_labels
 from .textmodel import (
     FeatureConfig,
     ModelParams,
@@ -37,6 +37,10 @@ class SelfTrainError(Exception):
 
 class UnsupportedModeError(SelfTrainError):
     pass
+
+
+class MissingOODError(ValidationError):
+    """A pool mode that mixes in out-of-domain rows was given no such corpus."""
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,11 @@ def self_train(
 ) -> SelfTrainResult:
     """Self-training from the base model ``f0``.
 
-    Every iteration the current teacher pseudo-labels the pool and a fresh
-    student is trained from ``f0`` on labeled + pseudo-labeled data.
-    ``st_config.mode`` picks which pseudo-labels the student sees:
+    Every iteration a fresh student is trained from ``f0`` on labeled +
+    pseudo-labeled data. Each model labels the whole pool once: the first
+    teacher before the loop, each student after it is trained, and a
+    student's labels are the next teacher's. ``st_config.mode`` picks which
+    of those labels the student sees:
 
     - ``broad`` re-annotates the whole pool (minus the optional
       lowest-confidence fraction). It terminates on successive pseudo-label
@@ -152,7 +158,8 @@ def self_train(
       ends when the pool is exhausted. It needs no dev set and never
       fine-tunes on the labeled set.
 
-    ``gold`` (id -> gold label) enables the pool labeling-accuracy series.
+    ``gold`` (id -> gold label) enables the pool labeling-accuracy series:
+    broad mode scores the teacher's labels, confidence filtering the student's.
     """
     st_config = st_config or SelfTrainConfig()
     train_config = train_config or TrainConfig()
@@ -181,6 +188,7 @@ def self_train(
     f0_hash = f0.params_hash()
 
     teacher, _ = fit(f0, x_l, y_l, train_config, dev=dev_pack, metric=metric)
+    pool_labels, conf = predict_labels(teacher, x_pool)
 
     finetune_on_l: Optional[bool]
     if broad:
@@ -204,9 +212,8 @@ def self_train(
     train_labels: list[Label] = []
 
     for t in range(1, iterations + 1):
+        agreement = None
         if broad:
-            pool_labels, conf = predict_labels(teacher, x_pool)
-            agreement = None
             if prev_labels is not None:
                 agreement = sum(1 for a, b in zip(pool_labels, prev_labels) if a == b) / len(pool_labels)
             prev_labels = pool_labels
@@ -214,14 +221,12 @@ def self_train(
             train_idx = _drop_lowest(conf, drop) if drop else list(range(len(pool_ids)))
             train_labels = [pool_labels[i] for i in train_idx]
         else:
-            labels_now, conf = predict_labels(teacher, x_pool[remaining])
-            chosen = _most_confident(conf, remaining, st_config.cf_batch)
+            chosen = _most_confident(conf[remaining], remaining, st_config.cf_batch)
             added_idx = remaining[chosen].tolist()
-            added_labels = [labels_now[c] for c in chosen]
+            added_labels = [pool_labels[i] for i in added_idx]
             remaining = np.delete(remaining, chosen)
             train_idx.extend(added_idx)
             train_labels.extend(added_labels)
-            pool_labels, agreement = None, None
             batch_accuracy = _labeling_accuracy(
                 [pool_ids[i] for i in added_idx], added_labels, gold
             )
@@ -230,25 +235,22 @@ def self_train(
         y_train = y_l + train_labels
         student, _ = fit(f0, x_train, y_train, train_config, dev=dev_pack, metric=metric)
 
-        if finetune_on_l is None:
-            # Resolved once, at the first iteration, by dev comparison.
+        if finetune_on_l is not False:
             with_ft, _ = fit(student, x_l, y_l, train_config, dev=dev_pack, metric=metric)
-            score_plain = _metric_on_matrix(student, *dev_pack, metric)
-            score_ft = _metric_on_matrix(with_ft, *dev_pack, metric)
-            finetune_on_l = score_ft > score_plain
+            if finetune_on_l is None:  # resolved once, at the first iteration, by dev comparison
+                score_plain = _metric_on_matrix(student, *dev_pack, metric)
+                finetune_on_l = _metric_on_matrix(with_ft, *dev_pack, metric) > score_plain
             if finetune_on_l:
                 student = with_ft
-        elif finetune_on_l:
-            student, _ = fit(student, x_l, y_l, train_config, dev=dev_pack, metric=metric)
 
-        if not broad and gold is not None:
-            # Confidence filtering scores the new student's labels on the whole pool.
-            pool_labels = predict_labels(student, x_pool)[0]
-
+        teacher_labels = pool_labels
+        pool_labels, conf = predict_labels(student, x_pool)
         record = {
             "iteration": t,
             "train_size": len(y_train),
-            "pool_labeling_accuracy": _labeling_accuracy(pool_ids, pool_labels, gold),
+            "pool_labeling_accuracy": _labeling_accuracy(
+                pool_ids, teacher_labels if broad else pool_labels, gold
+            ),
             "agreement": agreement,
             "student_init_hash": f0_hash,
             "dev_metric": _metric_on_matrix(student, *dev_pack, metric) if dev_pack else None,
@@ -288,44 +290,34 @@ def self_train(
     )
 
 
+POOL_MODES = ("in_only", "out_only", "in_plus_out")
+
+
 def mix_pools(
-    in_domain: UnlabeledPool,
-    out_of_domain: UnlabeledPool,
+    in_pool: UnlabeledPool,
+    in_gold: Mapping[str, Label],
+    ood: Optional[Dataset],
     mode: Literal["in_only", "out_only", "in_plus_out"],
-) -> UnlabeledPool:
-    """Combine in-domain and out-of-domain pools for OOD experiments."""
+) -> tuple[UnlabeledPool, Mapping[str, Label]]:
+    """The self-training pool of ``mode`` and its gold labels, keyed by the pool's ids.
+
+    ``ood`` is the out-of-domain corpus: its labels are stripped into the pool
+    and become the gold of its rows. ``in_plus_out`` prefixes the ids of the
+    two sources with ``in:`` and ``out:``.
+    """
+    if mode not in POOL_MODES:
+        raise ValidationError(f"unknown pool mode {mode!r}; valid: {POOL_MODES}")
     if mode == "in_only":
-        return in_domain
+        return in_pool, in_gold
+    if ood is None:
+        raise MissingOODError(f"pool mode {mode!r} needs an out-of-domain corpus")
     if mode == "out_only":
-        return out_of_domain
-    if mode != "in_plus_out":
-        raise ValidationError(f"unknown pool mode {mode!r}")
+        return strip_labels(ood), ood.labels_by_id()
+    sources = (("in", in_pool.examples, in_gold), ("out", ood.examples, ood.labels_by_id()))
     examples = tuple(
-        Example(id=f"in:{ex.id}", segment_a=ex.segment_a, segment_b=ex.segment_b)
-        for ex in in_domain.examples
-    ) + tuple(
-        Example(id=f"out:{ex.id}", segment_a=ex.segment_a, segment_b=ex.segment_b)
-        for ex in out_of_domain.examples
+        Example(id=f"{prefix}:{ex.id}", segment_a=ex.segment_a, segment_b=ex.segment_b)
+        for prefix, rows, _ in sources
+        for ex in rows
     )
-    return UnlabeledPool(
-        source_name=f"{in_domain.source_name}+{out_of_domain.source_name}",
-        examples=examples,
-    )
-
-
-def mix_gold(
-    in_domain: Mapping[str, Label],
-    out_of_domain: Mapping[str, Label],
-    mode: Literal["in_only", "out_only", "in_plus_out"],
-) -> Mapping[str, Label]:
-    """Gold labels keyed by the ids of ``mix_pools(..., mode)``."""
-    if mode == "in_only":
-        return in_domain
-    if mode == "out_only":
-        return out_of_domain
-    if mode != "in_plus_out":
-        raise ValidationError(f"unknown pool mode {mode!r}")
-    return {
-        **{f"in:{i}": label for i, label in in_domain.items()},
-        **{f"out:{i}": label for i, label in out_of_domain.items()},
-    }
+    gold = {f"{prefix}:{i}": label for prefix, _, labels in sources for i, label in labels.items()}
+    return UnlabeledPool(f"{in_pool.source_name}+{ood.name}", examples), gold

@@ -17,6 +17,7 @@ All samplers are pure functions of (spec, size, seed).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -66,6 +67,18 @@ FILLER_WORDS = (
 DRIFT_MARKER = "ironically"
 
 
+class ConfigError(CorpusError):
+    """An unknown family or invalid synthetic-task parameter."""
+
+
+# The parameters each family reads.
+_FAMILY_PARAMS = {
+    "keyword-sentiment": ("noise_rate", "keywords_per_example"),
+    "pair-overlap-nli": (),
+    "drifted-cluster": ("minority_fraction",),
+}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Descriptor for one synthetic-task family."""
@@ -73,6 +86,25 @@ class SynthSpec:
     family: str
     name: Optional[str] = None
     params: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.family not in _FAMILY_PARAMS:
+            raise ConfigError(
+                f"unknown synthetic family {self.family!r}; known: {sorted(_FAMILY_PARAMS)}"
+            )
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"{self.family} params must be a mapping, got {self.params!r}")
+        known = _FAMILY_PARAMS[self.family]
+        unknown = [key for key in self.params if key not in known]
+        if unknown:
+            raise ConfigError(f"{self.family} reads no parameter {unknown}; it reads {list(known)}")
+        for key in ("noise_rate", "minority_fraction"):
+            value = self.params.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+                raise ConfigError(f"{key} must be a number in [0, 1], got {value!r}")
+        count = self.params.get("keywords_per_example", 1)
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ConfigError(f"keywords_per_example must be an integer >= 1, got {count!r}")
 
     def param(self, key: str, default):
         return self.params.get(key, default)
@@ -200,15 +232,7 @@ _FAMILIES = {
 }
 
 
-class ConfigError(CorpusError):
-    """An unknown family or invalid synthetic-task parameter."""
-
-
 def synth_corpus(spec: SynthSpec, size: int, seed: int) -> Dataset:
     """Generate a deterministic synthetic dataset for one shipped family."""
-    if spec.family not in _FAMILIES:
-        raise ConfigError(
-            f"unknown synthetic family {spec.family!r}; known: {sorted(_FAMILIES)}"
-        )
     name = spec.name or f"{spec.family}-{seed}"
     return _FAMILIES[spec.family](spec, size, seed, name)

@@ -597,10 +597,13 @@ def _metric_on_matrix(
 def labeled_matrix(
     dataset: Optional[Dataset], config: FeatureConfig
 ) -> Optional[tuple[CSRRows, list]]:
-    """``(features, labels)`` of a dataset, or None when it is absent or empty."""
+    """``(features, labels)`` of a fully labeled dataset, or None when it is absent or empty."""
     if dataset is None or len(dataset) == 0:
         return None
-    return featurize_matrix(dataset.examples, config), [ex.label for ex in dataset.examples]
+    labels = [ex.label for ex in dataset.examples]
+    if None in labels:
+        raise ValidationError(f"dataset {dataset.name!r} is not fully labeled")
+    return featurize_matrix(dataset.examples, config), labels
 
 
 def evaluate(
@@ -609,13 +612,10 @@ def evaluate(
     metric: str,
     config: FeatureConfig,
 ) -> float:
-    if len(dataset) == 0:
+    pack = labeled_matrix(dataset, config)
+    if pack is None:
         raise ValidationError("cannot evaluate on an empty dataset")
-    x = featurize_matrix(dataset.examples, config)
-    gold = [ex.label for ex in dataset.examples]
-    if any(g is None for g in gold):
-        raise ValidationError("evaluate requires a fully labeled dataset")
-    return _metric_on_matrix(params, x, gold, metric)
+    return _metric_on_matrix(params, *pack, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +847,7 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Dataset-level wrapper around :func:`fit`."""
     feature_config = feature_config or FeatureConfig()
-    labels = [ex.label for ex in train_set.examples]
-    if any(l is None for l in labels):
-        raise ValidationError("train requires a fully labeled training set")
-    x = featurize_matrix(train_set.examples, feature_config)
-    dev = labeled_matrix(dev_set, feature_config)
-    return fit(init, x, labels, config, dev=dev, metric=metric)
+    pack = labeled_matrix(train_set, feature_config)
+    if pack is None:
+        raise ValidationError("training set must be nonempty")
+    return fit(init, *pack, config, dev=labeled_matrix(dev_set, feature_config), metric=metric)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from selfaug import harness
+from selfaug import cli, harness
 from selfaug.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from selfaug.config import build_experiment_spec, load_config
 from selfaug.corpus import Dataset, LabelSpace, save_dataset
@@ -119,6 +119,17 @@ class TestValidate:
             ["augmentation.tau_grid=abc"],
             ["experiment.resample_dev=maybe"],
             ["experiment.top3_aggregate=3"],
+            ["datasets.task_family=bogus"],
+            ["datasets.task_params=5"],
+            ["datasets.task_params={noise_rate: abc}"],
+            ["datasets.task_params={noise_rate: 1.5}"],
+            ["datasets.task_params={keywords_per_example: -1}"],
+            ["datasets.task_params={keywords_per_example: true}"],
+            ["datasets.task_params={minority_fraction: 2.0}"],
+            ["datasets.task_params={minority_fraction: 2.0}", "datasets.task_family=drifted-cluster"],
+            ["datasets.task_params={bogus: 1}"],
+            ["datasets.ood_family=bogus"],
+            ["datasets.ood_family=keyword-sentiment", "datasets.ood_params={noise_rate: -1}"],
         ],
     )
     def test_bad_experiment_value_exits_1(self, overrides, capsys):
@@ -318,6 +329,17 @@ class TestSelftrain:
         code = main(SMALL + ["--quiet", "selftrain", "--f0", str(tmp_path / "absent.model")])
         assert code == EXIT_RUNTIME
         assert _last_stderr_json(capsys)["code"] == EXIT_RUNTIME
+
+    def test_unknown_pool_mode_exits_1_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "self_train", lambda *args, **kwargs: pytest.fail("self_train ran"))
+        code = main(
+            SMALL + [
+                "--set", "self_training.pool_mode=bogus",
+                "--quiet", "selftrain", "--f0", str(self._save_f0(tmp_path)),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "'bogus'" in _last_stderr_json(capsys)["message"]
 
     def test_ood_pool_requires_path(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path)

@@ -106,6 +106,12 @@ class TestLoadSave:
         ds = load_dataset(path, "tsv", space, has_header=True)
         assert ds.examples[0].segment_b == "a hypothesis"
 
+    def test_unknown_format_rejected(self, tmp_path, binary_space):
+        path = tmp_path / "data.xml"
+        path.write_text('{"text_a": "good stuff", "label": "pos"}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match="xml"):
+            load_dataset(path, "xml", binary_space)
+
     def test_tsv_too_many_fields(self, tmp_path, binary_space):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\tc\td\n", encoding="utf-8")

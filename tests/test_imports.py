@@ -1,5 +1,42 @@
 """What ``selfaug`` imports, and when: scipy's sparse kernels are loaded from
-their file, and a run imports nothing. Each test runs in a fresh interpreter."""
+their file, a run imports nothing, and no module imports a name it does not
+use. The import-graph tests each run in a fresh interpreter."""
+
+import ast
+from pathlib import Path
+
+import selfaug
+
+# Imported for the load they move out of a run, not for a name (see textmodel).
+SIDE_EFFECT_IMPORTS = {("textmodel.py", "numpy.ma"), ("textmodel.py", "numpy.random")}
+
+
+def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module binds by import, and every name and dotted attribute
+    chain (``a``, ``a.b``, ``a.b.c``) it reads."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            chain = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                chain.append(node.attr)
+            if isinstance(node.value, ast.Name):
+                chain = [node.value.id, *reversed(chain)]
+                used.update(".".join(chain[: i + 1]) for i in range(len(chain)))
+    return imported, used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(Path(selfaug.__file__).parent.glob("*.py")):
+        imported, used = _imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert set(unused) == SIDE_EFFECT_IMPORTS
 
 
 def test_cli_import_loads_only_the_sparse_kernels_of_scipy(fresh_python):

@@ -13,13 +13,14 @@ from selfaug.corpus import (
     UnlabeledPool,
     ValidationError,
     sample_regime,
+    strip_labels,
 )
 from selfaug.selftrain import (
+    MissingOODError,
     SelfTrainConfig,
     UnsupportedModeError,
     _drop_lowest,
     _most_confident,
-    mix_gold,
     mix_pools,
     self_train,
 )
@@ -186,6 +187,22 @@ class TestBroadSelfTrain:
         assert len(payload["per_iteration"]) == len(result.per_iteration)
 
 
+class TestLabelChecks:
+    @pytest.mark.parametrize("where", ["train", "dev"])
+    def test_label_less_row_is_a_validation_error(self, where):
+        """Not an untyped error from label encoding, and not a dev row scored as a miss."""
+        corpus, split, f0 = _setup()
+        damaged = getattr(split, where)
+        rows = (damaged.examples[0].without_label(),) + damaged.examples[1:]
+        split = replace(split, **{where: replace(damaged, examples=rows)})
+        with pytest.raises(ValidationError, match=damaged.name):
+            self_train(
+                f0, split.train, split.pool, dev=split.dev,
+                st_config=SelfTrainConfig(max_iterations=1),
+                train_config=TrainConfig(seed=0), feature_config=FC,
+            )
+
+
 class TestConfidenceFiltering:
     def test_pool_exhaustion_and_batch_sizes(self):
         corpus, split, f0 = _setup(corpus_size=320)
@@ -230,33 +247,45 @@ class TestConfidenceFiltering:
 
 
 class TestMixPools:
-    def _pools(self):
+    def _sources(self):
+        space = LabelSpace.categorical(("pos", "neg"))
         a = UnlabeledPool("a", (Example(id="x", segment_a="in text"),))
-        b = UnlabeledPool("b", (Example(id="x", segment_a="out text"),))
-        return a, b
+        b = Dataset("b", space, (Example(id="x", segment_a="out text", label="neg"),))
+        return a, {"x": "pos"}, b
 
     def test_in_only_and_out_only(self):
-        a, b = self._pools()
-        assert mix_pools(a, b, "in_only") is a
-        assert mix_pools(a, b, "out_only") is b
+        a, gold, b = self._sources()
+        pool, pool_gold = mix_pools(a, gold, b, "in_only")
+        assert pool is a and pool_gold is gold
+        assert mix_pools(a, gold, None, "in_only") == (a, gold)
+        pool, pool_gold = mix_pools(a, gold, b, "out_only")
+        assert pool == strip_labels(b)
+        assert pool_gold == {"x": "neg"}
 
     def test_in_plus_out_prefixes_ids(self):
-        a, b = self._pools()
-        mixed = mix_pools(a, b, "in_plus_out")
+        a, gold, b = self._sources()
+        mixed, _ = mix_pools(a, gold, b, "in_plus_out")
         assert mixed.ids() == ("in:x", "out:x")
-        assert len(mixed) == 2
+        assert mixed.source_name == "a+b"
+        assert all(ex.label is None for ex in mixed)
 
     def test_unknown_mode(self):
-        a, b = self._pools()
-        with pytest.raises(ValidationError):
-            mix_pools(a, b, "shuffled")
-        with pytest.raises(ValidationError):
-            mix_gold({}, {}, "shuffled")
+        a, gold, b = self._sources()
+        # The mode is checked first, with or without an out-of-domain corpus.
+        for ood in (b, None):
+            with pytest.raises(ValidationError, match="shuffled"):
+                mix_pools(a, gold, ood, "shuffled")
+
+    @pytest.mark.parametrize("mode", ["out_only", "in_plus_out"])
+    def test_out_of_domain_mode_needs_a_corpus(self, mode):
+        a, gold, _ = self._sources()
+        with pytest.raises(MissingOODError, match=mode):
+            mix_pools(a, gold, None, mode)
 
     @pytest.mark.parametrize("mode", ["in_only", "out_only", "in_plus_out"])
     def test_gold_is_keyed_by_the_mixed_ids(self, mode):
-        a, b = self._pools()
-        gold = mix_gold({"x": "pos"}, {"x": "neg"}, mode)
-        assert set(gold) == set(mix_pools(a, b, mode).ids())
+        a, gold, b = self._sources()
+        pool, pool_gold = mix_pools(a, gold, b, mode)
+        assert set(pool_gold) == set(pool.ids())
         expected = {"in_only": {"x": "pos"}, "out_only": {"x": "neg"}, "in_plus_out": {"in:x": "pos", "out:x": "neg"}}
-        assert gold == expected[mode]
+        assert pool_gold == expected[mode]

@@ -1,5 +1,7 @@
 """Synthetic-task family tests."""
 
+import hashlib
+
 import pytest
 
 from selfaug.synth import (
@@ -32,6 +34,52 @@ def test_determinism_per_seed():
     c = synth_corpus(spec, 40, 6)
     assert a.to_jsonl() == b.to_jsonl()
     assert a.to_jsonl() != c.to_jsonl()
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("bogus", {}),
+            ("keyword-sentiment", 5),
+            ("keyword-sentiment", None),
+            ("keyword-sentiment", [("noise_rate", 0.1)]),
+            ("keyword-sentiment", {"noise_rate": "abc"}),
+            ("keyword-sentiment", {"noise_rate": -0.1}),
+            ("keyword-sentiment", {"noise_rate": 1.5}),
+            ("keyword-sentiment", {"noise_rate": float("nan")}),
+            ("keyword-sentiment", {"noise_rate": True}),
+            ("keyword-sentiment", {"keywords_per_example": -1}),
+            ("keyword-sentiment", {"keywords_per_example": 0}),
+            ("keyword-sentiment", {"keywords_per_example": 2.5}),
+            ("keyword-sentiment", {"keywords_per_example": "3"}),
+            ("keyword-sentiment", {"keywords_per_example": True}),
+            ("keyword-sentiment", {"minority_fraction": 0.2}),  # drifted-cluster's key
+            ("keyword-sentiment", {"bogus": 1}),
+            ("drifted-cluster", {"minority_fraction": 2.0}),
+            ("drifted-cluster", {"minority_fraction": -0.5}),
+            ("drifted-cluster", {"noise_rate": 0.1}),
+            ("pair-overlap-nli", {"noise_rate": 0.1}),
+        ],
+    )
+    def test_bad_spec_rejected(self, family, params):
+        with pytest.raises(ConfigError):
+            SynthSpec(family, params=params)
+
+    @pytest.mark.parametrize(
+        "family, params, digest",
+        [
+            ("keyword-sentiment", {"noise_rate": 0.3, "keywords_per_example": 2}, "1d8f094f93406d50"),
+            ("keyword-sentiment", {"noise_rate": 1, "keywords_per_example": 1}, "5a954bd9e6695f31"),
+            ("drifted-cluster", {"minority_fraction": 0.0}, "7d0cf008c48c4b8b"),
+            ("drifted-cluster", {"minority_fraction": 1}, "d53628db3349a19a"),
+            ("pair-overlap-nli", {}, "0da159e9f370bffb"),
+        ],
+    )
+    def test_valid_spec_generates_the_pinned_corpus(self, family, params, digest):
+        """Bounds are accepted; the bytes are those generated before specs were checked."""
+        corpus = synth_corpus(SynthSpec(family, params=params), 60, 3)
+        assert hashlib.sha256(corpus.to_jsonl().encode()).hexdigest()[:16] == digest
 
 
 class TestKeywordSentiment:

@@ -629,6 +629,21 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(init, ds, TrainConfig(stopping=FixedSteps(10, 10, 1)), feature_config=small_fc)
 
+    def test_unlabeled_dev_row_rejected(self, tiny_dataset, small_fc, binary_space):
+        """The early-stopping dev set is checked like the training set, by name."""
+        dev = Dataset("half-dev", binary_space, (
+            Example(id="d:0", segment_a="good film", label="pos"),
+            Example(id="d:1", segment_a="bad film"),
+        ))
+        init = init_params(binary_space, small_fc)
+        with pytest.raises(ValidationError, match="half-dev"):
+            train(init, tiny_dataset, TrainConfig(max_steps=10), dev_set=dev, feature_config=small_fc)
+
+    def test_unlabeled_row_error_names_the_dataset(self, tiny_model, tiny_dataset, small_fc):
+        rows = tiny_dataset.examples[:3] + (tiny_dataset.examples[3].without_label(),)
+        with pytest.raises(ValidationError, match="partial"):
+            evaluate(tiny_model, Dataset("partial", tiny_dataset.label_space, rows), "accuracy", small_fc)
+
     def test_regression_end_to_end(self, small_fc):
         space = LabelSpace.continuous(0.0, 2.0)
         examples = tuple(

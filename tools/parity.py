@@ -10,7 +10,11 @@ fresh interpreter, once on each tree, at the file's ``default_seed`` and
 ``manifest.json`` are compared by sha256. A pair-pool leg does the same for
 acceptance criterion 3's config at 2 restarts (pair-overlap-nli, arms
 ``baseline, ta, st, ta-st``, 8 self-training iterations), the one config in
-which self-training featurizes pair rows.
+which self-training featurizes pair rows. An out-of-domain leg runs
+``st`` and ``cf-st`` on keyword-sentiment at 2 restarts with a
+keyword-sentiment out-of-domain corpus (``noise_rate`` 0.3), once with
+``pool_mode`` ``in_plus_out`` and once with ``out_only``: no workload mixes
+an out-of-domain pool in.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
@@ -42,6 +46,13 @@ CRITERION_3_ARGV = [
     "--set", "experiment.arms=[baseline, ta, st, ta-st]",
     "--set", "experiment.restarts=2",
     "--set", "self_training.max_iterations=8",
+]
+OOD_ARGV = [
+    "--set", "datasets.task_family=keyword-sentiment",
+    "--set", "datasets.ood_family=keyword-sentiment",
+    "--set", "datasets.ood_params={noise_rate: 0.3}",
+    "--set", "experiment.arms=[st, cf-st]",
+    "--set", "experiment.restarts=2",
 ]
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
@@ -93,6 +104,10 @@ def main(argv=None) -> int:
     workloads = spec["workloads"]
     legs = [(f"{name} seed {seed}", experiment_leg, seed, w["argv"]) for name, w in workloads.items() for seed in seeds]
     legs += [(f"criterion-3 seed {seed}", experiment_leg, seed, CRITERION_3_ARGV) for seed in seeds]
+    legs += [
+        (f"ood {mode} seed {seed}", experiment_leg, seed, [*OOD_ARGV, "--set", f"self_training.pool_mode={mode}"])
+        for mode in ("in_plus_out", "out_only") for seed in seeds
+    ]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
