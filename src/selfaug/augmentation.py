@@ -20,14 +20,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSpace, UnlabeledPool, ValidationError
+from .corpus import check_count, check_flag, check_number
 from .synth import NLI_TRANSFORMS
 from .textmodel import (
     FeatureConfig,
     ModelParams,
     TrainConfig,
-    _check_count,
-    _check_flag,
-    _check_rate,
     _metric_on_matrix,
     _stack_rows,
     featurize_matrix,
@@ -65,13 +63,13 @@ class GeneratorSpec:
     command: Optional[str] = None  # external: shell command
 
     def __post_init__(self):
-        _check_count("samples_per_input", self.samples_per_input)
-        _check_rate("flip_rate", self.flip_rate)
-        if self.flip_rate > 1:
-            raise ValidationError("flip_rate must lie in [0, 1]")
+        check_count("samples_per_input", self.samples_per_input)
+        check_number("flip_rate", self.flip_rate, hi=1)
         if self.kind not in ("rule_based", "external"):
             raise ValidationError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "external" and not self.command:
+        if self.command is not None and not (isinstance(self.command, str) and self.command.strip()):
+            raise ValidationError(f"generator command must be a nonempty string, got {self.command!r}")
+        if self.kind == "external" and self.command is None:
             raise ValidationError("external generator requires a command")
 
 
@@ -82,12 +80,10 @@ class TAConfig:
     include_original_aux: bool = True
 
     def __post_init__(self):
-        _check_flag("two_stage", self.two_stage)
-        _check_flag("include_original_aux", self.include_original_aux)
+        check_flag("two_stage", self.two_stage)
+        check_flag("include_original_aux", self.include_original_aux)
         for t in self.tau_grid:
-            _check_rate("tau grid value", t, positive=True)
-            if t >= 1:
-                raise ValidationError("tau grid values must lie in (0, 1)")
+            check_number("tau grid value", t, hi=1, open_lo=True, open_hi=True)
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
             raise ValidationError("tau grid must be strictly increasing")
 

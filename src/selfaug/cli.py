@@ -24,6 +24,7 @@ from .config import (
     build_experiment_spec,
     build_feature_config,
     build_st_config,
+    build_task_space,
     build_task_spec,
     build_train_config,
     load_config,
@@ -31,7 +32,6 @@ from .config import (
 from .corpus import (
     CorpusError,
     Dataset,
-    LabelSpace,
     ValidationError,
     load_dataset,
     sample_regime,
@@ -49,7 +49,7 @@ from .harness import (
     run_per_k,
     sweep_curve,
 )
-from .selftrain import POOL_MODES, MissingOODError, UnsupportedModeError, mix_pools, self_train
+from .selftrain import POOL_MODES, MissingOODError, mix_pools, self_train
 from .synth import synth_corpus
 from .textmodel import ModelParams, evaluate
 
@@ -57,13 +57,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARTIAL = 2
 EXIT_RUNTIME = 3
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str, context: dict | None = None):
-        super().__init__(message)
-        self.code = code
-        self.context = context or {}
 
 
 def _emit_error(code: int, message: str, context: dict) -> None:
@@ -84,18 +77,28 @@ def _write_manifest(out_dir: Path, files: list[Path]) -> None:
 
 
 def _load_task_corpus(config: dict, seed: int) -> Dataset:
+    """The task file ``datasets.input_path`` when set, else the synthetic task corpus."""
     ds = config["datasets"]
-    if ds["input_path"]:
-        if ds["label_classes"]:
-            space = LabelSpace.categorical(ds["label_classes"])
-        elif ds["label_lo"] is not None and ds["label_hi"] is not None:
-            space = LabelSpace.continuous(ds["label_lo"], ds["label_hi"])
-        else:
-            raise ConfigValidationError(
-                "datasets.input_path needs label_classes or label_lo/label_hi"
-            )
+    space = build_task_space(config)
+    if space is not None:
         return load_dataset(ds["input_path"], ds["input_format"], space)
     return synth_corpus(build_task_spec(config), ds["train_partition_size"], seed)
+
+
+def _check_config(config: dict, args):
+    """The experiment spec and its k sweep, built after the task-file label space.
+
+    Full construction is full validation. ``experiment`` synthesizes its task
+    corpus, so it rejects a task file rather than ignore it.
+    """
+    if args.command == "experiment" and config["datasets"]["input_path"]:
+        raise ConfigValidationError(
+            "datasets.input_path is not read by experiment, which synthesizes its task corpus",
+            {"section": "datasets", "key": "input_path"},
+        )
+    build_task_space(config)
+    spec = build_experiment_spec(config)
+    return spec, _sweep_ks(config, args, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +107,8 @@ def _load_task_corpus(config: dict, seed: int) -> Dataset:
 
 
 def cmd_synth(config: dict, args) -> int:
-    seed = config["experiment"]["master_seed"]
-    corpus = synth_corpus(build_task_spec(config), config["datasets"]["train_partition_size"], seed)
+    spec = build_experiment_spec(config)
+    corpus = synth_corpus(spec.task, spec.train_partition_size, spec.master_seed)
     out = Path(args.out or "corpus.jsonl")
     save_dataset(corpus, out)
     if not args.quiet:
@@ -115,8 +118,8 @@ def cmd_synth(config: dict, args) -> int:
 
 def cmd_augment(config: dict, args) -> int:
     spec = build_experiment_spec(config)
-    aux = build_aux_artifacts(spec)
     corpus = _load_task_corpus(config, derive_seed(spec.master_seed, "corpus"))
+    aux = build_aux_artifacts(spec)
     entries, f0 = build_ta_base_model(
         spec, aux, strip_labels(corpus), corpus.label_space,
         derive_seed(spec.master_seed, "ta-data"),
@@ -156,8 +159,7 @@ def cmd_selftrain(config: dict, args) -> int:
     f0 = ModelParams.load(args.f0)
     corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))
     if f0.label_space != corpus.label_space:
-        raise CliError(
-            EXIT_VALIDATION,
+        raise ConfigValidationError(
             "base-model label space does not match the configured task",
             {"model": f0.label_space.to_json(), "task": corpus.label_space.to_json()},
         )
@@ -168,7 +170,7 @@ def cmd_selftrain(config: dict, args) -> int:
     try:
         pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
     except MissingOODError:
-        raise CliError(EXIT_VALIDATION, "--ood is required for an out-of-domain pool", {}) from None
+        raise ConfigValidationError("--ood is required for an out-of-domain pool") from None
 
     result = self_train(
         f0, split.train, pool, dev=split.dev, test=split.test or None,
@@ -208,8 +210,7 @@ def _sweep_ks(config: dict, args, spec) -> list[int]:
 
 
 def cmd_experiment(config: dict, args) -> int:
-    spec = build_experiment_spec(config)
-    sweep_ks = _sweep_ks(config, args, spec)
+    spec, sweep_ks = _check_config(config, args)
     out_dir = Path(args.out or "experiment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -242,7 +243,7 @@ def cmd_experiment(config: dict, args) -> int:
 
 
 def cmd_validate(config: dict, args) -> int:
-    _sweep_ks(config, args, build_experiment_spec(config))  # full construction = full validation
+    _check_config(config, args)
     if not args.quiet:
         print("config ok")
     return EXIT_OK
@@ -300,14 +301,8 @@ def main(argv=None) -> int:
         if args.validate_only or args.command == "validate":
             return cmd_validate(config, args)
         return _COMMANDS[args.command](config, args)
-    except CliError as exc:
-        _emit_error(exc.code, str(exc), exc.context)
-        return exc.code
-    except (ConfigValidationError,) as exc:
-        _emit_error(EXIT_VALIDATION, str(exc), getattr(exc, "context", {}))
-        return EXIT_VALIDATION
-    except (CorpusError, UnsupportedModeError) as exc:
-        _emit_error(EXIT_VALIDATION, str(exc), {"type": type(exc).__name__})
+    except CorpusError as exc:  # every bad-input error
+        _emit_error(EXIT_VALIDATION, str(exc), getattr(exc, "context", {"type": type(exc).__name__}))
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         _emit_error(EXIT_RUNTIME, str(exc), {})

@@ -9,6 +9,7 @@ parameterized.
 from __future__ import annotations
 
 import difflib
+import math
 import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -16,14 +17,16 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .augmentation import GeneratorSpec, TAConfig
-from .corpus import ValidationError
+from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_number
 from .harness import ExperimentSpec
 from .selftrain import SelfTrainConfig
 from .synth import SynthSpec
 from .textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig
 
 
-class ConfigValidationError(Exception):
+class ConfigValidationError(ValidationError):
+    """A malformed config document, override or command line; ``context`` says what is at fault."""
+
     def __init__(self, message: str, context: Optional[dict] = None):
         super().__init__(message)
         self.context = context or {}
@@ -100,9 +103,6 @@ SCHEMA: dict[str, dict[str, Any]] = {
         "sweep_ks": None,
     },
 }
-
-_FREEFORM_KEYS = {("datasets", "task_params"), ("datasets", "ood_params")}
-
 
 def _suggest(key: str, valid: Sequence[str]) -> str:
     close = difflib.get_close_matches(key, valid, n=1)
@@ -274,11 +274,31 @@ def build_ood_spec(config: Mapping) -> Optional[SynthSpec]:
     return SynthSpec(family=ds["ood_family"], params=ds["ood_params"])
 
 
+def build_task_space(config: Mapping) -> Optional[LabelSpace]:
+    """The label space of the task file ``datasets.input_path``; None when no file is set."""
+    ds = config["datasets"]
+    if ds["input_format"] not in INPUT_FORMATS:
+        raise ValidationError(f"unknown datasets.input_format {ds['input_format']!r}; valid: {INPUT_FORMATS}")
+    if not ds["input_path"]:
+        return None
+    if not isinstance(ds["input_path"], str):
+        raise ValidationError(f"datasets.input_path must be a path, got {ds['input_path']!r}")
+    if ds["label_classes"] is not None:
+        _check_list("datasets.label_classes", ds["label_classes"])
+        return LabelSpace.categorical(ds["label_classes"])
+    if ds["label_lo"] is None or ds["label_hi"] is None:
+        raise ConfigValidationError("datasets.input_path needs label_classes or label_lo/label_hi")
+    for key in ("label_lo", "label_hi"):
+        check_number(f"datasets.{key}", ds[key], lo=-math.inf)
+    return LabelSpace.continuous(ds["label_lo"], ds["label_hi"])
+
+
 def build_experiment_spec(config: Mapping) -> ExperimentSpec:
     ds, aug, exp, st = (
         config["datasets"], config["augmentation"], config["experiment"],
         config["self_training"],
     )
+    _check_list("experiment.arms", exp["arms"])
     return ExperimentSpec(
         task=build_task_spec(config),
         arms=tuple(exp["arms"]),

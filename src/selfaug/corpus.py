@@ -7,6 +7,8 @@ explicit seeds, so datasets and splits can be shared freely across workers.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
@@ -25,11 +27,39 @@ class ParseError(CorpusError):
 
 
 class ValidationError(CorpusError):
-    """A value violates the declared label space or a type invariant."""
+    """Bad input: a value violates the declared label space, a config range or a type invariant."""
 
 
 class InsufficientDataError(CorpusError):
     """A sampling request cannot be satisfied by the available data."""
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """``value`` is an integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_number(
+    name: str, value, lo: float = 0, hi: float = math.inf, open_lo: bool = False, open_hi: bool = False
+) -> None:
+    """``value`` is a finite real number, not a bool, between ``lo`` and ``hi``.
+
+    Each bound is included unless its ``open_*`` flag is set.
+    """
+    ok = (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        and (value > lo if open_lo else value >= lo) and (value < hi if open_hi else value <= hi)
+    )
+    if not ok:
+        left = "(" if open_lo or lo == -math.inf else "["
+        right = ")" if open_hi or hi == math.inf else "]"
+        raise ValidationError(f"{name} must be a finite number in {left}{lo}, {hi}{right}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +73,9 @@ class LabelSpace:
 
     def __post_init__(self):
         if self.kind == "categorical":
-            if len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
-                raise ValidationError("categorical label space needs >= 2 distinct classes")
+            strings = all(isinstance(c, str) for c in self.classes)
+            if not strings or len(self.classes) < 2 or len(set(self.classes)) != len(self.classes):
+                raise ValidationError("categorical label space needs >= 2 distinct string classes")
         elif self.kind == "continuous":
             if not self.lo < self.hi:
                 raise ValidationError("continuous label space needs lo < hi")
@@ -195,6 +226,9 @@ class RegimeSplit:
     seed: int
 
 
+INPUT_FORMATS = ("tsv", "jsonl")
+
+
 def load_dataset(
     path: Union[str, Path],
     format: Literal["tsv", "jsonl"],
@@ -207,8 +241,8 @@ def load_dataset(
     Row-index-derived ids are assigned when the file carries none; labels are
     validated against ``label_space``.
     """
-    if format not in ("tsv", "jsonl"):
-        raise ValidationError(f"unknown input format {format!r}; valid: 'tsv', 'jsonl'")
+    if format not in INPUT_FORMATS:
+        raise ValidationError(f"unknown input format {format!r}; valid: {INPUT_FORMATS}")
     path = Path(path)
     name = name or path.stem
     try:
@@ -279,8 +313,7 @@ def bin_continuous_labels(dataset: Dataset, num_bins: int) -> dict[str, int]:
     space = dataset.label_space
     if space.kind == "categorical":
         raise ValidationError("bin_continuous_labels requires a continuous label space")
-    if num_bins < 1:
-        raise ValidationError("num_bins must be >= 1")
+    check_count("num_bins", num_bins)
     width = (space.hi - space.lo) / num_bins
     out = {}
     for ex in dataset.examples:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -36,6 +34,9 @@ from .corpus import (
     RegimeSplit,
     UnlabeledPool,
     ValidationError,
+    check_count,
+    check_flag,
+    check_number,
     sample_regime,
 )
 from .selftrain import POOL_MODES, SelfTrainConfig, mix_pools, self_train
@@ -45,8 +46,6 @@ from .textmodel import (
     FeatureConfig,
     ModelParams,
     TrainConfig,
-    _check_count,
-    _check_flag,
     _parse_metric,
     evaluate,
     fixed_steps,
@@ -115,17 +114,13 @@ class ExperimentSpec:
             "k", "restarts", "train_partition_size", "test_size",
             "aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit",
         ):
-            _check_count(name, getattr(self, name))
-        _check_flag("resample_dev", self.resample_dev)
-        _check_flag("top3_aggregate", self.top3_aggregate)
-        limit = self.ta_pool_limit
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 0:
-            raise ValidationError(f"ta_pool_limit must be an integer >= 0 (0: no limit), got {limit!r}")
-        if self.tau is not None and not (
-            isinstance(self.tau, numbers.Real) and not isinstance(self.tau, bool)
-            and math.isfinite(self.tau) and 0 <= self.tau < 1
-        ):
-            raise ValidationError(f"tau must be null or a finite number in [0, 1), got {self.tau!r}")
+            check_count(name, getattr(self, name))
+        check_flag("resample_dev", self.resample_dev)
+        check_flag("top3_aggregate", self.top3_aggregate)
+        check_count("ta_pool_limit", self.ta_pool_limit, minimum=0)
+        check_count("master_seed", self.master_seed, minimum=0)
+        if self.tau is not None:
+            check_number("tau", self.tau, hi=1, open_hi=True)
         if self.dev_mode not in ("with_dev", "dev_free"):
             raise ValidationError(f"unknown dev_mode {self.dev_mode!r}")
         if self.dev_mode == "dev_free":
@@ -482,7 +477,7 @@ def check_sweep_ks(spec: ExperimentSpec, ks) -> None:
     if isinstance(ks, str) or not isinstance(ks, Sequence):
         raise ValidationError(f"sweep ks must be a list of integers, got {ks!r}")
     for k in ks:
-        _check_count("sweep k", k)
+        check_count("sweep k", k)
     if any(a >= b for a, b in zip(ks, ks[1:])):
         raise ValidationError(f"sweep ks must be strictly ascending, got {list(ks)}")
 

@@ -16,12 +16,11 @@ from typing import Literal, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError, strip_labels
+from .corpus import check_count, check_number
 from .textmodel import (
     FeatureConfig,
     ModelParams,
     TrainConfig,
-    _check_count,
-    _check_rate,
     _metric_on_matrix,
     _stack_rows,
     featurize_matrix,
@@ -31,12 +30,8 @@ from .textmodel import (
 )
 
 
-class SelfTrainError(Exception):
-    pass
-
-
-class UnsupportedModeError(SelfTrainError):
-    pass
+class UnsupportedModeError(ValidationError):
+    """The base model's head does not support the self-training mode."""
 
 
 class MissingOODError(ValidationError):
@@ -56,15 +51,11 @@ class SelfTrainConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "agreement_patience", "cf_batch"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         if self.dev_patience is not None:
-            _check_count("dev_patience", self.dev_patience)
-        _check_rate("agreement_threshold", self.agreement_threshold)
-        if self.agreement_threshold > 1:
-            raise ValidationError("agreement_threshold must lie in [0, 1]")
-        _check_rate("drop_lowest_confidence_fraction", self.drop_lowest_confidence_fraction)
-        if self.drop_lowest_confidence_fraction >= 1:
-            raise ValidationError("drop fraction must lie in [0, 1)")
+            check_count("dev_patience", self.dev_patience)
+        check_number("agreement_threshold", self.agreement_threshold, hi=1)
+        check_number("drop_lowest_confidence_fraction", self.drop_lowest_confidence_fraction, hi=1, open_hi=True)
         if self.mode not in ("broad", "confidence_filtering"):
             raise ValidationError(f"unknown self-training mode {self.mode!r}")
         if self.final_finetune_on_l not in ("on", "off", "auto_by_dev"):

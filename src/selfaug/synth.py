@@ -17,13 +17,12 @@ All samplers are pure functions of (spec, size, seed).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from .corpus import CorpusError, Dataset, Example, LabelSpace
+from .corpus import Dataset, Example, LabelSpace, ValidationError, check_count, check_number
 
 NLI_CLASSES = ("entailment", "neutral", "contradiction")
 
@@ -67,10 +66,6 @@ FILLER_WORDS = (
 DRIFT_MARKER = "ironically"
 
 
-class ConfigError(CorpusError):
-    """An unknown family or invalid synthetic-task parameter."""
-
-
 # The parameters each family reads.
 _FAMILY_PARAMS = {
     "keyword-sentiment": ("noise_rate", "keywords_per_example"),
@@ -88,23 +83,21 @@ class SynthSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _FAMILY_PARAMS:
-            raise ConfigError(
+        if not isinstance(self.family, str) or self.family not in _FAMILY_PARAMS:
+            raise ValidationError(
                 f"unknown synthetic family {self.family!r}; known: {sorted(_FAMILY_PARAMS)}"
             )
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValidationError(f"task name must be a string, got {self.name!r}")
         if not isinstance(self.params, Mapping):
-            raise ConfigError(f"{self.family} params must be a mapping, got {self.params!r}")
+            raise ValidationError(f"{self.family} params must be a mapping, got {self.params!r}")
         known = _FAMILY_PARAMS[self.family]
         unknown = [key for key in self.params if key not in known]
         if unknown:
-            raise ConfigError(f"{self.family} reads no parameter {unknown}; it reads {list(known)}")
+            raise ValidationError(f"{self.family} reads no parameter {unknown}; it reads {list(known)}")
         for key in ("noise_rate", "minority_fraction"):
-            value = self.params.get(key, 0.0)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
-                raise ConfigError(f"{key} must be a number in [0, 1], got {value!r}")
-        count = self.params.get("keywords_per_example", 1)
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ConfigError(f"keywords_per_example must be an integer >= 1, got {count!r}")
+            check_number(key, self.params.get(key, 0.0), hi=1)
+        check_count("keywords_per_example", self.params.get("keywords_per_example", 1))
 
     def param(self, key: str, default):
         return self.params.get(key, default)

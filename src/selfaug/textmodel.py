@@ -12,8 +12,6 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import json
-import math
-import numbers
 import os
 import re
 import sys
@@ -31,7 +29,7 @@ import numpy as np
 import numpy.ma
 import numpy.random
 
-from .corpus import Dataset, Example, LabelSpace, ValidationError
+from .corpus import Dataset, Example, LabelSpace, ValidationError, check_count, check_number
 
 _KERNELS = "scipy.sparse._sparsetools"
 
@@ -81,31 +79,8 @@ SEP_TOKEN = "\x1esep\x1e"
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
-class ModelError(Exception):
-    """Base class for model-layer errors."""
-
-
-class NumericError(ModelError):
+class NumericError(Exception):
     """Training produced a non-finite loss or parameter."""
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_rate(name: str, value, positive: bool = False) -> None:
-    ok = (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-        and math.isfinite(value) and (value > 0 if positive else value >= 0)
-    )
-    if not ok:
-        raise ValidationError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
-
-
-def _check_flag(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{name} must be true or false, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +169,8 @@ class FeatureConfig:
         if not self.ngram_orders:
             raise ValidationError("ngram_orders must be nonempty")
         for order in self.ngram_orders:
-            _check_count("ngram order", order)
-        _check_count("hash_dim", self.hash_dim)
+            check_count("ngram order", order)
+        check_count("hash_dim", self.hash_dim)
         if self.hash_dim & (self.hash_dim - 1) != 0:
             raise ValidationError("hash_dim must be a power of two")
 
@@ -360,8 +335,8 @@ class ModelParams:
         if header["head"] not in ("classification", "regression"):
             raise ValidationError(f"unknown snapshot head {header['head']!r}")
         c, d = header["num_outputs"], header["hash_dim"]
-        if not all(type(n) is int and n >= 1 for n in (c, d)):
-            raise ValidationError("snapshot num_outputs and hash_dim must be positive integers")
+        check_count("snapshot num_outputs", c)
+        check_count("snapshot hash_dim", d)
         if len(payload) != (c * d + c) * 8:
             raise ValidationError(
                 f"snapshot payload is {len(payload)} bytes, expected {(c * d + c) * 8}"
@@ -629,8 +604,8 @@ class EarlyStop:
     eval_every: int = 20
 
     def __post_init__(self):
-        _check_count("patience", self.patience)
-        _check_count("eval_every", self.eval_every)
+        check_count("patience", self.patience)
+        check_count("eval_every", self.eval_every)
 
 
 @dataclass(frozen=True)
@@ -641,7 +616,7 @@ class FixedSteps:
 
     def __post_init__(self):
         for name in ("total", "checkpoint_every", "average_last"):
-            _check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         if self.average_last > self.total // self.checkpoint_every:
             raise ValidationError("average_last exceeds the number of checkpoints")
 
@@ -659,11 +634,12 @@ class TrainConfig:
     def __post_init__(self):
         # A positive, finite learning rate and a finite l2 are also what keep
         # an untouched zero weight fixed under ``fit``'s update.
-        _check_rate("learning_rate", self.learning_rate, positive=True)
-        _check_rate("l2", self.l2)
-        _check_rate("lr_decay", self.lr_decay)
-        _check_count("batch_size", self.batch_size)
-        _check_count("max_steps", self.max_steps)
+        check_number("learning_rate", self.learning_rate, open_lo=True)
+        check_number("l2", self.l2)
+        check_number("lr_decay", self.lr_decay)
+        check_count("batch_size", self.batch_size)
+        check_count("max_steps", self.max_steps)
+        check_count("seed", self.seed, minimum=0)
 
 
 def fixed_steps(config: TrainConfig, steps: int) -> TrainConfig:
@@ -735,6 +711,8 @@ def fit(
     """
     if x.shape[0] == 0:
         raise ValidationError("training set must be nonempty")
+    if x.shape[1] != init.hash_dim:
+        raise ValidationError(f"training matrix has {x.shape[1]} columns, the model {init.hash_dim}")
     early = isinstance(config.stopping, EarlyStop)
     if early and dev is None:
         raise ValidationError("early stopping requires a dev set")

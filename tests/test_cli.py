@@ -130,6 +130,21 @@ class TestValidate:
             ["datasets.task_params={bogus: 1}"],
             ["datasets.ood_family=bogus"],
             ["datasets.ood_family=keyword-sentiment", "datasets.ood_params={noise_rate: -1}"],
+            ["datasets.input_format=xml"],
+            ["datasets.input_path=task.jsonl"],
+            ["datasets.input_path=task.jsonl", "datasets.label_classes=pos"],
+            ["datasets.input_path=task.jsonl", "datasets.label_classes=[yes, no]"],
+            ["datasets.input_path=task.jsonl", "datasets.label_lo=abc", "datasets.label_hi=1"],
+            ["datasets.input_path=task.jsonl", "datasets.label_lo=0", "datasets.label_hi=.inf"],
+            ["generator.command=5"],
+            ["generator.kind=external", "generator.command=5"],
+            ["generator.kind=external", "generator.command=' '"],
+            ["experiment.arms=5"],
+            ["datasets.task_family=[1]"],
+            ["datasets.task_name=5"],
+            ["experiment.master_seed=-1"],
+            ["experiment.master_seed=abc"],
+            ["datasets.input_path=5", "datasets.label_classes=[pos, neg]"],
         ],
     )
     def test_bad_experiment_value_exits_1(self, overrides, capsys):
@@ -188,6 +203,15 @@ class TestSynth:
         main(SMALL + ["--out", str(b), "--quiet", "--seed", "2", "synth"])
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize(
+        "bad", [["--set", "datasets.train_partition_size=abc"], ["--seed", "-1"]]
+    )
+    def test_bad_value_exits_1_without_output(self, tmp_path, capsys, bad):
+        out = tmp_path / "corpus.jsonl"
+        assert main(SMALL + bad + ["--out", str(out), "--quiet", "synth"]) == EXIT_VALIDATION
+        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        assert not out.exists()
+
 
 class TestAugment:
     ARGS = SMALL + [
@@ -223,6 +247,16 @@ class TestAugment:
         assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
         assert not (out / "f0.model").exists()
+
+    def test_bad_task_file_exits_1_before_the_aux_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_aux_artifacts", lambda spec: pytest.fail("aux artifacts built"))
+        task = tmp_path / "task.jsonl"
+        task.write_text('{"text_a": "a fine movie", "label": "maybe"}\n', encoding="utf-8")
+        args = self.ARGS + [
+            "--set", f"datasets.input_path={task}", "--set", "datasets.label_classes=[pos, neg]",
+        ]
+        assert main(args + ["--out", str(tmp_path / "aug"), "--quiet", "augment"]) == EXIT_VALIDATION
+        assert "maybe" in _last_stderr_json(capsys)["message"]
 
     def test_uses_the_experiment_aux_classifier(self, tmp_path):
         out = tmp_path / "aug"
@@ -325,6 +359,19 @@ class TestSelftrain:
         # An unlabeled OOD file leaves no pool row with a gold label to score.
         assert all(a > 0.4 for a in accuracies) if labeled else set(accuracies) == {None}
 
+    def test_model_width_mismatch_exits_1(self, tmp_path, capsys):
+        f0_path = self._save_f0(tmp_path)  # 16384 columns
+        code = main(
+            SMALL + [
+                "--set", "model.hash_dim=32768",
+                "--set", "model.stopping=fixed_steps",
+                "--set", "self_training.final_finetune_on_l=off",
+                "--quiet", "selftrain", "--f0", str(f0_path), "--max-iterations", "1",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "32768 columns" in _last_stderr_json(capsys)["message"]
+
     def test_missing_model_exits_3(self, tmp_path, capsys):
         code = main(SMALL + ["--quiet", "selftrain", "--f0", str(tmp_path / "absent.model")])
         assert code == EXIT_RUNTIME
@@ -392,6 +439,17 @@ class TestExperiment:
         out = tmp_path / "exp"
         assert main(self.ARGS + ["--out", str(out), "--quiet"] + extra) == EXIT_VALIDATION
         assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("validate_only", [[], ["--validate-only"]])
+    def test_task_file_exits_1_naming_the_key(self, tmp_path, capsys, validate_only):
+        out = tmp_path / "exp"
+        args = self.ARGS + [
+            "--set", "datasets.input_path=task.jsonl", "--set", "datasets.label_classes=[pos, neg]",
+            "--out", str(out), "--quiet",
+        ]
+        assert main(args + validate_only + ["experiment"]) == EXIT_VALIDATION
+        assert "datasets.input_path" in _last_stderr_json(capsys)["message"]
         assert not out.exists()
 
     def test_sweep_runs_each_k_once_and_builds_aux_once(self, tmp_path, monkeypatch):

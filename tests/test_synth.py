@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from selfaug.corpus import ValidationError
 from selfaug.synth import (
     ANTONYM_TABLE,
     DRIFT_MARKER,
@@ -11,7 +12,6 @@ from selfaug.synth import (
     NEGATIVE_WORDS,
     NLI_CLASSES,
     POSITIVE_WORDS,
-    ConfigError,
     SynthSpec,
     contradict_transform,
     entail_transform,
@@ -23,7 +23,7 @@ import numpy as np
 
 
 def test_unknown_family_raises():
-    with pytest.raises(ConfigError, match="unknown synthetic family"):
+    with pytest.raises(ValidationError, match="unknown synthetic family"):
         synth_corpus(SynthSpec("no-such-family"), 10, 0)
 
 
@@ -63,7 +63,7 @@ class TestSpecValidation:
         ],
     )
     def test_bad_spec_rejected(self, family, params):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError):
             SynthSpec(family, params=params)
 
     @pytest.mark.parametrize(

@@ -935,6 +935,12 @@ class TestFitDevColumns:
         with pytest.raises(ValidationError, match="dev matrix has 64 columns"):
             fit(init, x, labels, TrainConfig(stopping=EarlyStop()), dev=(narrow, labels))
 
+    def test_training_matrix_must_match_the_model_width(self, small_fc, tiny_dataset):
+        x, labels, _ = _training_setup(small_fc, tiny_dataset)
+        narrow_init = init_params(tiny_dataset.label_space, FeatureConfig(hash_dim=64))
+        with pytest.raises(ValidationError, match=f"training matrix has {x.shape[1]} columns, the model 64"):
+            fit(narrow_init, x, labels, TrainConfig(stopping=FixedSteps(4, 2, 1)))
+
 
 def _overflow_boundary_init(init, x, dense_overflows, scale=0):
     """``init`` plus three large weights in columns ``x`` never touches.
