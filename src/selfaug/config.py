@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .augmentation import GeneratorSpec, TAConfig
-from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_number
+from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_count, check_number
 from .harness import ExperimentSpec
 from .selftrain import SelfTrainConfig
 from .synth import SynthSpec
@@ -203,6 +203,9 @@ def build_feature_config(config: Mapping) -> FeatureConfig:
 
 def build_train_config(config: Mapping) -> TrainConfig:
     model = config["model"]
+    # Both stopping kinds' keys are checked, whichever one is selected.
+    for key in ("patience", "eval_every", "fixed_total", "checkpoint_every", "average_last"):
+        check_count(f"model.{key}", model[key])
     if model["stopping"] == "early_stop":
         stopping = EarlyStop(patience=model["patience"], eval_every=model["eval_every"])
     elif model["stopping"] == "fixed_steps":
@@ -270,6 +273,10 @@ def build_task_spec(config: Mapping) -> SynthSpec:
 def build_ood_spec(config: Mapping) -> Optional[SynthSpec]:
     ds = config["datasets"]
     if ds["ood_family"] is None:
+        if ds["ood_params"] != {}:
+            raise ValidationError(
+                f"datasets.ood_params must be empty without datasets.ood_family, got {ds['ood_params']!r}"
+            )
         return None
     return SynthSpec(family=ds["ood_family"], params=ds["ood_params"])
 

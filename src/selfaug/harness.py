@@ -121,6 +121,8 @@ class ExperimentSpec:
         check_count("master_seed", self.master_seed, minimum=0)
         if self.tau is not None:
             check_number("tau", self.tau, hi=1, open_hi=True)
+        elif not self.ta_config.tau_grid:
+            raise ValidationError("tau is selected over the tau grid, which is empty")
         if self.dev_mode not in ("with_dev", "dev_free"):
             raise ValidationError(f"unknown dev_mode {self.dev_mode!r}")
         if self.dev_mode == "dev_free":

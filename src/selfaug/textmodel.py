@@ -23,10 +23,8 @@ from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
-# numpy loads these on first use: ``np.random.default_rng`` in ``fit`` and the
-# ``np.ma.is_masked`` check inside ``np.union1d``. Importing them here keeps
-# that load out of the first run.
-import numpy.ma
+# numpy loads this on first use of ``np.random.default_rng`` in ``fit``.
+# Importing it here keeps that load out of the first run.
 import numpy.random
 
 from .corpus import Dataset, Example, LabelSpace, ValidationError, check_count, check_number
@@ -397,10 +395,11 @@ class Prediction:
     value: Optional[float] = None
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the last axis, into ``out`` (which may be ``logits``)."""
+    peak = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(np.subtract(logits, peak, out=out), out=out)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
 def _logits(params: ModelParams, x: CSRRows) -> np.ndarray:
@@ -422,7 +421,8 @@ def _logits(params: ModelParams, x: CSRRows) -> np.ndarray:
 
 
 def predict_proba_matrix(params: ModelParams, x: CSRRows) -> np.ndarray:
-    return _softmax(_logits(params, x))
+    logits = _logits(params, x)
+    return _softmax(logits, out=logits)
 
 
 def predict_values_matrix(params: ModelParams, x: CSRRows) -> np.ndarray:
@@ -487,11 +487,13 @@ def loss_and_grad(
     csr_matvecs(n, d, c, x.indptr, x.indices, x.data, np.ascontiguousarray(weights.T), logits)
     logits += bias
     if head == "classification":
-        probs = _softmax(logits)
-        eps = 1e-12
-        loss = -np.log(probs[np.arange(n), y] + eps).mean()
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
+        delta = _softmax(logits, out=logits)
+        rows = np.arange(n)
+        picked = delta[rows, y]
+        # ``-np.log(picked + 1e-12).mean()`` and ``delta[rows, y] -= 1.0``,
+        # operation for operation.
+        loss = -(np.add.reduce(np.log(picked + 1e-12)) / n)
+        delta[rows, y] = picked - 1.0
         delta /= n
     else:
         resid = logits[:, 0] - y
@@ -501,7 +503,7 @@ def loss_and_grad(
     grad_t = np.zeros((d, c), dtype=np.result_type(x.data, delta))
     csc_matvecs(d, n, c, x.indptr, x.indices, x.data, delta, grad_t)
     grad_w = grad_t.T
-    grad_b = delta.sum(axis=0)
+    grad_b = np.add.reduce(delta, axis=0)
     if l2 is not None:
         grad_w = grad_w + l2 * weights
         loss += 0.5 * l2 * float((weights * weights).sum())
@@ -667,13 +669,13 @@ def _encode_targets(params: ModelParams, labels: Sequence) -> np.ndarray:
     return np.array([float(l) for l in labels])
 
 
-def _keep_columns(x: CSRRows, columns: np.ndarray) -> CSRRows:
-    """``x`` on the sorted ``columns`` only, renumbered to their positions."""
-    keep = np.isin(x.indices, columns)
+def _keep_columns(x: CSRRows, slot: np.ndarray, width: int) -> CSRRows:
+    """``x`` on the columns ``slot`` maps to 0..width-1, renumbered by ``slot``;
+    its entries in columns that map to -1 are dropped."""
+    renumbered = slot[x.indices]
+    keep = renumbered >= 0
     kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return _csr(
-        x.data[keep], np.searchsorted(columns, x.indices[keep]), kept_before[x.indptr], (x.shape[0], columns.size)
-    )
+    return _csr(x.data[keep], renumbered[keep], kept_before[x.indptr], (x.shape[0], width))
 
 
 def fit(
@@ -722,13 +724,19 @@ def fit(
     y = _encode_targets(init, labels)
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
-    active = np.union1d(x.indices, np.flatnonzero(init.weights.any(axis=0)))
-    # Renumbering keeps the column order, so every batch below is unchanged.
-    # The index dtype is int32 when it fits; every batch keeps it.
-    x = _csr(x.data, np.searchsorted(active, x.indices), x.indptr, (n, active.size))
+    used = init.weights.any(axis=0)
+    used[x.indices] = True
+    active = np.flatnonzero(used)
+    # Each column's position among the active ones, or -1. Renumbering keeps
+    # the column order, so every batch below is unchanged. The index dtype is
+    # int32 when it fits; every batch keeps it.
+    slot = np.full(init.hash_dim, -1, dtype=np.intp)
+    slot[active] = np.arange(active.size)
+    x = _csr(x.data, slot[x.indices], x.indptr, (n, active.size))
     wt = init.weights[:, active].T.copy()  # [active, outputs], C-contiguous
     bias = init.bias.copy()
-    squares = np.empty(wt.shape[::-1])  # class-major, for the L2 norm
+    step_t = np.empty_like(wt)  # the update, refilled each step
+    squares = np.empty_like(wt)  # the L2 norm's squares, refilled each step
     # The squares of all weights, for the norm the trace records: inactive
     # weights are ±0.0, so their squares stay +0.0 as in ``(w * w).sum()``.
     all_squares = np.zeros(init.weights.shape)
@@ -743,7 +751,7 @@ def fit(
         return ModelParams(weights(), bias.copy(), init.head, init.label_space)
 
     if early:
-        dev_x = _keep_columns(dev[0], active)
+        dev_x = _keep_columns(dev[0], slot, active.size)
 
     def dev_score() -> float:
         current = ModelParams(wt.T, bias, init.head, init.label_space)
@@ -776,21 +784,25 @@ def fit(
             (hi - lo, active.size),
         )
         data_loss, grad_w, grad_b = loss_and_grad(wt.T, bias, xb, ys[lo:hi], None, init.head)
-        # The L2 term, summed class-major; elementwise ufuncs keep it off the
-        # BLAS thread pool. Summing only the active weights can round
-        # differently from the dense objective, so a loss the trace records,
-        # or one near overflow, is summed over all weights as the dense step does.
-        np.square(wt.T, out=squares)
-        norm = float(squares.sum())
+        # ||w||^2 over the active weights in storage order; elementwise ufuncs
+        # keep it off the BLAS thread pool. It can round differently from the
+        # dense objective's sum, so it only shows that the loss is far from
+        # overflow. A loss the trace records, or one that may overflow (or is
+        # NaN), is summed class-major over all weights as the dense step does.
+        norm = float(np.add.reduce(np.square(wt, out=squares), axis=None))
         loss = data_loss + 0.5 * config.l2 * norm
         record = step % every == 0 or (early and step == total)
-        if record or not (norm < 1e300 and loss < 1e300):
-            all_squares[:, active] = squares
+        if record or not (norm < 1e299 and loss < 1e299):
+            all_squares[:, active] = squares.T
             loss = data_loss + 0.5 * config.l2 * float(all_squares.sum())
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at step {step}")
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at step {step}")
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
-        wt -= lr * (grad_w.T + config.l2 * wt)
+        # wt -= lr * (grad_w.T + l2 * wt), operation for operation, in place.
+        np.multiply(wt, config.l2, out=step_t)
+        step_t += grad_w.T
+        step_t *= lr
+        wt -= step_t
         bias -= lr * grad_b
 
         if not record:

@@ -76,6 +76,12 @@ class TestValidate:
             ["model.stopping=fixed_steps", "model.checkpoint_every=0", "experiment.dev_mode=dev_free"],
             ["model.stopping=fixed_steps", "model.fixed_total=0"],
             ["model.stopping=fixed_steps", "model.average_last=0"],
+            # A stopping kind's keys are checked when the other kind is selected.
+            ["model.fixed_total=abc"],
+            ["model.checkpoint_every=0"],
+            ["model.average_last=1.5"],
+            ["model.stopping=fixed_steps", "model.patience=abc"],
+            ["model.stopping=fixed_steps", "model.eval_every=0"],
             ["model.ngram_orders=[0]"],
             ["model.ngram_orders=[-1]"],
             ["model.ngram_orders=[a]"],
@@ -130,6 +136,10 @@ class TestValidate:
             ["datasets.task_params={bogus: 1}"],
             ["datasets.ood_family=bogus"],
             ["datasets.ood_family=keyword-sentiment", "datasets.ood_params={noise_rate: -1}"],
+            ["datasets.ood_family=keyword-sentiment", "datasets.ood_params=5"],
+            ["datasets.ood_params={noise_rate: 5}"],
+            ["datasets.ood_params=5"],
+            ["augmentation.tau=null", "augmentation.tau_grid=[]"],
             ["datasets.input_format=xml"],
             ["datasets.input_path=task.jsonl"],
             ["datasets.input_path=task.jsonl", "datasets.label_classes=pos"],

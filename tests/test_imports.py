@@ -8,7 +8,7 @@ from pathlib import Path
 import selfaug
 
 # Imported for the load they move out of a run, not for a name (see textmodel).
-SIDE_EFFECT_IMPORTS = {("textmodel.py", "numpy.ma"), ("textmodel.py", "numpy.random")}
+SIDE_EFFECT_IMPORTS = {("textmodel.py", "numpy.random")}
 
 
 def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:

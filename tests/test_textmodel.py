@@ -828,11 +828,20 @@ class TestFitMatchesDenseStep:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_l2_term_covers_untouched_columns(self):
         """A weight no row touches can still make the objective non-finite."""
-        init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
-        untouched = np.setdiff1d(np.arange(init.hash_dim), x.indices)[0]
-        init.weights[0, untouched] = 1e200  # finite, but its square is not
-        with pytest.raises(NumericError, match="^non-finite loss at step 1$"):
-            fit(init, x, labels, TrainConfig(stopping=FixedSteps(10, 10, 1)))
+        cases = [
+            # Finite, but its square is not.
+            (1e200, TrainConfig(stopping=FixedSteps(10, 10, 1))),
+            # ||w||^2 = 1e290 is finite; only 0.5 * l2 * ||w||^2 overflows, at
+            # a step that records no loss. The tiny learning rate keeps the
+            # weight there.
+            (1e145, TrainConfig(l2=1e20, learning_rate=1e-30, stopping=FixedSteps(3, 3, 1))),
+        ]
+        for weight, config in cases:
+            init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+            untouched = np.setdiff1d(np.arange(init.hash_dim), x.indices)[0]
+            init.weights[0, untouched] = weight
+            with pytest.raises(NumericError, match="^non-finite loss at step 1$"):
+                fit(init, x, labels, config)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("dense_overflows", [True, False])
@@ -876,12 +885,14 @@ class TestFitMatchesDenseStep:
         counts = rng.integers(1, 4, indices.size).astype(float)
         x = sp.csr_matrix((counts, indices, indptr), shape=(len(rows), hash_dim))
         support = data.draw(st.lists(column, max_size=20, unique=True))
-        space = _CLS if head == "classification" else _REG
+        # 2 and 3 classes are what the benchmark workloads train.
+        classes = data.draw(st.integers(2, 4))
+        space = LabelSpace.categorical([f"k{i}" for i in range(classes)]) if head == "classification" else _REG
         init = init_params(space, FeatureConfig(hash_dim=hash_dim))
         init.weights[:, support] = rng.uniform(-1.0, 1.0, (init.num_outputs, len(support)))
         init.weights[(init.weights == 0) & (rng.random(init.weights.shape) < 0.3)] = -0.0
         if head == "classification":
-            labels = [space.classes[i] for i in rng.integers(0, 3, len(rows))]
+            labels = [space.classes[i] for i in rng.integers(0, classes, len(rows))]
         else:
             labels = list(rng.uniform(0.0, 3.0, len(rows)))
         early = eval_every > 0
@@ -895,6 +906,16 @@ class TestFitMatchesDenseStep:
         ref, ref_trace = _dense_fit(init, x, labels, config, dev=dev, metric=metric)
         assert model.to_bytes() == ref.to_bytes()
         assert trace == ref_trace
+
+    def test_one_loss_and_grad_call_per_step(self, monkeypatch):
+        """Each step calls the module's ``loss_and_grad`` once: the benchmark
+        counts SGD steps by wrapping that name."""
+        init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+        calls = []
+        step = textmodel.loss_and_grad
+        monkeypatch.setattr(textmodel, "loss_and_grad", lambda *args: calls.append(args) or step(*args))
+        fit(init, x, labels, TrainConfig(stopping=FixedSteps(37, 10, 2)))
+        assert len(calls) == 37
 
 
 class TestFitDevColumns:

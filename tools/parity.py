@@ -14,7 +14,9 @@ which self-training featurizes pair rows. An out-of-domain leg runs
 ``st`` and ``cf-st`` on keyword-sentiment at 2 restarts with a
 keyword-sentiment out-of-domain corpus (``noise_rate`` 0.3), once with
 ``pool_mode`` ``in_plus_out`` and once with ``out_only``: no workload mixes
-an out-of-domain pool in.
+an out-of-domain pool in. A divergence leg runs ``baseline`` at 1 restart
+with ``learning_rate`` 1e200: training raises a non-finite loss, the run
+exits 2, and ``report.json`` records the step that raised.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
@@ -53,6 +55,11 @@ OOD_ARGV = [
     "--set", "datasets.ood_params={noise_rate: 0.3}",
     "--set", "experiment.arms=[st, cf-st]",
     "--set", "experiment.restarts=2",
+]
+DIVERGENCE_ARGV = [
+    "--set", "model.learning_rate=1.0e+200",
+    "--set", "experiment.arms=[baseline]",
+    "--set", "experiment.restarts=1",
 ]
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
@@ -108,6 +115,7 @@ def main(argv=None) -> int:
         (f"ood {mode} seed {seed}", experiment_leg, seed, [*OOD_ARGV, "--set", f"self_training.pool_mode={mode}"])
         for mode in ("in_plus_out", "out_only") for seed in seeds
     ]
+    legs += [(f"divergence seed {seed}", experiment_leg, seed, DIVERGENCE_ARGV) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
