@@ -144,12 +144,19 @@ def _external_candidates(spec: GeneratorSpec, label: str, sentence: str) -> list
     return lines[: spec.samples_per_input]
 
 
+def _check_sentence(generator: GeneratorSpec, sentence: str) -> None:
+    """A generator input is nonempty; one sent over the external line protocol holds no line break."""
+    if not sentence:
+        raise ValidationError("generator input sentence must be nonempty")
+    if generator.kind == "external" and ("\n" in sentence or "\r" in sentence):
+        raise ValidationError(f"the external generator reads one sentence per line; {sentence!r} holds a line break")
+
+
 def generate_candidates(
     generator: GeneratorSpec, label: str, sentence: str, seed: int
 ) -> list[str]:
     """Up to samples_per_input candidate hypotheses, deduplicated."""
-    if not sentence:
-        raise ValidationError("generator input sentence must be nonempty")
+    _check_sentence(generator, sentence)
     if generator.kind == "rule_based":
         rng = np.random.default_rng(seed)
         raw = _rule_based_candidates(generator, label, sentence, rng)
@@ -171,7 +178,7 @@ def filter_candidates(
     candidates: Sequence[str],
     label: str,
     tau: float,
-    feature_config: Optional[FeatureConfig] = None,
+    feature_config: FeatureConfig,
     source_id: str = "",
 ) -> list[AugmentedExample]:
     """Keep candidates the classifier assigns the intended label with p > tau."""
@@ -179,7 +186,6 @@ def filter_candidates(
         return []
     if label not in classifier.label_space.classes:
         raise ValueError(f"{label!r} is not a class of the filter classifier")
-    feature_config = feature_config or FeatureConfig()
     pairs = [
         Example(id=f"cand:{i}", segment_a=source, segment_b=c)
         for i, c in enumerate(candidates)
@@ -207,7 +213,7 @@ def build_ta_examples(
     tau: float,
     labels: Sequence[str],
     seed: int,
-    feature_config: Optional[FeatureConfig] = None,
+    feature_config: FeatureConfig,
 ) -> list[AugmentedExample]:
     """Generate-then-filter over every (pool sentence, label) combination.
 
@@ -215,7 +221,10 @@ def build_ta_examples(
     independent of iteration order. With ``tau=0.0`` every candidate the
     classifier labels as intended is kept, since its confidence is at least
     1/num_classes; a higher threshold keeps the subset with confidence > tau.
+    Every sentence is checked before the first is generated from.
     """
+    for ex in pool.examples:
+        _check_sentence(generator, ex.segment_a)
     out = []
     for ex in pool.examples:
         for label in labels:
@@ -255,7 +264,8 @@ def select_tau(
     train_budget: int,
     seed: int,
     pool: Optional[UnlabeledPool] = None,
-    feature_config: Optional[FeatureConfig] = None,
+    *,
+    feature_config: FeatureConfig,
     train_config: Optional[TrainConfig] = None,
 ) -> float:
     """Pick the filtering threshold with the best auxiliary dev accuracy.
@@ -268,7 +278,6 @@ def select_tau(
     """
     if not grid:
         raise ValidationError("tau grid must be nonempty")
-    feature_config = feature_config or FeatureConfig()
     train_config = train_config or TrainConfig(seed=seed)
     labels = classifier.label_space.classes
     if pool is None:
@@ -335,7 +344,7 @@ def intermediate_finetune(
     target_label_space: LabelSpace,
     ta_config: TAConfig,
     train_config: TrainConfig,
-    feature_config: Optional[FeatureConfig] = None,
+    feature_config: FeatureConfig,
 ) -> ModelParams:
     """Train on auxiliary data, then swap the head for the target task.
 
@@ -345,7 +354,6 @@ def intermediate_finetune(
     data at all is an error. The result is the base model every
     self-training student restarts from.
     """
-    feature_config = feature_config or FeatureConfig()
     if not ta_config.include_original_aux:
         original_aux = None
     packs = [labeled_matrix(d, feature_config) for d in (synthetic, original_aux)]

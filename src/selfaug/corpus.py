@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
+from typing import Literal, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class LabelSpace:
             raise ValidationError("num_classes is only defined for categorical spaces")
         return len(self.classes)
 
-    def class_index(self, label: str) -> int:
-        return self.classes.index(label)
-
     def validate_label(self, label: Label) -> None:
         if self.kind == "categorical":
             if label not in self.classes:
@@ -168,12 +165,6 @@ class Dataset:
     def ids(self) -> tuple[str, ...]:
         return tuple(ex.id for ex in self.examples)
 
-    def subset(self, ids: Iterable[str], name: Optional[str] = None) -> "Dataset":
-        """Examples with the given ids, in this dataset's order."""
-        wanted = set(ids)
-        kept = tuple(ex for ex in self.examples if ex.id in wanted)
-        return Dataset(name or self.name, self.label_space, kept)
-
     def labels_by_id(self) -> dict[str, Label]:
         return {ex.id: ex.label for ex in self.examples if ex.label is not None}
 
@@ -233,7 +224,6 @@ def load_dataset(
     path: Union[str, Path],
     format: Literal["tsv", "jsonl"],
     label_space: LabelSpace,
-    has_header: bool = False,
     name: Optional[str] = None,
 ) -> Dataset:
     """Load a TSV (``text_a<TAB>[text_b<TAB>]label``) or JSONL dataset.
@@ -250,11 +240,8 @@ def load_dataset(
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     examples = []
-    lines = text.splitlines()
-    if format == "tsv" and has_header and lines:
-        lines = lines[1:]
     row = 0
-    for lineno, line in enumerate(lines, start=1 + (1 if format == "tsv" and has_header else 0)):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if format == "tsv":
@@ -287,6 +274,8 @@ def load_dataset(
             raise ParseError(f"{path}:{lineno}: empty segment_a")
         if label is not None:
             if label_space.kind == "continuous":
+                if isinstance(label, bool):  # a JSON true/false, which float() reads as 1/0
+                    raise ParseError(f"{path}:{lineno}: non-numeric label {label!r}")
                 try:
                     label = float(label)
                 except (TypeError, ValueError, OverflowError):

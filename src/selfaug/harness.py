@@ -507,12 +507,6 @@ def sweep_curve(arms: Sequence[str], reports: Mapping[int, RunReport]) -> dict:
     return {"rows": rows, "aggregates": aggregates}
 
 
-def sweep_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict:
-    """Sample-efficiency sweep: rerun the experiment per examples-per-class k."""
-    check_sweep_ks(spec, ks)
-    return sweep_curve(spec.arms, run_per_k(spec, ks))
-
-
 def curve_csv(curve: Mapping) -> str:
     return _csv("arm,k,restart,score", ((r["arm"], r["k"], r["restart"], r["score"]) for r in curve["rows"]))
 

@@ -128,7 +128,8 @@ def self_train(
     test: Optional[Dataset] = None,
     st_config: Optional[SelfTrainConfig] = None,
     train_config: Optional[TrainConfig] = None,
-    feature_config: Optional[FeatureConfig] = None,
+    *,
+    feature_config: FeatureConfig,
     metric: str = "accuracy",
     gold: Optional[Mapping[str, Label]] = None,
 ) -> SelfTrainResult:
@@ -154,7 +155,6 @@ def self_train(
     """
     st_config = st_config or SelfTrainConfig()
     train_config = train_config or TrainConfig()
-    feature_config = feature_config or FeatureConfig()
     broad = st_config.mode == "broad"
     if not broad and f0.head != "classification":
         raise UnsupportedModeError("confidence filtering requires a classification head")

@@ -99,9 +99,6 @@ class SynthSpec:
             check_number(key, self.params.get(key, 0.0), hi=1)
         check_count("keywords_per_example", self.params.get("keywords_per_example", 1))
 
-    def param(self, key: str, default):
-        return self.params.get(key, default)
-
 
 def _sentence(rng: np.random.Generator, words, lo: int, hi: int) -> list[str]:
     n = int(rng.integers(lo, hi + 1))
@@ -109,8 +106,8 @@ def _sentence(rng: np.random.Generator, words, lo: int, hi: int) -> list[str]:
 
 
 def _gen_keyword_sentiment(spec: SynthSpec, size: int, seed: int, name: str) -> Dataset:
-    noise_rate = float(spec.param("noise_rate", 0.0))
-    keywords_per = int(spec.param("keywords_per_example", 3))
+    noise_rate = float(spec.params.get("noise_rate", 0.0))
+    keywords_per = int(spec.params.get("keywords_per_example", 3))
     rng = np.random.default_rng(seed)
     space = LabelSpace.categorical(("pos", "neg"))
     examples = []
@@ -197,7 +194,7 @@ def _gen_pair_overlap_nli(spec: SynthSpec, size: int, seed: int, name: str) -> D
 
 
 def _gen_drifted_cluster(spec: SynthSpec, size: int, seed: int, name: str) -> Dataset:
-    minority_fraction = float(spec.param("minority_fraction", 0.2))
+    minority_fraction = float(spec.params.get("minority_fraction", 0.2))
     rng = np.random.default_rng(seed)
     space = LabelSpace.categorical(("pos", "neg"))
     examples = []

@@ -92,7 +92,7 @@ class CSRRows:
     Every function that takes a matrix reads only ``data``, ``indices``,
     ``indptr`` and ``shape``, so a scipy CSR matrix serves as well.
     ``x[rows]``, for an index array or a boolean mask, copies the chosen rows
-    whole and in order, with the dtypes and bytes of scipy's ``x[rows]``.
+    whole and in order, keeping ``x``'s index dtype.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
@@ -101,33 +101,13 @@ class CSRRows:
         self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
 
     def __getitem__(self, rows) -> "CSRRows":
-        order = np.arange(self.shape[0])[rows]
-        x = _gather_rows(self, order)
-        if order.size == 0:
-            # scipy builds an empty selection from its shape alone.
-            dtype = _index_dtype(self.shape[1])
-            return CSRRows(x.data, x.indices.astype(dtype), x.indptr.astype(dtype), x.shape)
-        return _csr(x.data, x.indices, x.indptr, x.shape)
-
-
-_INT32 = np.iinfo(np.int32)
-
-
-def _index_dtype(maxval: int, *arrays: np.ndarray) -> type:
-    """scipy's ``get_index_dtype(arrays, maxval, check_contents=True)``: int32
-    unless ``maxval`` or a value stored in ``arrays`` lies outside its range."""
-    if maxval > _INT32.max:
-        return np.int64
-    for a in arrays:
-        if a.size and not np.can_cast(a.dtype, np.int32):
-            if not _INT32.min <= int(a.min()) <= int(a.max()) <= _INT32.max:
-                return np.int64
-    return np.int32
+        return _gather_rows(self, np.arange(self.shape[0])[rows])
 
 
 def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]) -> CSRRows:
-    """``csr_matrix((data, indices, indptr), shape)``'s arrays, index dtype included."""
-    dtype = _index_dtype(0 if 0 in shape else max(shape), indices, indptr)
+    """A ``CSRRows`` with int32 index arrays, or int64 when the width or the
+    entry count exceeds the int32 maximum. The kernels take either."""
+    dtype = np.int64 if max(shape[1], data.size) > np.iinfo(np.int32).max else np.int32
     return CSRRows(data, indices.astype(dtype, copy=False), indptr.astype(dtype, copy=False), shape)
 
 
@@ -361,25 +341,10 @@ class ModelParams:
         return hashlib.blake2b(self.to_bytes(), digest_size=16).hexdigest()
 
 
-def init_params(
-    label_space: LabelSpace,
-    config: FeatureConfig,
-    seed: int = 0,
-    scheme: Literal["zeros", "random"] = "zeros",
-    scale: float = 0.01,
-) -> ModelParams:
+def init_params(label_space: LabelSpace, config: FeatureConfig) -> ModelParams:
     head = "classification" if label_space.kind == "categorical" else "regression"
     c = label_space.num_classes if head == "classification" else 1
-    if scheme == "zeros":
-        weights = np.zeros((c, config.hash_dim))
-        bias = np.zeros(c)
-    elif scheme == "random":
-        rng = np.random.default_rng(seed)
-        weights = rng.uniform(-scale, scale, size=(c, config.hash_dim))
-        bias = rng.uniform(-scale, scale, size=c)
-    else:
-        raise ValidationError(f"unknown init scheme {scheme!r}")
-    return ModelParams(weights, bias, head, label_space)
+    return ModelParams(np.zeros((c, config.hash_dim)), np.zeros(c), head, label_space)
 
 
 # ---------------------------------------------------------------------------
@@ -832,11 +797,11 @@ def train(
     train_set: Dataset,
     config: TrainConfig,
     dev_set: Optional[Dataset] = None,
-    feature_config: Optional[FeatureConfig] = None,
+    *,
+    feature_config: FeatureConfig,
     metric: str = "accuracy",
 ) -> tuple[ModelParams, list[dict]]:
     """Dataset-level wrapper around :func:`fit`."""
-    feature_config = feature_config or FeatureConfig()
     pack = labeled_matrix(train_set, feature_config)
     if pack is None:
         raise ValidationError("training set must be nonempty")

@@ -107,6 +107,19 @@ class TestGenerateCandidates:
         out = generate_candidates(spec, "entailment", "base sentence", 0)
         assert out == ["base sentence variant 0", "base sentence variant 1"]
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_external_line_break_rejected_before_any_process(self, monkeypatch, nli_classifier, brk):
+        """The protocol sends one sentence per line: a line break would split it,
+        and the generator would answer the orphan half as a second input."""
+        monkeypatch.setattr(augmentation.subprocess, "Popen", lambda *a, **k: pytest.fail("a process started"))
+        spec = GeneratorSpec(kind="external", command="generator")
+        sentence = f"the movie was good{brk}the film was bad"
+        with pytest.raises(ValidationError, match="line break"):
+            generate_candidates(spec, "entailment", sentence, 0)
+        pool = UnlabeledPool("p", (Example(id="p:0", segment_a="fine"), Example(id="p:1", segment_a=sentence)))
+        with pytest.raises(ValidationError, match="line break"):
+            build_ta_examples(pool, spec, nli_classifier, 0.5, ["entailment"], 0, FC)
+
     def test_external_nonzero_exit_raises(self):
         command = f'{sys.executable} -c "import sys; sys.exit(3)"'
         spec = GeneratorSpec(kind="external", command=command)

@@ -1,6 +1,7 @@
 """Command-line surface tests: commands, exit codes, artifacts, error JSON."""
 
 import json
+import sys
 
 import pytest
 
@@ -267,6 +268,21 @@ class TestAugment:
         ]
         assert main(args + ["--out", str(tmp_path / "aug"), "--quiet", "augment"]) == EXIT_VALIDATION
         assert "maybe" in _last_stderr_json(capsys)["message"]
+
+    def test_line_break_in_a_task_sentence_exits_1_before_the_generator_runs(self, tmp_path, capsys):
+        ran = tmp_path / "generator-ran"
+        script = tmp_path / "gen.py"
+        script.write_text(f"import pathlib, sys\npathlib.Path({str(ran)!r}).touch()\nprint('x')\nprint('y')\n", encoding="utf-8")
+        task = tmp_path / "task.jsonl"
+        task.write_text(json.dumps({"text_a": "the movie was good\nthe film was bad", "label": "pos"}) + "\n", encoding="utf-8")
+        args = self.ARGS + [
+            "--set", f"datasets.input_path={task}", "--set", "datasets.label_classes=[pos, neg]",
+            "--set", "generator.kind=external", "--set", f"generator.command={sys.executable} {script}",
+        ]
+        out = tmp_path / "aug"
+        assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_VALIDATION
+        assert "line break" in _last_stderr_json(capsys)["message"]
+        assert not ran.exists() and not (out / "synthetic.jsonl").exists()
 
     def test_uses_the_experiment_aux_classifier(self, tmp_path):
         out = tmp_path / "aug"

@@ -33,7 +33,6 @@ class TestLabelSpace:
         space = LabelSpace.categorical(("a", "b", "c"))
         assert LabelSpace.from_json(space.to_json()) == space
         assert space.num_classes == 3
-        assert space.class_index("b") == 1
 
     def test_continuous_roundtrip(self):
         space = LabelSpace.continuous(0.0, 5.0)
@@ -77,10 +76,6 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Example(id="e:0", segment_a="")
 
-    def test_subset_preserves_order(self, tiny_dataset):
-        sub = tiny_dataset.subset(["tiny:5", "tiny:1"])
-        assert sub.ids() == ("tiny:1", "tiny:5")
-
     def test_pool_forbids_labels(self):
         with pytest.raises(ValidationError):
             UnlabeledPool("p", (Example(id="p:0", segment_a="x", label="pos"),))
@@ -95,16 +90,21 @@ class TestLoadSave:
         assert ds.examples[0].label == "pos"
         assert ds.examples[0].id == "data:0"
 
-    def test_tsv_pair_and_header(self, tmp_path):
+    def test_tsv_pair(self, tmp_path):
         space = LabelSpace.categorical(("entailment", "neutral"))
         path = tmp_path / "pairs.tsv"
-        path.write_text(
-            "text_a\ttext_b\tlabel\n"
-            "a premise\ta hypothesis\tentailment\n",
-            encoding="utf-8",
-        )
-        ds = load_dataset(path, "tsv", space, has_header=True)
-        assert ds.examples[0].segment_b == "a hypothesis"
+        path.write_text("a premise\ta hypothesis\tentailment\n", encoding="utf-8")
+        ds = load_dataset(path, "tsv", space)
+        assert (ds.examples[0].segment_a, ds.examples[0].segment_b) == ("a premise", "a hypothesis")
+        assert ds.examples[0].label == "entailment"
+
+    def test_tsv_header_row_fails_the_label_check(self, tmp_path):
+        """A TSV file has no header row: one is read as data, and its label is no class."""
+        space = LabelSpace.categorical(("entailment", "neutral"))
+        path = tmp_path / "pairs.tsv"
+        path.write_text("text_a\ttext_b\tlabel\na premise\ta hypothesis\tentailment\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"pairs.tsv:1: label 'label' not in classes"):
+            load_dataset(path, "tsv", space)
 
     def test_unknown_format_rejected(self, tmp_path, binary_space):
         path = tmp_path / "data.xml"
@@ -143,6 +143,13 @@ class TestLoadSave:
         path.write_text("some text\t3.5\n", encoding="utf-8")
         ds = load_dataset(path, "tsv", space)
         assert ds.examples[0].label == 3.5
+
+    @pytest.mark.parametrize("label", ["true", "false"])
+    def test_jsonl_boolean_label_is_not_a_number(self, tmp_path, label):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"text_a": "ok", "label": 0.5}\n{"text_a": "a b", "label": %s}\n' % label, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"reg.jsonl:2: non-numeric label {label.title()}"):
+            load_dataset(path, "jsonl", LabelSpace.continuous(0, 5))
 
     def test_canonical_jsonl_is_byte_stable(self, tiny_dataset):
         assert tiny_dataset.to_jsonl() == tiny_dataset.to_jsonl()

@@ -15,12 +15,14 @@ from selfaug.harness import (
     base_corpus,
     build_aux_artifacts,
     build_ta_base_model,
+    check_sweep_ks,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
     make_splits,
     run_experiment,
-    sweep_k,
+    run_per_k,
+    sweep_curve,
 )
 from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
@@ -267,13 +269,13 @@ class TestSweep:
     def test_requires_few_shot_and_ascending(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)
         with pytest.raises(ValidationError):
-            sweep_k(replace(spec, regime="full"), [4, 8])
+            check_sweep_ks(replace(spec, regime="full"), [4, 8])
         with pytest.raises(ValidationError):
-            sweep_k(spec, [8, 4])
+            check_sweep_ks(spec, [8, 4])
 
     def test_curve_rows_and_csv(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)
-        curve = sweep_k(spec, [4, 8])
+        curve = sweep_curve(spec.arms, run_per_k(spec, [4, 8]))
         assert {row["k"] for row in curve["rows"]} == {4, 8}
         assert len(curve["rows"]) == 4  # 2 ks x 2 restarts
         lines = curve_csv(curve).splitlines()
@@ -285,7 +287,7 @@ class TestSweep:
     def test_builds_aux_artifacts_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, "build_aux_artifacts")
         spec = ExperimentSpec(arms=("ta",), **TA_FAST)
-        curve = sweep_k(spec, [4, 8])
+        curve = sweep_curve(spec.arms, run_per_k(spec, [4, 8]))
         assert len(calls) == 1
         for k in (4, 8):
             alone = run_experiment(replace(spec, k=k)).scores["ta"]

@@ -113,11 +113,8 @@ class TestFeaturize:
         other = FeatureConfig(ngram_orders=frozenset(other_orders), hash_dim=2 ** other_bits)
         textmodel._MEMO.clear()
         for fc in (config, other, config, other):
-            got, ref = featurize_matrix(examples, fc), _reference_featurize_matrix(examples, fc)
-            assert got.shape == ref.shape
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            got = featurize_matrix(examples, fc)
+            _assert_same_csr(got, _reference_featurize_matrix(examples, fc), _rule_dtype(got))
 
     def test_memo_holds_no_tracked_object(self, small_fc):
         examples = [
@@ -144,22 +141,32 @@ class TestFeaturize:
                 Example(id=f"s:{i}", segment_a=f"y{i}"),
                 Example(id=f"t:{i}", segment_a=f"y{i}"),
             ]
-            _assert_same_csr(featurize_matrix(examples, small_fc), _reference_featurize_matrix(examples, small_fc))
+            got, ref = featurize_matrix(examples, small_fc), _reference_featurize_matrix(examples, small_fc)
+            _assert_same_csr(got, ref, np.int32)
             held = 2 if held > 4 else held + 2
             assert sum(map(len, textmodel._MEMO.values())) == held
 
 
-def _assert_same_csr(got, ref):
-    """Same shape, and ``data``, ``indices`` and ``indptr`` of the same dtypes and bytes."""
+def _rule_dtype(m):
+    """The index dtype a built matrix gets: int32 unless its width or entry
+    count exceeds the int32 maximum."""
+    return np.int64 if max(m.shape[1], m.data.size) > np.iinfo(np.int32).max else np.int32
+
+
+def _assert_same_csr(got, ref, index_dtype):
+    """Same shape, ``data`` of the same dtype and bytes, and ``indices`` and
+    ``indptr`` of the same values, held as ``index_dtype``."""
     assert got.shape == ref.shape
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.data.dtype == ref.data.dtype and got.data.tobytes() == ref.data.tobytes()
+    for name in ("indices", "indptr"):
+        a = getattr(got, name)
+        assert a.dtype == index_dtype and np.array_equal(a, getattr(ref, name))
 
 
 class TestRowSelection:
     """``CSRRows[rows]`` and ``_stack_rows`` against scipy's ``x[rows]`` and
-    ``vstack``, byte for byte; scipy is the reference here only."""
+    ``vstack``, value for value and row for row; scipy is the reference here
+    only. A selection keeps ``x``'s index dtype, a stack takes the rule's."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -176,7 +183,7 @@ class TestRowSelection:
             for part in (rows, more)
         )
         ref_x, ref_y = (sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape) for m in (x, y))
-        if wide:  # int64 indices where scipy would keep int32
+        if wide:  # int64 indices where the rule gives int32
             x = CSRRows(x.data, x.indices.astype(np.int64), x.indptr.astype(np.int64), x.shape)
         n = x.shape[0]
         idx = np.array(draw.draw(st.lists(st.integers(0, n - 1), max_size=10) if n else st.just([])), dtype=np.int64)
@@ -185,9 +192,63 @@ class TestRowSelection:
             for m in (x, y)
         )
         for picked in (idx, mask, np.array([], dtype=np.int64)):
-            _assert_same_csr(x[picked], ref_x[picked])
-        _assert_same_csr(_stack_rows([x, y[y_mask]]), sp.vstack([ref_x, ref_y[y_mask]], format="csr"))
-        _assert_same_csr(_stack_rows([y, x[idx]]), sp.vstack([ref_y, ref_x[idx]], format="csr"))
+            _assert_same_csr(x[picked], ref_x[picked], x.indices.dtype)
+        for blocks, ref in (
+            ([x, y[y_mask]], sp.vstack([ref_x, ref_y[y_mask]], format="csr")),
+            ([y, x[idx]], sp.vstack([ref_y, ref_x[idx]], format="csr")),
+        ):
+            stacked = _stack_rows(blocks)
+            _assert_same_csr(stacked, ref, _rule_dtype(stacked))
+
+
+class TestIndexDtype:
+    """One rule for every matrix ``selfaug`` builds: int32 index arrays unless
+    the width or the entry count exceeds the int32 maximum. Row selection
+    keeps the matrix's own dtype."""
+
+    @pytest.mark.parametrize("bits, dtype", [(4, np.int32), (30, np.int32), (31, np.int64), (32, np.int64)])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_built_matrices(self, bits, dtype, n):
+        fc = FeatureConfig(hash_dim=2 ** bits)
+        x = featurize_matrix([Example(id=f"r:{i}", segment_a=f"w{i} v") for i in range(n)], fc)
+        for built in (x, _stack_rows([x, x]), _stack_rows([x[[]], x[[]]])):
+            assert built.indices.dtype == built.indptr.dtype == dtype
+        assert x[[]].shape == (0, 2 ** bits)
+
+    def test_an_entry_count_past_int32_gives_int64(self):
+        n = np.iinfo(np.int32).max + 1  # broadcast views: no memory per entry
+        x = textmodel._csr(
+            np.broadcast_to(1.0, (n,)), np.broadcast_to(np.int64(0), (n,)), np.array([0, n]), (1, 8)
+        )
+        assert x.indices.dtype == x.indptr.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_selection_keeps_the_dtype(self, small_fc, dtype):
+        x = featurize_matrix(PREDICT_EXAMPLES, small_fc)
+        x = CSRRows(x.data, x.indices.astype(dtype), x.indptr.astype(dtype), x.shape)
+        for rows in ([], [2, 0, 2], np.arange(x.shape[0]) % 2 == 0):
+            picked = x[rows]
+            assert picked.indices.dtype == picked.indptr.dtype == dtype
+
+    @pytest.mark.parametrize("head", ["classification", "regression"])
+    def test_kernels_give_the_same_bytes_for_either_dtype(self, small_fc, head):
+        x = featurize_matrix(PREDICT_EXAMPLES, small_fc)
+        wide = CSRRows(x.data, x.indices.astype(np.int64), x.indptr.astype(np.int64), x.shape)
+        assert x.indices.dtype == np.int32
+        space = LabelSpace.categorical(("a", "b", "c")) if head == "classification" else LabelSpace.continuous(0, 1)
+        params = init_params(space, small_fc)
+        rng = np.random.default_rng(3)
+        params.weights[:] = rng.normal(size=params.weights.shape)
+        y = rng.integers(0, 3, x.shape[0]) if head == "classification" else rng.normal(size=x.shape[0])
+        if head == "classification":
+            assert predict_proba_matrix(params, x).tobytes() == predict_proba_matrix(params, wide).tobytes()
+        else:
+            assert predict_values_matrix(params, x).tobytes() == predict_values_matrix(params, wide).tobytes()
+        for a, b in zip(
+            loss_and_grad(params.weights, params.bias, x, y, 1e-3, head),
+            loss_and_grad(params.weights, params.bias, wide, y, 1e-3, head),
+        ):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def _reference_featurize_matrix(examples, config):
@@ -723,6 +784,15 @@ def _random_rows(rng, n, hash_dim, nnz):
     return sp.csr_matrix((data, indices, np.arange(n + 1) * nnz), shape=(n, hash_dim))
 
 
+def _uniform_init(space, hash_dim, seed):
+    """A model whose weights, then bias, are drawn uniformly from [-0.5, 0.5)."""
+    init = init_params(space, FeatureConfig(hash_dim=hash_dim))
+    rng = np.random.default_rng(seed)
+    init.weights[:] = rng.uniform(-0.5, 0.5, size=init.weights.shape)
+    init.bias[:] = rng.uniform(-0.5, 0.5, size=init.bias.shape)
+    return init
+
+
 _CLS = LabelSpace.categorical(("a", "b", "c"))
 _REG = LabelSpace.continuous(0.0, 3.0)
 
@@ -744,8 +814,10 @@ def _parity_case(case):
         labels = list(rng.uniform(0.0, 3.0, n))
     else:
         labels = [space.classes[i] for i in rng.integers(0, 3, n)]
-    scheme = "random" if case in ("fixed-avg-random", "regression-random", "negative-zero", "hash-2^18") else "zeros"
-    init = init_params(space, FeatureConfig(hash_dim=hash_dim), seed=5, scheme=scheme, scale=0.5)
+    if case in ("fixed-avg-random", "regression-random", "negative-zero", "hash-2^18"):
+        init = _uniform_init(space, hash_dim, seed=5)
+    else:
+        init = init_params(space, FeatureConfig(hash_dim=hash_dim))
     untouched = np.setdiff1d(np.arange(hash_dim), x.indices)
     if case == "negative-zero":
         init.weights[:, ::3] = -0.0  # as a loaded snapshot can hold
@@ -929,7 +1001,7 @@ class TestFitDevColumns:
         x = _random_rows(rng, 30, 64, 6)  # columns 0..63 only
         x = sp.csr_matrix((x.data, x.indices, x.indptr), shape=(30, hash_dim))
         space = _CLS if head == "classification" else _REG
-        init = init_params(space, FeatureConfig(hash_dim=hash_dim), seed=1, scheme="random", scale=0.5)
+        init = _uniform_init(space, hash_dim, seed=1)
         init.weights[:, :200] = 0.0
         init.weights[:, 100:120] = -0.0
         # Dev rows reach columns 64..255: untouched, some held nonzero by init.

@@ -27,6 +27,13 @@ confidence-filter``. ``f0.model``, ``synthetic.jsonl`` and both
 change to a trained weight shows. Only long-standing CLI commands are used,
 so the leg runs against any ref.
 
+A task-file leg follows at both seeds: ``synth`` writes a pair-overlap-nli
+JSONL file, and ``augment`` reads it through ``datasets.input_path`` with an
+external generator, a small Python script written into the temporary
+directory, which also scores tau over the grid. The task file, ``f0.model``
+and ``synthetic.jsonl`` are compared by sha256. No other leg reads a task
+file or runs an external generator.
+
 Exit status: 0 when every file and exit code matches, 1 on any difference.
 """
 
@@ -61,6 +68,24 @@ DIVERGENCE_ARGV = [
     "--set", "experiment.arms=[baseline]",
     "--set", "experiment.restarts=1",
 ]
+TASK_FILE_ARGV = [
+    "--set", "datasets.task_family=pair-overlap-nli",
+    "--set", "datasets.train_partition_size=300",
+    "--set", "model.hash_dim=16384",
+    "--set", "augmentation.tau=null",
+    "--set", "augmentation.tau_source_limit=4",
+    "--set", "augmentation.ta_pool_limit=12",
+]
+# The external generator's line protocol: read ``label<TAB>sentence``, answer
+# one candidate per line, end with a blank line.
+GENERATOR = """import sys
+label, sentence = sys.stdin.readline().rstrip("\\n").split("\\t", 1)
+words = sentence.split()
+extra = {"neutral": ["reportedly"], "contradiction": ["not"]}.get(label, [])
+for i in range(len(words), 0, -1):
+    print(" ".join(words[:i] + extra))
+print()
+"""
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
@@ -101,6 +126,27 @@ def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, s
     return result
 
 
+def task_file_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
+    """Exit codes and file digests of ``synth`` to a task file, then ``augment``
+    on that file with the external generator, on ``tree``."""
+    out.mkdir()
+    task, generator = out / "task.jsonl", out / "generator.py"
+    generator.write_text(GENERATOR, encoding="utf-8")
+    result = {f"synth {k}": v for k, v in run(tree, seed, [*argv, "synth"], task, ()).items()}
+    result["task.jsonl"] = hashlib.sha256(task.read_bytes()).hexdigest() if task.exists() else "missing"
+    augment = [
+        *argv,
+        "--set", f"datasets.input_path={task}",
+        "--set", "datasets.label_classes=[entailment, neutral, contradiction]",
+        "--set", "generator.kind=external",
+        "--set", f"generator.command={sys.executable} {generator}",
+        "augment",
+    ]
+    digests = run(tree, seed, augment, out / "augment", ("f0.model", "synthetic.jsonl"))
+    result.update({f"augment {k}": v for k, v in digests.items()})
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("ref", help="git ref to compare this checkout against")
@@ -117,6 +163,7 @@ def main(argv=None) -> int:
     ]
     legs += [(f"divergence seed {seed}", experiment_leg, seed, DIVERGENCE_ARGV) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
+    legs += [(f"task-file seed {seed}", task_file_leg, seed, TASK_FILE_ARGV) for seed in seeds]
     differences = 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
