@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Dataset, Example, LabelSpace, UnlabeledPool, ValidationError
 from .corpus import check_count, check_flag, check_number
-from .synth import NLI_TRANSFORMS
+from .synth import NLI_TRANSFORMS, BlockSampler, Rng
 from .textmodel import (
     FeatureConfig,
     ModelParams,
@@ -92,9 +92,11 @@ def _normalize(text: str) -> str:
     return " ".join(text.split())
 
 
-def _rule_based_candidates(
-    spec: GeneratorSpec, label: str, sentence: str, rng: np.random.Generator
-) -> list[str]:
+# The wrong labels a flipped rule-based sample draws from, per intended label.
+_FLIP_LABELS = {label: [l for l in NLI_TRANSFORMS if l != label] for label in NLI_TRANSFORMS}
+
+
+def _rule_based_candidates(spec: GeneratorSpec, label: str, sentence: str, rng: Rng) -> list[str]:
     if label not in NLI_TRANSFORMS:
         raise ValidationError(f"rule-based generator has no transform for label {label!r}")
     words = sentence.split()
@@ -102,7 +104,7 @@ def _rule_based_candidates(
     for _ in range(spec.samples_per_input):
         effective = label
         if spec.flip_rate and rng.random() < spec.flip_rate:
-            others = [l for l in NLI_TRANSFORMS if l != label]
+            others = _FLIP_LABELS[label]
             effective = others[int(rng.integers(0, len(others)))]
         out.append(" ".join(NLI_TRANSFORMS[effective](words, rng)))
     return out
@@ -137,7 +139,7 @@ def _external_candidates(spec: GeneratorSpec, label: str, sentence: str) -> list
             f"generator command {spec.command!r} exited with status {proc.returncode}"
         )
     lines = []
-    for line in stdout.splitlines():
+    for line in stdout.split("\n"):  # "\n" alone ends a protocol line; text mode read "\r\n" as "\n"
         if not line.strip():
             break
         lines.append(line)
@@ -158,8 +160,7 @@ def generate_candidates(
     """Up to samples_per_input candidate hypotheses, deduplicated."""
     _check_sentence(generator, sentence)
     if generator.kind == "rule_based":
-        rng = np.random.default_rng(seed)
-        raw = _rule_based_candidates(generator, label, sentence, rng)
+        raw = _rule_based_candidates(generator, label, sentence, BlockSampler(seed))
     else:
         raw = _external_candidates(generator, label, sentence)
     seen = set()

@@ -241,7 +241,9 @@ def load_dataset(
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     examples = []
     row = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line (read_text has read "\r\n" and "\r" as "\n"); a text may hold
+    # U+2028, U+0085 or the other breaks str.splitlines() also splits on.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if format == "tsv":

@@ -1,5 +1,6 @@
 """Augmentation pipeline tests: generation, filtering, tau selection, head swap."""
 
+import hashlib
 import json
 import re
 import signal
@@ -83,6 +84,24 @@ class TestGenerateCandidates:
             spec, "neutral", sent, 2
         )
 
+    @pytest.mark.parametrize(
+        "flip_rate, sentence, digest",
+        [
+            (0.0, "the quiet scene moved slowly tonight", "dc56b05a8877b19b"),
+            (0.0, "the movie was good tonight", "6f91627010147905"),
+            (0.0, "the good film was bad and the cast fresh but stale", "1957388283bbca06"),
+            (0.5, "the quiet scene moved slowly tonight", "c865679f31a19d92"),
+            (0.5, "the movie was good tonight", "42678dee48b5f54c"),
+            (0.5, "the good film was bad and the cast fresh but stale", "093bb4bdc97c701f"),
+        ],
+    )
+    def test_rule_based_output_is_pinned(self, flip_rate, sentence, digest):
+        """Every label, with and without flips, on sentences holding 0, 1 and 4
+        antonym-table words: the candidates generated before the block sampler."""
+        spec = GeneratorSpec(samples_per_input=32, flip_rate=flip_rate)
+        out = [generate_candidates(spec, label, sentence, seed) for label in NLI_CLASSES for seed in (0, 7, 2 ** 64 - 1)]
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16] == digest
+
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValidationError):
             generate_candidates(GeneratorSpec(), "neutral", "", 0)
@@ -106,6 +125,14 @@ class TestGenerateCandidates:
         )
         out = generate_candidates(spec, "entailment", "base sentence", 0)
         assert out == ["base sentence variant 0", "base sentence variant 1"]
+
+    def test_external_reply_splits_on_newline_only(self, tmp_path):
+        """A candidate holding U+2028 (a line break to str.splitlines) stays one
+        candidate, whose whitespace is then normalized like any other."""
+        script = tmp_path / "gen.py"
+        script.write_text("import sys\nsys.stdin.readline()\nprint('first half\\u2028second half')\nprint()\n", encoding="utf-8")
+        spec = GeneratorSpec(kind="external", command=f"{sys.executable} {script}")
+        assert generate_candidates(spec, "entailment", "base sentence", 0) == ["first half second half"]
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
     def test_external_line_break_rejected_before_any_process(self, monkeypatch, nli_classifier, brk):

@@ -125,6 +125,16 @@ class TestLoadSave:
         assert loaded.ids() == tiny_dataset.ids()
         assert [e.label for e in loaded] == [e.label for e in tiny_dataset]
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_text_holding_a_unicode_line_break_roundtrips(self, tmp_path, binary_space, brk):
+        """Only "\\n" ends a line: breaks that str.splitlines() also splits on stay in the text."""
+        ds = Dataset("rt", binary_space, (Example(id="rt:0", segment_a=f"good{brk}movie", label="pos"),
+                                          Example(id="rt:1", segment_a="bad film", label="neg")))
+        save_dataset(ds, tmp_path / "rt.jsonl")
+        assert load_dataset(tmp_path / "rt.jsonl", "jsonl", binary_space) == ds
+        (tmp_path / "rt.tsv").write_text("".join(f"{ex.segment_a}\t{ex.label}\n" for ex in ds), encoding="utf-8")
+        assert load_dataset(tmp_path / "rt.tsv", "tsv", binary_space) == ds
+
     def test_jsonl_bad_json_reports_line(self, tmp_path, binary_space):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text_a": "ok", "label": "pos"}\nnot json\n', encoding="utf-8")

@@ -3,10 +3,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfaug.corpus import ValidationError
 from selfaug.synth import (
     ANTONYM_TABLE,
+    BlockSampler,
     DRIFT_MARKER,
     FILLER_WORDS,
     NEGATIVE_WORDS,
@@ -34,6 +37,44 @@ def test_determinism_per_seed():
     c = synth_corpus(spec, 40, 6)
     assert a.to_jsonl() == b.to_jsonl()
     assert a.to_jsonl() != c.to_jsonl()
+
+
+# Range widths: one value, the widths where Lemire's method rejects most draws, and numpy's 32-bit limit.
+SPANS = st.sampled_from([1, 2, 3, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]) | st.integers(1, 2 ** 32)
+LOWS = st.integers(-(2 ** 40), 2 ** 40)
+DRAWS = st.lists(
+    st.tuples(st.just("random"))
+    | st.tuples(st.just("integers"), LOWS, SPANS)
+    | st.tuples(st.just("integers size="), LOWS, SPANS, st.integers(0, 5)),
+    max_size=40,
+)
+
+
+class TestBlockSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), block=st.sampled_from([1, 2, 3, 256]), draws=DRAWS)
+    def test_same_numbers_as_numpy(self, seed, block, draws):
+        """Any interleaving of the three calls, across block refills, gives numpy's numbers."""
+        sampler = type("Sampler", (BlockSampler,), {"block": block})  # refills fall between draws
+        ours, ref = sampler(seed), np.random.default_rng(seed)
+        for kind, *args in draws:
+            if kind == "random":
+                assert ours.random() == ref.random()
+            elif kind == "integers":
+                lo, span = args
+                assert ours.integers(lo, lo + span) == ref.integers(lo, lo + span)
+            else:
+                lo, span, size = args
+                assert ours.integers(lo, lo + span, size=size) == ref.integers(lo, lo + span, size=size).tolist()
+        # Both streams stand at the same word and the same kept half.
+        assert ours.random() == ref.random()
+        assert ours.integers(0, 2 ** 32) == ref.integers(0, 2 ** 32)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lo=LOWS, span=st.integers(2 ** 32 + 1, 2 ** 70) | st.integers(-5, 0), size=st.sampled_from([None, 0, 3]))
+    def test_range_of_no_value_or_more_than_2_32_values_raises(self, lo, span, size):
+        with pytest.raises(ValueError, match="must span 1 to 2\\*\\*32 values"):
+            BlockSampler(0).integers(lo, lo + span, size=size)
 
 
 class TestSpecValidation:
