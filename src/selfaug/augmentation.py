@@ -58,7 +58,7 @@ class GeneratorSpec:
     """Rule-based transforms or an external line-protocol command."""
 
     kind: str = "rule_based"  # "rule_based" | "external"
-    samples_per_input: int = 100
+    samples_per_input: int = 4
     flip_rate: float = 0.0  # rule_based: probability of using a wrong-label transform
     command: Optional[str] = None  # external: shell command
 

@@ -88,17 +88,17 @@ def _load_task_corpus(config: dict, seed: int) -> Dataset:
 def _check_config(config: dict, args):
     """The experiment spec and its k sweep, built after the task-file label space.
 
-    Full construction is full validation. ``experiment`` synthesizes its task
-    corpus, so it rejects a task file rather than ignore it.
+    Full construction is full validation.
     """
-    if args.command == "experiment" and config["datasets"]["input_path"]:
-        raise ConfigValidationError(
-            "datasets.input_path is not read by experiment, which synthesizes its task corpus",
-            {"section": "datasets", "key": "input_path"},
-        )
     build_task_space(config)
     spec = build_experiment_spec(config)
     return spec, _sweep_ks(config, args, spec)
+
+
+def _config_ok(args) -> int:
+    if not args.quiet:
+        print("config ok")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,8 @@ def _check_config(config: dict, args):
 
 def cmd_synth(config: dict, args) -> int:
     spec = build_experiment_spec(config)
+    if args.validate_only:
+        return _config_ok(args)
     corpus = synth_corpus(spec.task, spec.train_partition_size, spec.master_seed)
     out = Path(args.out or "corpus.jsonl")
     save_dataset(corpus, out)
@@ -119,6 +121,8 @@ def cmd_synth(config: dict, args) -> int:
 def cmd_augment(config: dict, args) -> int:
     spec = build_experiment_spec(config)
     corpus = _load_task_corpus(config, derive_seed(spec.master_seed, "corpus"))
+    if args.validate_only:
+        return _config_ok(args)
     aux = build_aux_artifacts(spec)
     entries, f0 = build_ta_base_model(
         spec, aux, strip_labels(corpus), corpus.label_space,
@@ -171,6 +175,8 @@ def cmd_selftrain(config: dict, args) -> int:
         pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
     except MissingOODError:
         raise ConfigValidationError("--ood is required for an out-of-domain pool") from None
+    if args.validate_only:
+        return _config_ok(args)
 
     result = self_train(
         f0, split.train, pool, dev=split.dev, test=split.test or None,
@@ -210,7 +216,15 @@ def _sweep_ks(config: dict, args, spec) -> list[int]:
 
 
 def cmd_experiment(config: dict, args) -> int:
+    # experiment synthesizes its task corpus, so it rejects a task file rather than ignore it.
+    if config["datasets"]["input_path"]:
+        raise ConfigValidationError(
+            "datasets.input_path is not read by experiment, which synthesizes its task corpus",
+            {"section": "datasets", "key": "input_path"},
+        )
     spec, sweep_ks = _check_config(config, args)
+    if args.validate_only:
+        return _config_ok(args)
     out_dir = Path(args.out or "experiment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -244,9 +258,7 @@ def cmd_experiment(config: dict, args) -> int:
 
 def cmd_validate(config: dict, args) -> int:
     _check_config(config, args)
-    if not args.quiet:
-        print("config ok")
-    return EXIT_OK
+    return _config_ok(args)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file or directory")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--validate-only", action="store_true",
-                        help="validate the config and exit without writing artifacts")
+                        help="build the command's configs and read its inputs, then exit before any work")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="emit a synthetic corpus")
@@ -298,8 +310,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, overrides=args.set, seed=args.seed)
-        if args.validate_only or args.command == "validate":
-            return cmd_validate(config, args)
         return _COMMANDS[args.command](config, args)
     except CorpusError as exc:  # every bad-input error
         _emit_error(EXIT_VALIDATION, str(exc), getattr(exc, "context", {"type": type(exc).__name__}))

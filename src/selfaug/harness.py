@@ -81,11 +81,11 @@ class ExperimentSpec:
     test_size: int = 500
     resample_dev: bool = True
     top3_aggregate: bool = False
-    feature_config: FeatureConfig = field(default_factory=lambda: FeatureConfig(hash_dim=2 ** 16))
+    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
     train_config: TrainConfig = field(default_factory=TrainConfig)
     st_config: SelfTrainConfig = field(default_factory=SelfTrainConfig)
     ta_config: TAConfig = field(default_factory=TAConfig)
-    generator: GeneratorSpec = field(default_factory=lambda: GeneratorSpec(samples_per_input=4))
+    generator: GeneratorSpec = field(default_factory=GeneratorSpec)
     aux_train_size: int = 400
     aux_dev_size: int = 120
     tau: Optional[float] = 0.5  # None selects tau on the auxiliary dev set

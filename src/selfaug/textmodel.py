@@ -8,6 +8,7 @@ training dynamics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -141,7 +142,7 @@ def _stack_rows(blocks: Sequence[CSRRows]) -> CSRRows:
 @dataclass(frozen=True)
 class FeatureConfig:
     ngram_orders: frozenset[int] = frozenset({1, 2})
-    hash_dim: int = 2 ** 18
+    hash_dim: int = 2 ** 16
 
     def __post_init__(self):
         if not self.ngram_orders:
@@ -184,47 +185,31 @@ def featurize(example: Example, config: FeatureConfig) -> dict[int, int]:
     return counts
 
 
-# The row memo. For each (n-gram orders, hash_dim) key, ``_MEMO`` holds two
-# dicts that map a row to the packed buckets (C unsigned ints) of all its
-# n-grams: one keyed by a single segment's text, one by a pair's
-# ``f"{len(a)}:{a}{b}"``, which no other pair spells. Keys are str and values
-# bytes, so the garbage collector tracks no entry. An entry is a pure function
-# of its keys, so no result depends on call history; the memo is cleared once
-# it holds more than _MEMO_LIMIT entries (one per distinct row): 2**15 pairs
-# eight times as long as pair-overlap-nli's hold about 62 MiB.
-_MEMO_LIMIT = 1 << 15
-_MEMO: dict[str, dict[str, bytes]] = {}
+# 2**15 pairs eight times as long as pair-overlap-nli's hold about 62 MiB.
+@functools.lru_cache(maxsize=1 << 15)
+def _row_buckets(a: str, b: Optional[str], orders: tuple[int, ...], hash_dim: int) -> bytes:
+    """The buckets of the row's n-grams, order by order, hashed as ``featurize``
+    hashes them and packed as C unsigned ints. Pure, so the cache is exact."""
+    tokens = tokenize(a) if b is None else tokenize(a) + [SEP_TOKEN] + tokenize(b)
+    mask = hash_dim - 1
+    grams = [
+        zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
+        for k in orders
+        for i in range(len(tokens) - k + 1)
+    ]
+    return array("I", grams).tobytes()
 
 
 def featurize_matrix(examples: Sequence[Example], config: FeatureConfig) -> CSRRows:
     """CSR matrix of hashed n-gram counts, one row per example.
 
     Row i holds ``featurize(examples[i], config)`` with its buckets sorted.
-    Each distinct row is hashed once per (orders, ``hash_dim``) through the
-    row memo. The rows are counted in one pass: the keys ``row << bits |
-    bucket`` are sorted once and their run lengths are the counts.
+    Each row's buckets come from ``_row_buckets``, whose cache hashes a
+    repeated row once. The rows are counted in one pass: the keys ``row <<
+    bits | bucket`` are sorted once and their run lengths are the counts.
     """
-    if sum(map(len, _MEMO.values())) > _MEMO_LIMIT:
-        _MEMO.clear()
-    orders = sorted(config.ngram_orders)
-    memo_key = f"{orders}/{config.hash_dim}/"
-    singles = _MEMO.setdefault(memo_key + "single", {})
-    pairs = _MEMO.setdefault(memo_key + "pair", {})
-    mask = config.hash_dim - 1
-    chunks: list[bytes] = []
-    for ex in examples:
-        a, b = ex.segment_a, ex.segment_b
-        memo, key = (singles, a) if b is None else (pairs, f"{len(a)}:{a}{b}")
-        packed = memo.get(key)
-        if packed is None:
-            tokens = _tokens(ex)
-            grams = [
-                zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
-                for k in orders
-                for i in range(len(tokens) - k + 1)
-            ]
-            packed = memo[key] = array("I", grams).tobytes()
-        chunks.append(packed)
+    orders = tuple(sorted(config.ngram_orders))
+    chunks = [_row_buckets(ex.segment_a, ex.segment_b, orders, config.hash_dim) for ex in examples]
     # Buckets are below 2**32, so 32 bits of row offset keep the keys apart.
     bits = min(config.hash_dim.bit_length() - 1, 32)
     rows = np.arange(len(examples) + 1, dtype=np.uint64)
@@ -736,59 +721,60 @@ def fit(
     total, every = (config.max_steps, stop.eval_every) if early else (stop.total, stop.checkpoint_every)
 
     cursor = n  # the first step draws the first permutation
-    for step in range(1, total + 1):
-        if cursor >= n:
-            order = rng.permutation(n)
-            xs, ys = _gather_rows(x, order), y[order]
-            cursor = 0
-        lo, hi = cursor, min(cursor + config.batch_size, n)
-        cursor += config.batch_size
-        start, end = xs.indptr[lo], xs.indptr[hi]
-        xb = CSRRows(
-            xs.data[start:end], xs.indices[start:end], xs.indptr[lo : hi + 1] - start,
-            (hi - lo, active.size),
-        )
-        data_loss, grad_w, grad_b = loss_and_grad(wt.T, bias, xb, ys[lo:hi], None, init.head)
-        # ||w||^2 over the active weights in storage order; elementwise ufuncs
-        # keep it off the BLAS thread pool. It can round differently from the
-        # dense objective's sum, so it only shows that the loss is far from
-        # overflow. A loss the trace records, or one that may overflow (or is
-        # NaN), is summed class-major over all weights as the dense step does.
-        norm = float(np.add.reduce(np.square(wt, out=squares), axis=None))
-        loss = data_loss + 0.5 * config.l2 * norm
-        record = step % every == 0 or (early and step == total)
-        if record or not (norm < 1e299 and loss < 1e299):
-            all_squares[:, active] = squares.T
-            loss = data_loss + 0.5 * config.l2 * float(all_squares.sum())
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {step}")
-        lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
-        # wt -= lr * (grad_w.T + l2 * wt), operation for operation, in place.
-        np.multiply(wt, config.l2, out=step_t)
-        step_t += grad_w.T
-        step_t *= lr
-        wt -= step_t
-        bias -= lr * grad_b
+    # A diverging run overflows the squares of its weights; the finite check
+    # on the loss raises for it, so numpy's overflow warning is not needed.
+    with np.errstate(over="ignore"):
+        for step in range(1, total + 1):
+            if cursor >= n:
+                order = rng.permutation(n)
+                xs, ys = _gather_rows(x, order), y[order]
+                cursor = 0
+            lo, hi = cursor, min(cursor + config.batch_size, n)
+            cursor += config.batch_size
+            start, end = xs.indptr[lo], xs.indptr[hi]
+            xb = CSRRows(
+                xs.data[start:end], xs.indices[start:end], xs.indptr[lo : hi + 1] - start,
+                (hi - lo, active.size),
+            )
+            data_loss, grad_w, grad_b = loss_and_grad(wt.T, bias, xb, ys[lo:hi], None, init.head)
+            # ||w||^2 over the active weights in storage order; elementwise ufuncs
+            # keep it off the BLAS thread pool. It can round differently from the
+            # dense objective's sum, so it only shows that the loss is far from
+            # overflow. A loss the trace records, or one that may overflow (or is
+            # NaN), is summed class-major over all weights as the dense step does.
+            norm = float(np.add.reduce(np.square(wt, out=squares), axis=None))
+            loss = data_loss + 0.5 * config.l2 * norm
+            record = step % every == 0 or (early and step == total)
+            if record or not (norm < 1e299 and loss < 1e299):
+                all_squares[:, active] = squares.T
+                loss = data_loss + 0.5 * config.l2 * float(all_squares.sum())
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite loss at step {step}")
+            lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
+            # wt -= lr * (grad_w.T + l2 * wt), operation for operation, in place.
+            np.multiply(wt, config.l2, out=step_t)
+            step_t += grad_w.T
+            step_t *= lr
+            wt -= step_t
+            bias -= lr * grad_b
 
-        if not record:
-            continue
-        if early:
-            score = dev_score()
-            trace.append({"step": step, "loss": loss, "dev_metric": score})
-            if score > best_score:
-                best, best_score, evals_since_best = snapshot(), score, 0
+            if not record:
+                continue
+            if early:
+                score = dev_score()
+                trace.append({"step": step, "loss": loss, "dev_metric": score})
+                if score > best_score:
+                    best, best_score, evals_since_best = snapshot(), score, 0
+                else:
+                    evals_since_best += 1
+                    if evals_since_best >= stop.patience:
+                        break
             else:
-                evals_since_best += 1
-                if evals_since_best >= stop.patience:
-                    break
-        else:
-            checkpoints.append(snapshot())
-            trace.append({"step": step, "loss": loss, "dev_metric": None})
+                checkpoints.append(snapshot())
+                trace.append({"step": step, "loss": loss, "dev_metric": None})
 
     if early:
         return best, trace
-    if not checkpoints:
-        return snapshot(), trace
     return average_checkpoints(checkpoints[-config.stopping.average_last :]), trace
 
 

@@ -422,6 +422,32 @@ class TestSelftrain:
         assert code == EXIT_VALIDATION
         assert "--ood" in _last_stderr_json(capsys)["message"]
 
+    @pytest.mark.parametrize(
+        "overrides, extra, code",
+        [
+            ([], ["--batch", "0"], EXIT_VALIDATION),
+            ([], ["--max-iterations", "0"], EXIT_VALIDATION),
+            ([], ["--pool", "out_only"], EXIT_VALIDATION),
+            (
+                ["--set", "self_training.pool_mode=out_only"],
+                ["--ood", "ood.jsonl", "--max-iterations", "1"],
+                EXIT_OK,
+            ),
+        ],
+    )
+    def test_validate_only_exits_as_the_run_does(self, tmp_path, monkeypatch, overrides, extra, code):
+        """``--validate-only`` exits with the code of the full run, before ``self_train``."""
+        save_dataset(synth_corpus(SynthSpec("keyword-sentiment"), 200, 99), tmp_path / "ood.jsonl")
+        extra = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in extra]
+        out = tmp_path / "st"
+        argv = SMALL + overrides + ["--out", str(out), "--quiet"]
+        run = ["selftrain", "--f0", str(self._save_f0(tmp_path)), *extra]
+        monkeypatch.setattr(cli, "self_train", lambda *args, **kwargs: pytest.fail("self_train ran"))
+        assert main(argv + ["--validate-only"] + run) == code
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(argv + run) == code
+
 
 class TestExperiment:
     ARGS = SMALL + [

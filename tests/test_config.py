@@ -10,15 +10,18 @@ from selfaug.config import (
     build_feature_config,
     build_generator_spec,
     build_st_config,
+    build_ta_config,
     build_train_config,
     load_config,
     parse_override,
     validate_config,
 )
+from selfaug.augmentation import GeneratorSpec, TAConfig
 from selfaug.corpus import ValidationError
 from selfaug.harness import ExperimentSpec
+from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
-from selfaug.textmodel import EarlyStop, FixedSteps
+from selfaug.textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig
 
 
 class TestValidate:
@@ -158,6 +161,19 @@ class TestBuilders:
 
     def test_schema_defaults_match_the_dataclass_defaults(self):
         assert build_experiment_spec(validate_config({})) == ExperimentSpec(task=SynthSpec("keyword-sentiment"))
+
+    @pytest.mark.parametrize(
+        "build, cls",
+        [
+            (build_feature_config, FeatureConfig),
+            (build_train_config, TrainConfig),
+            (build_st_config, SelfTrainConfig),
+            (build_ta_config, TAConfig),
+            (build_generator_spec, GeneratorSpec),
+        ],
+    )
+    def test_each_builder_on_the_schema_defaults_gives_its_class_default(self, build, cls):
+        assert build(load_config()) == cls()
 
     def test_full_experiment_spec(self):
         config = validate_config(

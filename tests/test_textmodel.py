@@ -1,6 +1,5 @@
 """Featurizer, linear model, and trainer tests."""
 
-import gc
 import re
 from dataclasses import replace
 
@@ -21,6 +20,7 @@ from selfaug.textmodel import (
     NumericError,
     TrainConfig,
     _metric_on_matrix,
+    _row_buckets,
     _softmax,
     _stack_rows,
     average_checkpoints,
@@ -72,23 +72,23 @@ class TestFeaturize:
 
     def test_matrix_rows_match_dict(self, small_fc):
         """Each row against ``featurize``: all rows in one call, then one call
-        per row in order and in reverse, each from a cold memo."""
+        per row in order and in reverse, each from a cold cache."""
         cases = [
             [("one two two", None), ("three", None)],
             # Pairs whose segments concatenate to the same text.
             [("ab", "c"), ("a", "bc"), ("abc", None)],
-            # A single segment that spells a pair's memo key.
+            # A single segment that spells the pair ("a", "b") as "{len(a)}:{a}{b}".
             [("a", "b"), ("1:ab", None), ("1:a", "b")],
             # Token-less segments.
             [("...", None), ("...", "..."), ("...", "x y"), ("x y", "..."), ("...", ""), ("x", "y...")],
         ]
         for rows in cases:
             examples = [Example(id=f"m:{i}", segment_a=a, segment_b=b) for i, (a, b) in enumerate(rows)]
-            textmodel._MEMO.clear()
+            _row_buckets.cache_clear()
             together = featurize_matrix(examples, small_fc)
             assert together.shape == (len(examples), small_fc.hash_dim)
             for order in (examples, examples[::-1]):
-                textmodel._MEMO.clear()
+                _row_buckets.cache_clear()
                 apart = {ex.id: featurize_matrix([ex], small_fc) for ex in order}
                 for row, ex in enumerate(examples):
                     vec = featurize(ex, small_fc)
@@ -106,45 +106,26 @@ class TestFeaturize:
         other_bits=st.integers(1, 32),
     )
     def test_matrix_bytes_match_the_per_example_build(self, rows, orders, other_orders, bits, other_bits):
-        """Byte for byte against the former body, with a cold memo, under two
-        configs in alternation, and again with a warm memo."""
+        """Byte for byte against the former body, with a cold cache, under two
+        configs in alternation, and again with a warm cache."""
         examples = [Example(id=f"r:{i}", segment_a=a, segment_b=b) for i, (a, b) in enumerate(rows)]
         config = FeatureConfig(ngram_orders=frozenset(orders), hash_dim=2 ** bits)
         other = FeatureConfig(ngram_orders=frozenset(other_orders), hash_dim=2 ** other_bits)
-        textmodel._MEMO.clear()
+        _row_buckets.cache_clear()
         for fc in (config, other, config, other):
             got = featurize_matrix(examples, fc)
             _assert_same_csr(got, _reference_featurize_matrix(examples, fc), _rule_dtype(got))
 
-    def test_memo_holds_no_tracked_object(self, small_fc):
-        examples = [
-            Example(id="p:0", segment_a="alpha beta", segment_b="gamma"),
-            Example(id="p:1", segment_a="...", segment_b="alpha beta"),
-            Example(id="p:2", segment_a="alpha beta"),
-        ]
-        textmodel._MEMO.clear()
-        featurize_matrix(examples, small_fc)
-        featurize_matrix(examples, FeatureConfig(ngram_orders=frozenset({3}), hash_dim=64))
-        assert sorted(map(len, textmodel._MEMO.values())) == [1, 1, 2, 2]  # singles and pairs per config
-        for inner in textmodel._MEMO.values():
-            assert not gc.is_tracked(inner)
-            assert all(type(k) is str and type(v) is bytes for k, v in inner.items())
-
-    def test_memo_is_cleared_past_its_limit(self, small_fc, monkeypatch):
-        monkeypatch.setattr(textmodel, "_MEMO_LIMIT", 4)
-        textmodel._MEMO.clear()
-        held = 0
-        for i in range(12):
-            # Two distinct rows, one of them twice: one entry per distinct row.
-            examples = [
-                Example(id=f"m:{i}", segment_a=f"w{i} x", segment_b=f"y{i}"),
-                Example(id=f"s:{i}", segment_a=f"y{i}"),
-                Example(id=f"t:{i}", segment_a=f"y{i}"),
-            ]
-            got, ref = featurize_matrix(examples, small_fc), _reference_featurize_matrix(examples, small_fc)
-            _assert_same_csr(got, ref, np.int32)
-            held = 2 if held > 4 else held + 2
-            assert sum(map(len, textmodel._MEMO.values())) == held
+    def test_a_repeated_row_is_one_cache_entry(self, small_fc):
+        row = Example(id="p:0", segment_a="alpha beta", segment_b="gamma")
+        other = FeatureConfig(ngram_orders=frozenset({3}), hash_dim=64)
+        _row_buckets.cache_clear()
+        featurize_matrix([row, row], small_fc)
+        info = _row_buckets.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        featurize_matrix([row], other)
+        assert _row_buckets.cache_info().currsize == 2
+        assert _row_buckets.cache_info().maxsize == 1 << 15
 
 
 def _rule_dtype(m):
@@ -896,6 +877,12 @@ class TestFitMatchesDenseStep:
             _dense_fit(init, x, labels, config)
         with pytest.raises(NumericError, match=f"^{re.escape(str(ref.value))}$"):
             fit(init, x, labels, config)
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_raises_without_a_warning(self):
+        init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+        with pytest.raises(NumericError, match="^non-finite loss at step "):
+            fit(init, x, labels, TrainConfig(learning_rate=1e200, stopping=FixedSteps(10, 10, 1)))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_l2_term_covers_untouched_columns(self):
