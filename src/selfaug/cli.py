@@ -32,6 +32,7 @@ from .config import (
 from .corpus import (
     CorpusError,
     Dataset,
+    LabelSpace,
     ValidationError,
     load_dataset,
     sample_regime,
@@ -50,8 +51,8 @@ from .harness import (
     sweep_curve,
 )
 from .selftrain import POOL_MODES, MissingOODError, mix_pools, self_train
-from .synth import synth_corpus
-from .textmodel import ModelParams, evaluate
+from .synth import FAMILY_CLASSES, synth_corpus
+from .textmodel import ModelParams, check_metric, evaluate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,12 +87,14 @@ def _load_task_corpus(config: dict, seed: int) -> Dataset:
 
 
 def _check_config(config: dict, args):
-    """The experiment spec and its k sweep, built after the task-file label space.
+    """The experiment spec and its k sweep, built after the task-file label space,
+    and its metric checked against the task's labels.
 
     Full construction is full validation.
     """
-    build_task_space(config)
+    space = build_task_space(config)
     spec = build_experiment_spec(config)
+    check_metric(spec.metric, space or LabelSpace.categorical(FAMILY_CLASSES[spec.task.family]))
     return spec, _sweep_ks(config, args, spec)
 
 
@@ -175,6 +178,7 @@ def cmd_selftrain(config: dict, args) -> int:
         pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
     except MissingOODError:
         raise ConfigValidationError("--ood is required for an out-of-domain pool") from None
+    check_metric(exp["metric"], corpus.label_space)
     if args.validate_only:
         return _config_ok(args)
 
@@ -266,8 +270,15 @@ def cmd_validate(config: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so they exit 1 with the JSON error."""
+
+    def error(self, message):
+        raise ConfigValidationError(f"{self.prog}: {message}", {"usage": self.format_usage().strip()})
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="selfaug", description=__doc__)
+    parser = _Parser(prog="selfaug", description=__doc__)
     parser.add_argument("--config", help="YAML/JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="config override (repeatable)")
@@ -306,9 +317,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(args.config, overrides=args.set, seed=args.seed)
         return _COMMANDS[args.command](config, args)
     except CorpusError as exc:  # every bad-input error

@@ -17,11 +17,11 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .augmentation import GeneratorSpec, TAConfig
-from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_count, check_number
+from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_number
 from .harness import ExperimentSpec
 from .selftrain import SelfTrainConfig
 from .synth import SynthSpec
-from .textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig
+from .textmodel import FeatureConfig, TrainConfig
 
 
 class ConfigValidationError(ValidationError):
@@ -76,8 +76,6 @@ SCHEMA: dict[str, dict[str, Any]] = {
         "stopping": "early_stop",
         "patience": 5,
         "eval_every": 20,
-        "fixed_total": 512,
-        "checkpoint_every": 30,
         "average_last": 5,
     },
     "self_training": {
@@ -203,28 +201,11 @@ def build_feature_config(config: Mapping) -> FeatureConfig:
 
 def build_train_config(config: Mapping) -> TrainConfig:
     model = config["model"]
-    # Both stopping kinds' keys are checked, whichever one is selected.
-    for key in ("patience", "eval_every", "fixed_total", "checkpoint_every", "average_last"):
-        check_count(f"model.{key}", model[key])
-    if model["stopping"] == "early_stop":
-        stopping = EarlyStop(patience=model["patience"], eval_every=model["eval_every"])
-    elif model["stopping"] == "fixed_steps":
-        stopping = FixedSteps(
-            total=model["fixed_total"],
-            checkpoint_every=model["checkpoint_every"],
-            average_last=model["average_last"],
-        )
-    else:
-        raise ConfigValidationError(f"unknown stopping kind {model['stopping']!r}")
-    return TrainConfig(
-        learning_rate=model["learning_rate"],
-        batch_size=model["batch_size"],
-        max_steps=model["max_steps"],
-        l2=model["l2"],
-        seed=config["experiment"]["master_seed"],
-        lr_decay=model["lr_decay"],
-        stopping=stopping,
+    keys = (
+        "learning_rate", "batch_size", "max_steps", "l2", "lr_decay",
+        "stopping", "eval_every", "patience", "average_last",
     )
+    return TrainConfig(seed=config["experiment"]["master_seed"], **{key: model[key] for key in keys})
 
 
 def build_generator_spec(config: Mapping) -> GeneratorSpec:

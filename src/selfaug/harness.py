@@ -42,7 +42,6 @@ from .corpus import (
 from .selftrain import POOL_MODES, SelfTrainConfig, mix_pools, self_train
 from .synth import NLI_CLASSES, SynthSpec, synth_corpus
 from .textmodel import (
-    EarlyStop,
     FeatureConfig,
     ModelParams,
     TrainConfig,
@@ -126,7 +125,7 @@ class ExperimentSpec:
         if self.dev_mode not in ("with_dev", "dev_free"):
             raise ValidationError(f"unknown dev_mode {self.dev_mode!r}")
         if self.dev_mode == "dev_free":
-            if isinstance(self.train_config.stopping, EarlyStop):
+            if self.train_config.stopping == "early_stop":
                 raise ValidationError("dev_free mode forbids early stopping")
             if self.st_config.final_finetune_on_l == "auto_by_dev":
                 raise ValidationError(

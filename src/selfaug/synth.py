@@ -28,6 +28,13 @@ from .corpus import Dataset, Example, LabelSpace, ValidationError, check_count, 
 
 NLI_CLASSES = ("entailment", "neutral", "contradiction")
 
+# Each family's label classes, in label-space order.
+FAMILY_CLASSES = {
+    "keyword-sentiment": ("pos", "neg"),
+    "pair-overlap-nli": NLI_CLASSES,
+    "drifted-cluster": ("pos", "neg"),
+}
+
 POSITIVE_WORDS = (
     "good", "great", "excellent", "wonderful", "superb", "delightful",
     "charming", "enjoyable", "brilliant", "moving", "fresh", "engaging",
@@ -172,7 +179,7 @@ def _gen_keyword_sentiment(spec: SynthSpec, size: int, seed: int, name: str) -> 
     noise_rate = float(spec.params.get("noise_rate", 0.0))
     keywords_per = int(spec.params.get("keywords_per_example", 3))
     rng = BlockSampler(seed)
-    space = LabelSpace.categorical(("pos", "neg"))
+    space = LabelSpace.categorical(FAMILY_CLASSES[spec.family])
     examples = []
     for i in range(size):
         label = "pos" if rng.random() < 0.5 else "neg"
@@ -238,7 +245,7 @@ NLI_TRANSFORMS = {
 
 def _gen_pair_overlap_nli(spec: SynthSpec, size: int, seed: int, name: str) -> Dataset:
     rng = BlockSampler(seed)
-    space = LabelSpace.categorical(NLI_CLASSES)
+    space = LabelSpace.categorical(FAMILY_CLASSES[spec.family])
     examples = []
     for i in range(size):
         label = NLI_CLASSES[int(rng.integers(0, 3))]
@@ -258,7 +265,7 @@ def _gen_pair_overlap_nli(spec: SynthSpec, size: int, seed: int, name: str) -> D
 def _gen_drifted_cluster(spec: SynthSpec, size: int, seed: int, name: str) -> Dataset:
     minority_fraction = float(spec.params.get("minority_fraction", 0.2))
     rng = BlockSampler(seed)
-    space = LabelSpace.categorical(("pos", "neg"))
+    space = LabelSpace.categorical(FAMILY_CLASSES[spec.family])
     examples = []
     for i in range(size):
         label = "pos" if rng.random() < 0.5 else "neg"

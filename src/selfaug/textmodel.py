@@ -18,7 +18,7 @@ import re
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence, Union
 
@@ -473,6 +473,19 @@ def _parse_metric(metric: str) -> tuple[str, Optional[str]]:
     raise ValidationError(f"unknown metric {metric!r}")
 
 
+def check_metric(metric: str, space: LabelSpace) -> None:
+    """``metric`` can score labels of ``space``: spearman a continuous space,
+    accuracy or ``f1:<one of its classes>`` a categorical one."""
+    kind, positive = _parse_metric(metric)
+    if space.kind == "continuous":
+        if kind != "spearman":
+            raise ValidationError(f"metric {metric!r} is not defined for a regression head")
+    elif kind == "spearman":
+        raise ValidationError("spearman is not defined for a classification head")
+    elif kind == "f1" and positive not in space.classes:
+        raise ValidationError(f"f1 needs a positive class among {list(space.classes)}, got {metric!r}")
+
+
 def score_predictions(
     predicted: Sequence, gold: Sequence, metric: str
 ) -> float:
@@ -512,12 +525,7 @@ def score_predictions(
 def _metric_on_matrix(
     params: ModelParams, x: CSRRows, gold_labels: Sequence, metric: str
 ) -> float:
-    kind, _ = _parse_metric(metric)
-    if params.head == "regression":
-        if kind in ("accuracy", "f1"):
-            raise ValidationError(f"metric {metric!r} is not defined for a regression head")
-    elif kind == "spearman":
-        raise ValidationError("spearman is not defined for a classification head")
+    check_metric(metric, params.label_space)
     return score_predictions(predict_labels(params, x)[0], gold_labels, metric)
 
 
@@ -551,29 +559,6 @@ def evaluate(
 
 
 @dataclass(frozen=True)
-class EarlyStop:
-    patience: int = 5
-    eval_every: int = 20
-
-    def __post_init__(self):
-        check_count("patience", self.patience)
-        check_count("eval_every", self.eval_every)
-
-
-@dataclass(frozen=True)
-class FixedSteps:
-    total: int = 512
-    checkpoint_every: int = 30
-    average_last: int = 5
-
-    def __post_init__(self):
-        for name in ("total", "checkpoint_every", "average_last"):
-            check_count(name, getattr(self, name))
-        if self.average_last > self.total // self.checkpoint_every:
-            raise ValidationError("average_last exceeds the number of checkpoints")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 32
@@ -581,7 +566,11 @@ class TrainConfig:
     l2: float = 1e-4
     seed: int = 0
     lr_decay: float = 0.0
-    stopping: Union[EarlyStop, FixedSteps] = field(default_factory=EarlyStop)
+    stopping: Literal["early_stop", "fixed_steps"] = "early_stop"
+    # Steps between dev evals, or between checkpoints for fixed_steps.
+    eval_every: int = 20
+    patience: int = 5
+    average_last: int = 5
 
     def __post_init__(self):
         # A positive, finite learning rate and a finite l2 are also what keep
@@ -589,14 +578,18 @@ class TrainConfig:
         check_number("learning_rate", self.learning_rate, open_lo=True)
         check_number("l2", self.l2)
         check_number("lr_decay", self.lr_decay)
-        check_count("batch_size", self.batch_size)
-        check_count("max_steps", self.max_steps)
+        for name in ("batch_size", "max_steps", "eval_every", "patience", "average_last"):
+            check_count(name, getattr(self, name))
         check_count("seed", self.seed, minimum=0)
+        if self.stopping not in ("early_stop", "fixed_steps"):
+            raise ValidationError(f"unknown stopping kind {self.stopping!r}")
+        if self.stopping == "fixed_steps" and self.average_last > self.max_steps // self.eval_every:
+            raise ValidationError("average_last exceeds the number of checkpoints")
 
 
 def fixed_steps(config: TrainConfig, steps: int) -> TrainConfig:
     """``config`` run for exactly ``steps`` SGD steps, keeping the last weights."""
-    return replace(config, max_steps=steps, stopping=FixedSteps(steps, steps, 1))
+    return replace(config, max_steps=steps, stopping="fixed_steps", eval_every=steps, average_last=1)
 
 
 def average_checkpoints(snapshots: Sequence[ModelParams]) -> ModelParams:
@@ -665,7 +658,7 @@ def fit(
         raise ValidationError("training set must be nonempty")
     if x.shape[1] != init.hash_dim:
         raise ValidationError(f"training matrix has {x.shape[1]} columns, the model {init.hash_dim}")
-    early = isinstance(config.stopping, EarlyStop)
+    early = config.stopping == "early_stop"
     if early and dev is None:
         raise ValidationError("early stopping requires a dev set")
     if early and dev[0].shape[1] != init.hash_dim:
@@ -717,8 +710,7 @@ def fit(
         trace.append({"step": 0, "loss": None, "dev_metric": best_score})
 
     checkpoints: list[ModelParams] = []
-    stop = config.stopping
-    total, every = (config.max_steps, stop.eval_every) if early else (stop.total, stop.checkpoint_every)
+    total, every = config.max_steps, config.eval_every
 
     cursor = n  # the first step draws the first permutation
     # A diverging run overflows the squares of its weights; the finite check
@@ -767,7 +759,7 @@ def fit(
                     best, best_score, evals_since_best = snapshot(), score, 0
                 else:
                     evals_since_best += 1
-                    if evals_since_best >= stop.patience:
+                    if evals_since_best >= config.patience:
                         break
             else:
                 checkpoints.append(snapshot())
@@ -775,7 +767,7 @@ def fit(
 
     if early:
         return best, trace
-    return average_checkpoints(checkpoints[-config.stopping.average_last :]), trace
+    return average_checkpoints(checkpoints[-config.average_last :]), trace
 
 
 def train(

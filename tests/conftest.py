@@ -42,9 +42,7 @@ def tiny_dataset(binary_space):
 @pytest.fixture(scope="session")
 def tiny_model(tiny_dataset, small_fc):
     """A classifier trained to saturation on the tiny sentiment set."""
-    from selfaug.textmodel import FixedSteps
-
-    config = TrainConfig(max_steps=60, seed=0, stopping=FixedSteps(60, 60, 1))
+    config = TrainConfig(max_steps=60, seed=0, eval_every=60, average_last=1, stopping="fixed_steps")
     params, _ = train(
         init_params(tiny_dataset.label_space, small_fc),
         tiny_dataset,

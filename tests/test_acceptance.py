@@ -38,7 +38,6 @@ from selfaug.selftrain import SelfTrainConfig, self_train
 from selfaug.synth import SynthSpec, synth_corpus
 from selfaug.textmodel import (
     FeatureConfig,
-    FixedSteps,
     TrainConfig,
     evaluate,
     featurize_matrix,
@@ -182,7 +181,7 @@ def test_criterion_05_filtering_properties():
     aux = synth_corpus(SynthSpec("pair-overlap-nli"), 300, 0)
     clf, _ = train(
         init_params(aux.label_space, FC), aux,
-        TrainConfig(seed=0, stopping=FixedSteps(300, 300, 1)),
+        TrainConfig(seed=0, max_steps=300, eval_every=300, average_last=1, stopping="fixed_steps"),
         feature_config=FC,
     )
     labels = aux.label_space.classes
@@ -227,7 +226,7 @@ def test_criterion_06_tau_selection_oracle():
     aux = synth_corpus(SynthSpec("pair-overlap-nli"), 300, 0)
     clf, _ = train(
         init_params(aux.label_space, FC), aux,
-        TrainConfig(seed=0, stopping=FixedSteps(300, 300, 1)),
+        TrainConfig(seed=0, max_steps=300, eval_every=300, average_last=1, stopping="fixed_steps"),
         feature_config=FC,
     )
     aux_dev = synth_corpus(SynthSpec("pair-overlap-nli", name="aux-dev"), 40, 1)
@@ -268,7 +267,7 @@ def test_criterion_06_tau_selection_oracle():
             clf.copy(),
             featurize_matrix(synthetic.examples, FC),
             [ex.label for ex in synthetic.examples],
-            TrainConfig(seed=seed, max_steps=budget, stopping=FixedSteps(budget, budget, 1)),
+            TrainConfig(seed=seed, max_steps=budget, eval_every=budget, average_last=1, stopping="fixed_steps"),
         )
         score = evaluate(tuned, aux_dev, "accuracy", FC)
         if score > best_score:
@@ -344,7 +343,7 @@ def test_criterion_08_convex_oracle():
     init = init_params(space, FeatureConfig(hash_dim=dim))
     config = TrainConfig(
         learning_rate=0.5, batch_size=n, l2=l2, seed=0, lr_decay=0.001,
-        stopping=FixedSteps(4000, 4000, 1),
+        max_steps=4000, eval_every=4000, average_last=1, stopping="fixed_steps",
     )
     model, _ = fit(init, x, labels, config)
     sgd_loss = loss_and_grad(model.weights, model.bias, x, y, l2)[0]
@@ -391,7 +390,7 @@ def test_criterion_09_checkpoint_averaging():
     x = featurize_matrix(corpus.examples, FC)
     labels = [ex.label for ex in corpus.examples]
     init = init_params(corpus.label_space, FC)
-    config = TrainConfig(seed=4, stopping=FixedSteps(512, 30, 5))
+    config = TrainConfig(seed=4, max_steps=512, eval_every=30, average_last=5, stopping="fixed_steps")
 
     model, trace = fit(init.copy(), x, labels, config)
     assert len(trace) == 17

@@ -28,7 +28,6 @@ from selfaug.corpus import Example, LabelSpace, UnlabeledPool, ValidationError
 from selfaug.synth import NLI_CLASSES, SynthSpec, synth_corpus
 from selfaug.textmodel import (
     FeatureConfig,
-    FixedSteps,
     TrainConfig,
     init_params,
     predict,
@@ -41,7 +40,7 @@ FC = FeatureConfig(hash_dim=2 ** 14)
 @pytest.fixture(scope="module")
 def nli_classifier():
     corpus = synth_corpus(SynthSpec("pair-overlap-nli"), 300, 0)
-    config = TrainConfig(seed=0, max_steps=300, stopping=FixedSteps(300, 300, 1))
+    config = TrainConfig(seed=0, max_steps=300, eval_every=300, average_last=1, stopping="fixed_steps")
     model, _ = train(init_params(corpus.label_space, FC), corpus, config, feature_config=FC)
     return model
 

@@ -26,6 +26,34 @@ def _last_stderr_json(capsys):
     return json.loads(err[-1])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bogus", "experiment"],
+            [],
+            ["selftrain"],
+            ["selftrain", "--f0", "f0.model", "--batch", "abc"],
+            ["selftrain", "--f0", "f0.model", "--mode", "bogus"],
+            ["experiment", "--sweep"],
+            ["--seed", "abc", "validate"],
+            ["bogus"],
+        ],
+    )
+    def test_exits_1_with_json(self, argv, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        payload = _last_stderr_json(capsys)
+        assert payload["code"] == EXIT_VALIDATION
+        assert payload["context"]["usage"].startswith("usage: selfaug")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["selftrain", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: selfaug")
+
+
 class TestValidate:
     def test_ok(self, capsys):
         assert main(["validate"]) == EXIT_OK
@@ -74,12 +102,13 @@ class TestValidate:
             ["model.max_steps=0"],
             ["model.patience=true"],
             ["model.hash_dim=abc"],
-            ["model.stopping=fixed_steps", "model.checkpoint_every=0", "experiment.dev_mode=dev_free"],
-            ["model.stopping=fixed_steps", "model.fixed_total=0"],
+            ["model.stopping=fixed_steps", "model.eval_every=0", "experiment.dev_mode=dev_free"],
+            ["model.stopping=fixed_steps", "model.max_steps=0"],
             ["model.stopping=fixed_steps", "model.average_last=0"],
+            ["model.stopping=fixed_steps", "model.max_steps=60", "model.eval_every=30", "model.average_last=3"],
+            ["model.max_steps=abc"],
+            ["model.eval_every=true"],
             # A stopping kind's keys are checked when the other kind is selected.
-            ["model.fixed_total=abc"],
-            ["model.checkpoint_every=0"],
             ["model.average_last=1.5"],
             ["model.stopping=fixed_steps", "model.patience=abc"],
             ["model.stopping=fixed_steps", "model.eval_every=0"],
@@ -99,6 +128,15 @@ class TestValidate:
         [
             ["experiment.metric=bogus"],
             ["experiment.metric=f1"],
+            # Every synthetic family is categorical, and f1 needs one of its classes.
+            ["experiment.metric=spearman"],
+            ["experiment.metric=f1:bogus"],
+            ["experiment.metric=f1:neutral"],
+            ["experiment.metric=f1:pos", "datasets.task_family=pair-overlap-nli"],
+            [
+                "experiment.metric=accuracy",
+                "datasets.input_path=task.jsonl", "datasets.label_lo=0", "datasets.label_hi=1",
+            ],
             ["experiment.regime=bogus"],
             ["self_training.pool_mode=bogus"],
             ["self_training.pool_mode=bogus", "datasets.ood_family=keyword-sentiment"],
@@ -248,15 +286,17 @@ class TestAugment:
         assert f0.label_space.classes == ("pos", "neg")
 
     def test_no_aux_data_exits_1(self, tmp_path, capsys):
-        # tau=1 keeps no candidate, and the original aux set is excluded.
+        # A tau this close to 1 keeps no candidate, and the original aux set is excluded.
         out = tmp_path / "aug"
         args = self.ARGS + [
-            "--set", "augmentation.tau=1.0",
+            "--set", "augmentation.tau=0.99999",
             "--set", "augmentation.two_stage=false",
             "--set", "augmentation.include_original_aux=false",
         ]
         assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_VALIDATION
-        assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+        payload = _last_stderr_json(capsys)
+        assert payload["code"] == EXIT_VALIDATION
+        assert "intermediate_finetune needs synthetic or original aux data" in payload["message"]
         assert not (out / "f0.model").exists()
 
     def test_bad_task_file_exits_1_before_the_aux_build(self, tmp_path, capsys, monkeypatch):
@@ -428,6 +468,8 @@ class TestSelftrain:
             ([], ["--batch", "0"], EXIT_VALIDATION),
             ([], ["--max-iterations", "0"], EXIT_VALIDATION),
             ([], ["--pool", "out_only"], EXIT_VALIDATION),
+            (["--set", "experiment.metric=f1:bogus"], [], EXIT_VALIDATION),
+            (["--set", "experiment.metric=spearman"], [], EXIT_VALIDATION),
             (
                 ["--set", "self_training.pool_mode=out_only"],
                 ["--ood", "ood.jsonl", "--max-iterations", "1"],
@@ -454,6 +496,24 @@ class TestExperiment:
         "--set", "experiment.arms=[baseline]",
         "--set", "experiment.restarts=2",
     ]
+
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ("spearman", "spearman is not defined for a classification head"),
+            ("f1:bogus", "f1 needs a positive class among ['pos', 'neg']"),
+        ],
+    )
+    @pytest.mark.parametrize("validate_only", [[], ["--validate-only"]])
+    def test_unscorable_metric_exits_1_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, metric, message, validate_only
+    ):
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("run_experiment ran"))
+        out = tmp_path / "exp"
+        argv = self.ARGS + ["--set", f"experiment.metric={metric}", "--out", str(out), *validate_only]
+        assert main(argv + ["experiment"]) == EXIT_VALIDATION
+        assert message in _last_stderr_json(capsys)["message"]
+        assert not out.exists()
 
     def test_artifacts_and_manifest(self, tmp_path):
         out = tmp_path / "exp"

@@ -21,7 +21,7 @@ from selfaug.corpus import ValidationError
 from selfaug.harness import ExperimentSpec
 from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
-from selfaug.textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig
+from selfaug.textmodel import FeatureConfig, TrainConfig, init_params, train
 
 
 class TestValidate:
@@ -108,12 +108,28 @@ class TestBuilders:
 
     def test_train_config_stopping_kinds(self):
         early = build_train_config(validate_config({"model": {"stopping": "early_stop"}}))
-        assert isinstance(early.stopping, EarlyStop)
+        assert early.stopping == "early_stop"
         fixed = build_train_config(validate_config({"model": {"stopping": "fixed_steps"}}))
-        assert isinstance(fixed.stopping, FixedSteps)
-        assert fixed.stopping.total == 512
-        with pytest.raises(ConfigValidationError):
+        assert fixed.stopping == "fixed_steps"
+        assert fixed.max_steps == 300
+        with pytest.raises(ValidationError, match="unknown stopping kind"):
             build_train_config(validate_config({"model": {"stopping": "whenever"}}))
+
+    @pytest.mark.parametrize("key", ["fixed_total", "checkpoint_every"])
+    def test_old_fixed_step_keys_are_unknown(self, key):
+        """``max_steps`` and ``eval_every`` are the fixed-step budget and interval."""
+        with pytest.raises(ConfigValidationError, match=f"unknown key model.{key}"):
+            validate_config({"model": {key: 30}})
+
+    def test_fixed_steps_run_the_max_steps_the_report_records(self, tiny_dataset):
+        model = {"stopping": "fixed_steps", "max_steps": 90, "eval_every": 30, "average_last": 3}
+        config = validate_config({"model": model})
+        fc = build_feature_config(config)
+        _, trace = train(
+            init_params(tiny_dataset.label_space, fc), tiny_dataset, build_train_config(config), feature_config=fc
+        )
+        assert [rec["step"] for rec in trace] == [30, 60, 90]
+        assert build_experiment_spec(config).to_json()["max_steps"] == 90
 
     @pytest.mark.parametrize(
         "model",
@@ -124,10 +140,10 @@ class TestBuilders:
             {"lr_decay": -0.5}, {"lr_decay": float("nan")},
             {"batch_size": 0}, {"batch_size": 2.5}, {"batch_size": True}, {"batch_size": "abc"},
             {"max_steps": 0}, {"patience": 0}, {"patience": False}, {"eval_every": 0},
-            {"stopping": "fixed_steps", "fixed_total": 0},
-            {"stopping": "fixed_steps", "fixed_total": "abc"},
-            {"stopping": "fixed_steps", "checkpoint_every": 0},
-            {"stopping": "fixed_steps", "checkpoint_every": True},
+            {"stopping": "fixed_steps", "max_steps": 0},
+            {"stopping": "fixed_steps", "max_steps": "abc"},
+            {"stopping": "fixed_steps", "eval_every": 0},
+            {"stopping": "fixed_steps", "eval_every": True},
             {"stopping": "fixed_steps", "average_last": 0},
         ],
     )

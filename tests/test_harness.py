@@ -26,7 +26,7 @@ from selfaug.harness import (
 )
 from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
-from selfaug.textmodel import FeatureConfig, FixedSteps, TrainConfig, init_params
+from selfaug.textmodel import FeatureConfig, TrainConfig, init_params
 
 FAST = dict(
     task=SynthSpec("keyword-sentiment"),
@@ -101,7 +101,7 @@ class TestExperimentSpec:
             ExperimentSpec(
                 task=SynthSpec("keyword-sentiment"),
                 dev_mode="dev_free",
-                train_config=TrainConfig(stopping=FixedSteps(90, 30, 2)),
+                train_config=TrainConfig(max_steps=90, eval_every=30, average_last=2, stopping="fixed_steps"),
                 st_config=SelfTrainConfig(final_finetune_on_l="auto_by_dev"),
             )
 
@@ -109,7 +109,7 @@ class TestExperimentSpec:
         spec = ExperimentSpec(
             task=SynthSpec("keyword-sentiment"),
             dev_mode="dev_free",
-            train_config=TrainConfig(stopping=FixedSteps(90, 30, 2)),
+            train_config=TrainConfig(max_steps=90, eval_every=30, average_last=2, stopping="fixed_steps"),
             st_config=SelfTrainConfig(final_finetune_on_l="off"),
         )
         assert spec.dev_mode == "dev_free"

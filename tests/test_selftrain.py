@@ -25,7 +25,7 @@ from selfaug.selftrain import (
     self_train,
 )
 from selfaug.synth import SynthSpec, synth_corpus
-from selfaug.textmodel import FeatureConfig, FixedSteps, TrainConfig, init_params
+from selfaug.textmodel import FeatureConfig, TrainConfig, init_params
 
 FC = FeatureConfig(hash_dim=2 ** 14)
 
@@ -121,7 +121,7 @@ class TestBroadSelfTrain:
             self_train(
                 f0, split.train, split.pool, dev=None,
                 st_config=SelfTrainConfig(final_finetune_on_l="auto_by_dev"),
-                train_config=TrainConfig(seed=0, stopping=FixedSteps(30, 30, 1)),
+                train_config=TrainConfig(seed=0, max_steps=30, eval_every=30, average_last=1, stopping="fixed_steps"),
                 feature_config=FC,
             )
 
@@ -155,7 +155,7 @@ class TestBroadSelfTrain:
             self_train(
                 f0, split.train, split.pool, dev=None,
                 st_config=SelfTrainConfig(dev_patience=1, final_finetune_on_l="off"),
-                train_config=TrainConfig(seed=0, stopping=FixedSteps(30, 30, 1)),
+                train_config=TrainConfig(seed=0, max_steps=30, eval_every=30, average_last=1, stopping="fixed_steps"),
                 feature_config=FC,
             )
 

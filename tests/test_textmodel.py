@@ -13,9 +13,7 @@ import selfaug.textmodel as textmodel
 from selfaug.corpus import Dataset, Example, LabelSpace, ValidationError
 from selfaug.textmodel import (
     CSRRows,
-    EarlyStop,
     FeatureConfig,
-    FixedSteps,
     ModelParams,
     NumericError,
     TrainConfig,
@@ -385,7 +383,8 @@ class TestPredictLabels:
         )
         model, _ = train(
             init_params(space, small_fc), Dataset("three", space, examples),
-            TrainConfig(seed=0, stopping=FixedSteps(40, 40, 1)), feature_config=small_fc,
+            TrainConfig(seed=0, max_steps=40, eval_every=40, average_last=1, stopping="fixed_steps"),
+            feature_config=small_fc,
         )
         labels, _ = self._check_against_predict(model, small_fc)
         assert set(labels) == {"pos", "neg", "neutral"}
@@ -570,7 +569,7 @@ def _training_setup(small_fc, tiny_dataset):
 class TestFit:
     def test_determinism_per_seed(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
-        config = TrainConfig(seed=3, stopping=FixedSteps(60, 30, 2), max_steps=60)
+        config = TrainConfig(seed=3, max_steps=60, eval_every=30, average_last=2, stopping="fixed_steps")
         a, _ = fit(init.copy(), x, labels, config)
         b, _ = fit(init.copy(), x, labels, config)
         assert a.to_bytes() == b.to_bytes()
@@ -578,11 +577,11 @@ class TestFit:
     def test_early_stop_requires_dev(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
         with pytest.raises(ValidationError):
-            fit(init, x, labels, TrainConfig(stopping=EarlyStop()))
+            fit(init, x, labels, TrainConfig())
 
     def test_early_stop_keeps_best_checkpoint(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
-        config = TrainConfig(seed=0, max_steps=200, stopping=EarlyStop(patience=3, eval_every=10))
+        config = TrainConfig(seed=0, max_steps=200, patience=3, eval_every=10)
         model, trace = fit(init, x, labels, config, dev=(x, labels))
         best = max(rec["dev_metric"] for rec in trace)
         got = evaluate(
@@ -598,26 +597,27 @@ class TestFit:
         x, labels, init = _training_setup(small_fc, tiny_dataset)
         # Dev labels inverted: any learning hurts, so step 0 stays best.
         inverted = ["neg" if l == "pos" else "pos" for l in labels]
-        config = TrainConfig(seed=0, max_steps=100, stopping=EarlyStop(patience=2, eval_every=10))
+        config = TrainConfig(seed=0, max_steps=100, patience=2, eval_every=10)
         model, trace = fit(init.copy(), x, labels, config, dev=(x, inverted))
         assert trace[0]["step"] == 0
         assert model.to_bytes() == init.to_bytes()
 
     def test_fixed_steps_checkpoint_count(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
-        config = TrainConfig(seed=1, stopping=FixedSteps(90, 30, 2))
+        config = TrainConfig(seed=1, max_steps=90, eval_every=30, average_last=2, stopping="fixed_steps")
         _, trace = fit(init, x, labels, config)
         assert [rec["step"] for rec in trace] == [30, 60, 90]
 
     def test_average_last_validated(self):
         with pytest.raises(ValidationError):
-            FixedSteps(total=60, checkpoint_every=30, average_last=3)
+            TrainConfig(max_steps=60, eval_every=30, average_last=3, stopping="fixed_steps")
+        TrainConfig(max_steps=60, eval_every=30, average_last=3)  # early stopping averages nothing
 
     def test_empty_training_set_rejected(self, small_fc, binary_space):
         init = init_params(binary_space, small_fc)
         empty = sp.csr_matrix((0, small_fc.hash_dim))
         with pytest.raises(ValidationError):
-            fit(init, empty, [], TrainConfig(stopping=FixedSteps(10, 10, 1)))
+            fit(init, empty, [], TrainConfig(max_steps=10, eval_every=10, average_last=1, stopping="fixed_steps"))
 
     @pytest.mark.parametrize("n, batch_size", [(5, 32), (40, 16), (40, 40)])
     @pytest.mark.parametrize("early", [False, True])
@@ -626,14 +626,14 @@ class TestFit:
         out = fresh_python(f"""
 import sys
 from selfaug.corpus import Example, LabelSpace
-from selfaug.textmodel import EarlyStop, FeatureConfig, FixedSteps, TrainConfig, featurize_matrix, fit, init_params
+from selfaug.textmodel import FeatureConfig, TrainConfig, featurize_matrix, fit, init_params
 
 fc = FeatureConfig(hash_dim=2 ** 12)
 space = LabelSpace.categorical(("a", "b", "c"))
 x = featurize_matrix([Example(id=str(i), segment_a=f"w{{i % 7}} v{{i % 5}} u") for i in range({n})], fc)
 labels = [space.classes[i % 3] for i in range({n})]
-stopping = EarlyStop(patience=10, eval_every=10) if {early} else FixedSteps(60, 20, 2)
-config = TrainConfig(seed=3, batch_size={batch_size}, max_steps=60, stopping=stopping)
+stopping = dict(patience=10, eval_every=10) if {early} else dict(eval_every=20, average_last=2, stopping="fixed_steps")
+config = TrainConfig(seed=3, batch_size={batch_size}, max_steps=60, **stopping)
 fit(init_params(space, fc), x, labels, config, dev=(x, labels) if {early} else None)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
@@ -641,8 +641,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
     def test_lr_decay_changes_result(self, small_fc, tiny_dataset):
         x, labels, init = _training_setup(small_fc, tiny_dataset)
-        base = TrainConfig(seed=0, stopping=FixedSteps(60, 60, 1))
-        decayed = TrainConfig(seed=0, lr_decay=0.5, stopping=FixedSteps(60, 60, 1))
+        base = TrainConfig(seed=0, max_steps=60, eval_every=60, average_last=1, stopping="fixed_steps")
+        decayed = TrainConfig(seed=0, lr_decay=0.5, max_steps=60, eval_every=60, average_last=1, stopping="fixed_steps")
         a, _ = fit(init.copy(), x, labels, base)
         b, _ = fit(init.copy(), x, labels, decayed)
         assert a.to_bytes() != b.to_bytes()
@@ -668,8 +668,9 @@ class TestTrain:
     def test_requires_labels(self, small_fc, binary_space):
         ds = Dataset("u", binary_space, (Example(id="u:0", segment_a="x"),))
         init = init_params(binary_space, small_fc)
+        config = TrainConfig(max_steps=10, eval_every=10, average_last=1, stopping="fixed_steps")
         with pytest.raises(ValidationError):
-            train(init, ds, TrainConfig(stopping=FixedSteps(10, 10, 1)), feature_config=small_fc)
+            train(init, ds, config, feature_config=small_fc)
 
     def test_unlabeled_dev_row_rejected(self, tiny_dataset, small_fc, binary_space):
         """The early-stopping dev set is checked like the training set, by name."""
@@ -695,7 +696,7 @@ class TestTrain:
         ds = Dataset("reg", space, examples)
         init = init_params(space, small_fc)
         model, _ = train(
-            init, ds, TrainConfig(seed=0, stopping=FixedSteps(200, 200, 1)),
+            init, ds, TrainConfig(seed=0, max_steps=200, eval_every=200, average_last=1, stopping="fixed_steps"),
             feature_config=small_fc,
         )
         rho = evaluate(model, ds, "spearman", small_fc)
@@ -718,13 +719,13 @@ def _dense_fit(init, x, labels, config, dev=None, metric="accuracy"):
     def score(p):
         return _metric_on_matrix(p, dev[0], dev[1], metric)
 
-    early = isinstance(config.stopping, EarlyStop)
+    early = config.stopping == "early_stop"
     trace, checkpoints = [], []
     if early:
         best = snap()
         best_score, since_best = score(best), 0
         trace.append({"step": 0, "loss": None, "dev_metric": best_score})
-    total = config.max_steps if early else config.stopping.total
+    total = config.max_steps
     rng = np.random.default_rng(config.seed)
     order, cursor = rng.permutation(x.shape[0]), 0
     for step in range(1, total + 1):
@@ -738,7 +739,7 @@ def _dense_fit(init, x, labels, config, dev=None, metric="accuracy"):
         lr = config.learning_rate / (1.0 + config.lr_decay * (step - 1))
         w -= lr * gw
         b -= lr * gb
-        if early and (step % config.stopping.eval_every == 0 or step == total):
+        if early and (step % config.eval_every == 0 or step == total):
             current = snap()
             s = score(current)
             trace.append({"step": step, "loss": loss, "dev_metric": s})
@@ -746,16 +747,16 @@ def _dense_fit(init, x, labels, config, dev=None, metric="accuracy"):
                 best, best_score, since_best = current, s, 0
             else:
                 since_best += 1
-                if since_best >= config.stopping.patience:
+                if since_best >= config.patience:
                     break
-        elif not early and step % config.stopping.checkpoint_every == 0:
+        elif not early and step % config.eval_every == 0:
             checkpoints.append(snap())
             trace.append({"step": step, "loss": loss, "dev_metric": None})
     if early:
         return best, trace
     if not checkpoints:
         return snap(), trace
-    return average_checkpoints(checkpoints[-config.stopping.average_last :]), trace
+    return average_checkpoints(checkpoints[-config.average_last :]), trace
 
 
 def _random_rows(rng, n, hash_dim, nnz):
@@ -812,28 +813,28 @@ def _parity_case(case):
         init.weights[:, x.indices] = -0.0
     elif case == "huge-init":
         init.weights[1, untouched[0]] = 1e152  # its square alone exceeds the 1e300 margin
-    fixed = FixedSteps(60, 20, 3)
+    fixed = dict(max_steps=60, eval_every=20, average_last=3, stopping="fixed_steps")
     config = {
-        "early-stop-zeros": TrainConfig(seed=2, max_steps=200, stopping=EarlyStop(patience=2, eval_every=10)),
+        "early-stop-zeros": TrainConfig(seed=2, max_steps=200, patience=2, eval_every=10),
         # A large l2 makes the trace's loss show the rounding of the L2 sum.
-        "fixed-avg-random": TrainConfig(seed=2, l2=0.5, stopping=fixed),
-        "regression-zeros": TrainConfig(seed=3, stopping=fixed),
-        "regression-random": TrainConfig(seed=3, max_steps=80, stopping=EarlyStop(patience=3, eval_every=20)),
+        "fixed-avg-random": TrainConfig(seed=2, l2=0.5, **fixed),
+        "regression-zeros": TrainConfig(seed=3, **fixed),
+        "regression-random": TrainConfig(seed=3, max_steps=80, patience=3, eval_every=20),
         # Early stopping returns a snapshot as it is; averaging would add +0.0.
-        "negative-zero": TrainConfig(seed=4, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
-        "lr-decay": TrainConfig(seed=4, lr_decay=0.05, stopping=fixed),
-        "full-batch": TrainConfig(seed=6, batch_size=64, stopping=fixed),
-        "single-column": TrainConfig(seed=6, batch_size=3, stopping=fixed),
-        "hash-2^18": TrainConfig(seed=7, stopping=FixedSteps(40, 20, 2)),
-        "disjoint-init": TrainConfig(seed=8, l2=0.5, stopping=fixed),
-        "signed-zero-inactive": TrainConfig(seed=8, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
+        "negative-zero": TrainConfig(seed=4, max_steps=60, patience=6, eval_every=10),
+        "lr-decay": TrainConfig(seed=4, lr_decay=0.05, **fixed),
+        "full-batch": TrainConfig(seed=6, batch_size=64, **fixed),
+        "single-column": TrainConfig(seed=6, batch_size=3, **fixed),
+        "hash-2^18": TrainConfig(seed=7, max_steps=40, eval_every=20, average_last=2, stopping="fixed_steps"),
+        "disjoint-init": TrainConfig(seed=8, l2=0.5, **fixed),
+        "signed-zero-inactive": TrainConfig(seed=8, max_steps=60, patience=6, eval_every=10),
         # One row per step and a snapshot per step: the best one holds columns
         # that are active but not yet touched, decayed from -0.0.
-        "signed-zero-active": TrainConfig(seed=1, batch_size=1, max_steps=40, stopping=EarlyStop(patience=40, eval_every=1)),
-        "huge-init": TrainConfig(seed=9, max_steps=60, stopping=EarlyStop(patience=6, eval_every=10)),
+        "signed-zero-active": TrainConfig(seed=1, batch_size=1, max_steps=40, patience=40, eval_every=1),
+        "huge-init": TrainConfig(seed=9, max_steps=60, patience=6, eval_every=10),
     }[case]
     metric = "spearman" if head == "regression" else "accuracy"
-    dev = (_random_rows(rng, 20, hash_dim, 12), labels[:20]) if isinstance(config.stopping, EarlyStop) else None
+    dev = (_random_rows(rng, 20, hash_dim, 12), labels[:20]) if config.stopping == "early_stop" else None
     return init, x, labels, config, dev, metric
 
 
@@ -872,7 +873,9 @@ class TestFitMatchesDenseStep:
     @pytest.mark.parametrize("learning_rate", [1e5, 1e7, 1e160])
     def test_divergence_raises_at_the_reference_step(self, learning_rate):
         init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
-        config = TrainConfig(seed=2, learning_rate=learning_rate, stopping=FixedSteps(400, 400, 1))
+        config = TrainConfig(
+            seed=2, learning_rate=learning_rate, max_steps=400, eval_every=400, average_last=1, stopping="fixed_steps"
+        )
         with pytest.raises(NumericError) as ref:
             _dense_fit(init, x, labels, config)
         with pytest.raises(NumericError, match=f"^{re.escape(str(ref.value))}$"):
@@ -881,19 +884,20 @@ class TestFitMatchesDenseStep:
     @pytest.mark.filterwarnings("error")
     def test_divergence_raises_without_a_warning(self):
         init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
+        config = TrainConfig(learning_rate=1e200, max_steps=10, eval_every=10, average_last=1, stopping="fixed_steps")
         with pytest.raises(NumericError, match="^non-finite loss at step "):
-            fit(init, x, labels, TrainConfig(learning_rate=1e200, stopping=FixedSteps(10, 10, 1)))
+            fit(init, x, labels, config)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_l2_term_covers_untouched_columns(self):
         """A weight no row touches can still make the objective non-finite."""
         cases = [
             # Finite, but its square is not.
-            (1e200, TrainConfig(stopping=FixedSteps(10, 10, 1))),
+            (1e200, TrainConfig(max_steps=10, eval_every=10, average_last=1, stopping="fixed_steps")),
             # ||w||^2 = 1e290 is finite; only 0.5 * l2 * ||w||^2 overflows, at
             # a step that records no loss. The tiny learning rate keeps the
             # weight there.
-            (1e145, TrainConfig(l2=1e20, learning_rate=1e-30, stopping=FixedSteps(3, 3, 1))),
+            (1e145, TrainConfig(l2=1e20, learning_rate=1e-30, max_steps=3, eval_every=3, average_last=1, stopping="fixed_steps")),
         ]
         for weight, config in cases:
             init, x, labels, _, _, _ = _parity_case("fixed-avg-random")
@@ -955,8 +959,9 @@ class TestFitMatchesDenseStep:
         else:
             labels = list(rng.uniform(0.0, 3.0, len(rows)))
         early = eval_every > 0
-        stopping = EarlyStop(patience=3, eval_every=eval_every) if early else FixedSteps(30, 10, 2)
-        config = TrainConfig(seed=seed, batch_size=batch_size, max_steps=30, l2=l2, lr_decay=lr_decay, stopping=stopping)
+        fixed = dict(eval_every=10, average_last=2, stopping="fixed_steps")
+        stopping = dict(patience=3, eval_every=eval_every) if early else fixed
+        config = TrainConfig(seed=seed, batch_size=batch_size, max_steps=30, l2=l2, lr_decay=lr_decay, **stopping)
         metric = "accuracy" if head == "classification" else "spearman"
         dev = (x, labels) if early else None
         before = init.to_bytes()
@@ -973,7 +978,7 @@ class TestFitMatchesDenseStep:
         calls = []
         step = textmodel.loss_and_grad
         monkeypatch.setattr(textmodel, "loss_and_grad", lambda *args: calls.append(args) or step(*args))
-        fit(init, x, labels, TrainConfig(stopping=FixedSteps(37, 10, 2)))
+        fit(init, x, labels, TrainConfig(max_steps=37, eval_every=10, average_last=2, stopping="fixed_steps"))
         assert len(calls) == 37
 
 
@@ -1002,7 +1007,7 @@ class TestFitDevColumns:
         else:
             labels = list(rng.uniform(0.0, 3.0, 30))
             dev_labels = list(rng.uniform(0.0, 3.0, dev_x.shape[0]))
-        config = TrainConfig(seed=5, batch_size=8, max_steps=40, stopping=EarlyStop(patience=40, eval_every=1))
+        config = TrainConfig(seed=5, batch_size=8, max_steps=40, patience=40, eval_every=1)
         metric = "accuracy" if head == "classification" else "spearman"
         model, trace = fit(init, x, labels, config, dev=(dev_x, dev_labels), metric=metric)
         ref, ref_trace = _dense_fit(init, x, labels, config, dev=(dev_x, dev_labels), metric=metric)
@@ -1013,13 +1018,13 @@ class TestFitDevColumns:
         x, labels, init = _training_setup(small_fc, tiny_dataset)
         narrow = sp.csr_matrix((x.data, x.indices % 64, x.indptr), shape=(x.shape[0], 64))
         with pytest.raises(ValidationError, match="dev matrix has 64 columns"):
-            fit(init, x, labels, TrainConfig(stopping=EarlyStop()), dev=(narrow, labels))
+            fit(init, x, labels, TrainConfig(), dev=(narrow, labels))
 
     def test_training_matrix_must_match_the_model_width(self, small_fc, tiny_dataset):
         x, labels, _ = _training_setup(small_fc, tiny_dataset)
         narrow_init = init_params(tiny_dataset.label_space, FeatureConfig(hash_dim=64))
         with pytest.raises(ValidationError, match=f"training matrix has {x.shape[1]} columns, the model 64"):
-            fit(narrow_init, x, labels, TrainConfig(stopping=FixedSteps(4, 2, 1)))
+            fit(narrow_init, x, labels, TrainConfig(max_steps=4, eval_every=2, average_last=1, stopping="fixed_steps"))
 
 
 def _overflow_boundary_init(init, x, dense_overflows, scale=0):

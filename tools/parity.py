@@ -16,7 +16,11 @@ keyword-sentiment out-of-domain corpus (``noise_rate`` 0.3), once with
 ``pool_mode`` ``in_plus_out`` and once with ``out_only``: no workload mixes
 an out-of-domain pool in. A divergence leg runs ``baseline`` at 1 restart
 with ``learning_rate`` 1e200: training raises a non-finite loss, the run
-exits 2, and ``report.json`` records the step that raised.
+exits 2, and ``report.json`` records the step that raised. A fixed-step leg
+runs ``baseline`` and ``ta-st`` on pair-overlap-nli at 2 restarts in the
+dev-free protocol: ``model.stopping`` ``fixed_steps`` with 512 steps and a
+checkpoint every 30, 2 self-training iterations and final fine-tuning on.
+No other leg trains on a fixed step budget with checkpoint averaging.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
@@ -67,6 +71,17 @@ DIVERGENCE_ARGV = [
     "--set", "model.learning_rate=1.0e+200",
     "--set", "experiment.arms=[baseline]",
     "--set", "experiment.restarts=1",
+]
+FIXED_STEPS_ARGV = [
+    "--set", "datasets.task_family=pair-overlap-nli",
+    "--set", "model.stopping=fixed_steps",
+    "--set", "model.max_steps=512",
+    "--set", "model.eval_every=30",
+    "--set", "experiment.dev_mode=dev_free",
+    "--set", "self_training.final_finetune_on_l='on'",
+    "--set", "experiment.arms=[baseline, ta-st]",
+    "--set", "experiment.restarts=2",
+    "--set", "self_training.max_iterations=2",
 ]
 TASK_FILE_ARGV = [
     "--set", "datasets.task_family=pair-overlap-nli",
@@ -162,6 +177,7 @@ def main(argv=None) -> int:
         for mode in ("in_plus_out", "out_only") for seed in seeds
     ]
     legs += [(f"divergence seed {seed}", experiment_leg, seed, DIVERGENCE_ARGV) for seed in seeds]
+    legs += [(f"fixed-steps seed {seed}", experiment_leg, seed, FIXED_STEPS_ARGV) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     legs += [(f"task-file seed {seed}", task_file_leg, seed, TASK_FILE_ARGV) for seed in seeds]
     differences = 0
