@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .augmentation import write_ta_jsonl
@@ -33,7 +32,6 @@ from .corpus import (
     CorpusError,
     Dataset,
     LabelSpace,
-    ValidationError,
     load_dataset,
     sample_regime,
     save_dataset,
@@ -50,7 +48,7 @@ from .harness import (
     run_per_k,
     sweep_curve,
 )
-from .selftrain import POOL_MODES, MissingOODError, mix_pools, self_train
+from .selftrain import MissingOODError, mix_pools, self_train
 from .synth import FAMILY_CLASSES, synth_corpus
 from .textmodel import ModelParams, check_metric, evaluate
 
@@ -86,7 +84,7 @@ def _load_task_corpus(config: dict, seed: int) -> Dataset:
     return synth_corpus(build_task_spec(config), ds["train_partition_size"], seed)
 
 
-def _check_config(config: dict, args):
+def _check_config(config: dict):
     """The experiment spec and its k sweep, built after the task-file label space,
     and its metric checked against the task's labels.
 
@@ -95,7 +93,7 @@ def _check_config(config: dict, args):
     space = build_task_space(config)
     spec = build_experiment_spec(config)
     check_metric(spec.metric, space or LabelSpace.categorical(FAMILY_CLASSES[spec.task.family]))
-    return spec, _sweep_ks(config, args, spec)
+    return spec, _sweep_ks(config, spec)
 
 
 def _config_ok(args) -> int:
@@ -154,14 +152,6 @@ def cmd_selftrain(config: dict, args) -> int:
     fc = build_feature_config(config)
     tc = build_train_config(config)
     st_cfg = build_st_config(config)
-    if args.max_iterations is not None:
-        st_cfg = replace(st_cfg, max_iterations=args.max_iterations)
-    if args.mode is not None:
-        st_cfg = replace(
-            st_cfg, mode={"broad": "broad", "confidence-filter": "confidence_filtering"}[args.mode]
-        )
-    if args.batch is not None:
-        st_cfg = replace(st_cfg, cf_batch=args.batch)
 
     f0 = ModelParams.load(args.f0)
     corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))
@@ -172,7 +162,7 @@ def cmd_selftrain(config: dict, args) -> int:
         )
     exp = config["experiment"]
     split = sample_regime(corpus, exp["regime"], exp["k"], derive_seed(master_seed, "restart", 0))
-    pool_mode = args.pool or config["self_training"]["pool_mode"]
+    pool_mode = config["self_training"]["pool_mode"]
     ood = load_dataset(args.ood, "jsonl", corpus.label_space) if args.ood else None
     try:
         pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
@@ -205,14 +195,9 @@ def cmd_selftrain(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _sweep_ks(config: dict, args, spec) -> list[int]:
-    """The checked k sweep of ``--sweep`` or ``experiment.sweep_ks``; [] for none."""
+def _sweep_ks(config: dict, spec) -> list[int]:
+    """The checked k sweep of ``experiment.sweep_ks``; [] for none."""
     ks = config["experiment"]["sweep_ks"]
-    if getattr(args, "sweep", None):
-        try:
-            ks = [int(k) for k in args.sweep.split(",")]
-        except ValueError:
-            raise ValidationError(f"--sweep must list integers, got {args.sweep!r}") from None
     if ks is None or ks == []:
         return []
     check_sweep_ks(spec, ks)
@@ -226,7 +211,7 @@ def cmd_experiment(config: dict, args) -> int:
             "datasets.input_path is not read by experiment, which synthesizes its task corpus",
             {"section": "datasets", "key": "input_path"},
         )
-    spec, sweep_ks = _check_config(config, args)
+    spec, sweep_ks = _check_config(config)
     if args.validate_only:
         return _config_ok(args)
     out_dir = Path(args.out or "experiment-out")
@@ -261,7 +246,7 @@ def cmd_experiment(config: dict, args) -> int:
 
 
 def cmd_validate(config: dict, args) -> int:
-    _check_config(config, args)
+    _check_config(config)
     return _config_ok(args)
 
 
@@ -294,14 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("selftrain", help="run self-training from a saved base model")
     p_st.add_argument("--f0", required=True, help="base model snapshot path")
-    p_st.add_argument("--mode", choices=["broad", "confidence-filter"])
-    p_st.add_argument("--batch", type=int)
-    p_st.add_argument("--max-iterations", type=int)
-    p_st.add_argument("--pool", choices=POOL_MODES)
     p_st.add_argument("--ood", help="out-of-domain pool (JSONL)")
 
-    p_exp = sub.add_parser("experiment", help="run the experiment harness")
-    p_exp.add_argument("--sweep", help="comma-separated k values for a sample-efficiency sweep")
+    sub.add_parser("experiment", help="run the experiment harness")
 
     sub.add_parser("validate", help="validate a config file")
     return parser

@@ -344,6 +344,7 @@ def sample_regime(
     Remaining examples become the unlabeled pool with labels stripped.
     ``test`` is carried through unchanged when given.
     """
+    check_count("k", k)
     for ex in dataset.examples:
         if ex.label is None:
             raise ValidationError(f"sample_regime requires full labels; {ex.id!r} has none")

@@ -43,7 +43,6 @@ class SelfTrainConfig:
     max_iterations: int = 30
     agreement_threshold: float = 0.999
     agreement_patience: int = 2
-    dev_patience: Optional[int] = None
     final_finetune_on_l: Literal["on", "off", "auto_by_dev"] = "auto_by_dev"
     drop_lowest_confidence_fraction: float = 0.0
     mode: Literal["broad", "confidence_filtering"] = "broad"
@@ -52,8 +51,6 @@ class SelfTrainConfig:
     def __post_init__(self):
         for name in ("max_iterations", "agreement_patience", "cf_batch"):
             check_count(name, getattr(self, name))
-        if self.dev_patience is not None:
-            check_count("dev_patience", self.dev_patience)
         check_number("agreement_threshold", self.agreement_threshold, hi=1)
         check_number("drop_lowest_confidence_fraction", self.drop_lowest_confidence_fraction, hi=1, open_hi=True)
         if self.mode not in ("broad", "confidence_filtering"):
@@ -65,7 +62,9 @@ class SelfTrainConfig:
             )
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # dev_patience, a deleted setting, is written as null so report.json and
+        # result.json keep their bytes.
+        return {**asdict(self), "dev_patience": None}
 
 
 @dataclass
@@ -143,8 +142,7 @@ def self_train(
 
     - ``broad`` re-annotates the whole pool (minus the optional
       lowest-confidence fraction). It terminates on successive pseudo-label
-      agreement (with patience), on dev-metric patience, or at
-      ``max_iterations``.
+      agreement (with patience) or at ``max_iterations``.
     - ``confidence_filtering`` moves the ``cf_batch`` most confident remaining
       examples permanently into the labeled set with their labels frozen, and
       ends when the pool is exhausted. It needs no dev set and never
@@ -160,13 +158,9 @@ def self_train(
         raise UnsupportedModeError("confidence filtering requires a classification head")
     if len(labeled) == 0 or len(pool) == 0:
         raise ValidationError("self_train requires nonempty labeled data and pool")
-    needs_dev = broad and (
-        st_config.final_finetune_on_l == "auto_by_dev" or st_config.dev_patience
-    )
+    needs_dev = broad and st_config.final_finetune_on_l == "auto_by_dev"
     if needs_dev and (dev is None or len(dev) == 0):
-        raise ValidationError(
-            "a dev set is required for auto final fine-tuning or dev-metric patience"
-        )
+        raise ValidationError("a dev set is required for auto final fine-tuning")
     if f0.head == "regression" and st_config.drop_lowest_confidence_fraction > 0:
         raise ValidationError("confidence-based dropping is undefined for regression")
 
@@ -195,8 +189,6 @@ def self_train(
     prev_labels: Optional[list] = None
     consec_agreement = 0
     converged_at = None
-    best_dev = -np.inf
-    dev_stall = 0
     remaining = np.arange(len(pool_ids))
     # Broad mode rebuilds these each iteration; confidence filtering only appends.
     train_idx: list[int] = []
@@ -261,15 +253,6 @@ def self_train(
         if consec_agreement >= st_config.agreement_patience:
             converged_at = t
             break
-        if st_config.dev_patience and dev_pack:
-            score = record["dev_metric"]
-            if score > best_dev:
-                best_dev, dev_stall = score, 0
-            else:
-                dev_stall += 1
-                if dev_stall >= st_config.dev_patience:
-                    converged_at = t
-                    break
 
     return SelfTrainResult(
         final_model=teacher,

@@ -293,5 +293,6 @@ _FAMILIES = {
 
 def synth_corpus(spec: SynthSpec, size: int, seed: int) -> Dataset:
     """Generate a deterministic synthetic dataset for one shipped family."""
+    check_count("size", size)
     name = spec.name or f"{spec.family}-{seed}"
     return _FAMILIES[spec.family](spec, size, seed, name)

@@ -33,9 +33,6 @@ class TestUsageErrors:
             ["--bogus", "experiment"],
             [],
             ["selftrain"],
-            ["selftrain", "--f0", "f0.model", "--batch", "abc"],
-            ["selftrain", "--f0", "f0.model", "--mode", "bogus"],
-            ["experiment", "--sweep"],
             ["--seed", "abc", "validate"],
             ["bogus"],
         ],
@@ -44,6 +41,24 @@ class TestUsageErrors:
         assert main(argv) == EXIT_VALIDATION
         payload = _last_stderr_json(capsys)
         assert payload["code"] == EXIT_VALIDATION
+        assert payload["context"]["usage"].startswith("usage: selfaug")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["selftrain", "--f0", "f0.model", "--mode", "broad"],
+            ["selftrain", "--f0", "f0.model", "--batch", "16"],
+            ["selftrain", "--f0", "f0.model", "--max-iterations", "2"],
+            ["selftrain", "--f0", "f0.model", "--pool", "in_only"],
+            ["experiment", "--sweep", "4,8"],
+        ],
+    )
+    def test_config_key_is_the_only_spelling(self, argv, tmp_path, capsys, monkeypatch):
+        """These settings are set through ``self_training.*`` and ``experiment.sweep_ks`` alone."""
+        monkeypatch.chdir(tmp_path)  # a tree that still took the option would write its default --out here
+        assert main(argv) == EXIT_VALIDATION
+        payload = _last_stderr_json(capsys)
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in payload["message"]
         assert payload["context"]["usage"].startswith("usage: selfaug")
 
     @pytest.mark.parametrize("argv", [["--help"], ["selftrain", "--help"]])
@@ -223,9 +238,9 @@ class TestValidate:
     def test_good_sweep_ok(self, sweep):
         assert main(["--set", f"experiment.sweep_ks={sweep}", "--quiet", "validate"]) == EXIT_OK
 
-    def test_validate_only_checks_the_sweep_option(self, capsys):
-        assert main(["--validate-only", "experiment", "--sweep", "4,abc"]) == EXIT_VALIDATION
-        assert "--sweep" in _last_stderr_json(capsys)["message"]
+    def test_validate_only_checks_the_sweep(self, capsys):
+        assert main(["--set", "experiment.sweep_ks=[4, abc]", "--validate-only", "experiment"]) == EXIT_VALIDATION
+        assert "sweep k" in _last_stderr_json(capsys)["message"]
 
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
@@ -347,8 +362,8 @@ class TestSelftrain:
         out = tmp_path / "st"
         code = main(
             SMALL + [
-                "--out", str(out), "--quiet", "selftrain",
-                "--f0", str(f0_path), "--max-iterations", "2",
+                "--set", "self_training.max_iterations=2",
+                "--out", str(out), "--quiet", "selftrain", "--f0", str(f0_path),
             ]
         )
         assert code == EXIT_OK
@@ -365,8 +380,9 @@ class TestSelftrain:
             [
                 "--set", "model.hash_dim=16384",
                 "--set", "datasets.train_partition_size=290",
-                "--out", str(out), "--quiet", "selftrain",
-                "--f0", str(f0_path), "--mode", "confidence-filter", "--batch", "16",
+                "--set", "self_training.mode=confidence_filtering",
+                "--set", "self_training.batch=16",
+                "--out", str(out), "--quiet", "selftrain", "--f0", str(f0_path),
             ]
         )
         assert code == EXIT_OK
@@ -376,16 +392,20 @@ class TestSelftrain:
 
     def test_zero_batch_exits_1(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path)
-        # --batch applies with or without --mode.
-        for mode_args in (["--mode", "confidence-filter"], []):
+        # self_training.batch is checked in either mode.
+        for mode in ("confidence_filtering", "broad"):
             code = main(
                 SMALL + [
+                    "--set", f"self_training.mode={mode}",
+                    "--set", "self_training.batch=0",
+                    "--set", "self_training.max_iterations=1",
                     "--quiet", "selftrain", "--f0", str(f0_path),
-                    *mode_args, "--batch", "0", "--max-iterations", "1",
                 ]
             )
             assert code == EXIT_VALIDATION
-            assert _last_stderr_json(capsys)["code"] == EXIT_VALIDATION
+            payload = _last_stderr_json(capsys)
+            assert payload["code"] == EXIT_VALIDATION
+            assert "cf_batch must be an integer >= 1, got 0" in payload["message"]
 
     @pytest.mark.parametrize("damage", ["trailing", "truncated", "garbage"])
     def test_malformed_model_exits_1(self, tmp_path, capsys, damage):
@@ -415,8 +435,10 @@ class TestSelftrain:
         out = tmp_path / "st"
         code = main(
             SMALL + [
+                "--set", "self_training.max_iterations=2",
+                "--set", "self_training.pool_mode=out_only",
                 "--out", str(out), "--quiet", "selftrain", "--f0", str(self._save_f0(tmp_path)),
-                "--max-iterations", "2", "--pool", "out_only", "--ood", str(tmp_path / "ood.jsonl"),
+                "--ood", str(tmp_path / "ood.jsonl"),
             ]
         )
         assert code == EXIT_OK
@@ -432,7 +454,8 @@ class TestSelftrain:
                 "--set", "model.hash_dim=32768",
                 "--set", "model.stopping=fixed_steps",
                 "--set", "self_training.final_finetune_on_l=off",
-                "--quiet", "selftrain", "--f0", str(f0_path), "--max-iterations", "1",
+                "--set", "self_training.max_iterations=1",
+                "--quiet", "selftrain", "--f0", str(f0_path),
             ]
         )
         assert code == EXIT_VALIDATION
@@ -457,38 +480,60 @@ class TestSelftrain:
     def test_ood_pool_requires_path(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path)
         code = main(
-            SMALL + ["--quiet", "selftrain", "--f0", str(f0_path), "--pool", "out_only"]
+            SMALL + ["--set", "self_training.pool_mode=out_only", "--quiet", "selftrain", "--f0", str(f0_path)]
         )
         assert code == EXIT_VALIDATION
-        assert "--ood" in _last_stderr_json(capsys)["message"]
+        assert "--ood is required" in _last_stderr_json(capsys)["message"]
 
     @pytest.mark.parametrize(
-        "overrides, extra, code",
+        "overrides, extra, code, message",
         [
-            ([], ["--batch", "0"], EXIT_VALIDATION),
-            ([], ["--max-iterations", "0"], EXIT_VALIDATION),
-            ([], ["--pool", "out_only"], EXIT_VALIDATION),
-            (["--set", "experiment.metric=f1:bogus"], [], EXIT_VALIDATION),
-            (["--set", "experiment.metric=spearman"], [], EXIT_VALIDATION),
+            (["self_training.batch=0"], [], EXIT_VALIDATION, "cf_batch must be an integer"),
+            (["self_training.max_iterations=0"], [], EXIT_VALIDATION, "max_iterations must be an integer"),
+            (["self_training.pool_mode=out_only"], [], EXIT_VALIDATION, "--ood is required"),
+            (["experiment.metric=f1:bogus"], [], EXIT_VALIDATION, "f1 needs a positive class"),
+            (["experiment.metric=spearman"], [], EXIT_VALIDATION, "spearman is not defined"),
             (
-                ["--set", "self_training.pool_mode=out_only"],
-                ["--ood", "ood.jsonl", "--max-iterations", "1"],
+                ["self_training.pool_mode=out_only", "self_training.max_iterations=1"],
+                ["--ood", "ood.jsonl"],
                 EXIT_OK,
+                None,
             ),
         ],
     )
-    def test_validate_only_exits_as_the_run_does(self, tmp_path, monkeypatch, overrides, extra, code):
+    def test_validate_only_exits_as_the_run_does(
+        self, tmp_path, capsys, monkeypatch, overrides, extra, code, message
+    ):
         """``--validate-only`` exits with the code of the full run, before ``self_train``."""
         save_dataset(synth_corpus(SynthSpec("keyword-sentiment"), 200, 99), tmp_path / "ood.jsonl")
         extra = [str(tmp_path / a) if a.endswith(".jsonl") else a for a in extra]
         out = tmp_path / "st"
-        argv = SMALL + overrides + ["--out", str(out), "--quiet"]
+        argv = SMALL + [arg for expr in overrides for arg in ("--set", expr)] + ["--out", str(out), "--quiet"]
         run = ["selftrain", "--f0", str(self._save_f0(tmp_path)), *extra]
         monkeypatch.setattr(cli, "self_train", lambda *args, **kwargs: pytest.fail("self_train ran"))
         assert main(argv + ["--validate-only"] + run) == code
+        if message:
+            assert message in _last_stderr_json(capsys)["message"]
         assert not out.exists()
         monkeypatch.undo()
         assert main(argv + run) == code
+        if message:
+            assert message in _last_stderr_json(capsys)["message"]
+
+    @pytest.mark.parametrize("key, name", [("experiment.k", "k"), ("datasets.train_partition_size", "size")])
+    @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5"), ("true", "True"), ("0", "0")])
+    @pytest.mark.parametrize("validate_only", [[], ["--validate-only"]])
+    def test_bad_count_exits_1_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, key, name, value, shown, validate_only
+    ):
+        """selftrain checks the k and corpus size it reads, as the commands that build an
+        experiment spec do."""
+        monkeypatch.setattr(cli, "self_train", lambda *args, **kwargs: pytest.fail("self_train ran"))
+        out = tmp_path / "st"
+        argv = SMALL + ["--set", f"{key}={value}", "--out", str(out), "--quiet", *validate_only]
+        assert main(argv + ["selftrain", "--f0", str(self._save_f0(tmp_path))]) == EXIT_VALIDATION
+        assert f"{name} must be an integer >= 1, got {shown}" in _last_stderr_json(capsys)["message"]
+        assert not out.exists()
 
 
 class TestExperiment:
@@ -530,7 +575,7 @@ class TestExperiment:
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"
-        code = main(self.ARGS + ["--out", str(out), "--quiet", "experiment", "--sweep", "2,4"])
+        code = main(self.ARGS + ["--set", "experiment.sweep_ks=[2, 4]", "--out", str(out), "--quiet", "experiment"])
         assert code == EXIT_OK
         assert (out / "curve.csv").exists()
         assert (out / "curve_aggregate.csv").exists()
@@ -540,10 +585,10 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["experiment", "--sweep", "4,abc"],
-            ["experiment", "--sweep", "8,4"],
-            ["experiment", "--sweep", "4,0"],
-            ["--set", "experiment.regime=full", "experiment", "--sweep", "4,8"],
+            ["--set", "experiment.sweep_ks=[4, abc]", "experiment"],
+            ["--set", "experiment.sweep_ks=[8, 4]", "experiment"],
+            ["--set", "experiment.sweep_ks=[4, 0]", "experiment"],
+            ["--set", "experiment.regime=full", "--set", "experiment.sweep_ks=[4, 8]", "experiment"],
             ["--set", "experiment.sweep_ks=abc", "experiment"],
         ],
     )
@@ -585,7 +630,8 @@ class TestExperiment:
 
             monkeypatch.setattr(harness, name, counted)
         swept = tmp_path / "swept"
-        assert main(args + ["--out", str(swept), "--quiet", "experiment", "--sweep", "4,8"]) == EXIT_OK
+        sweep = ["--set", "experiment.sweep_ks=[4, 8]"]
+        assert main(args + sweep + ["--out", str(swept), "--quiet", "experiment"]) == EXIT_OK
         assert counts == {"build_aux_artifacts": 1, "run_experiment": 2}
         # report.json is the sweep's k=8 run, byte for byte the report of a plain run.
         plain = tmp_path / "plain"

@@ -125,40 +125,6 @@ class TestBroadSelfTrain:
                 feature_config=FC,
             )
 
-    def test_dev_patience_stops_at_the_first_stall(self):
-        """With dev patience 1 the loop stops at the first iteration whose dev
-        metric does not beat the best so far; agreement never stops it."""
-        corpus, split, f0 = _setup(k=4)
-        kwargs = dict(
-            dev=split.dev, train_config=TrainConfig(seed=0), feature_config=FC,
-        )
-        st_config = SelfTrainConfig(
-            max_iterations=6, agreement_patience=6, final_finetune_on_l="off",
-            drop_lowest_confidence_fraction=0.5,
-        )
-        full = self_train(f0, split.train, split.pool, st_config=st_config, **kwargs)
-        scores = [rec["dev_metric"] for rec in full.per_iteration]
-        stall = next(t for t in range(2, len(scores) + 1) if scores[t - 1] <= max(scores[: t - 1]))
-        assert 2 < stall < st_config.max_iterations  # an improvement, then a stall
-        result = self_train(
-            f0, split.train, split.pool, st_config=replace(st_config, dev_patience=1), **kwargs
-        )
-        assert result.converged_at == stall
-        assert result.per_iteration == full.per_iteration[:stall]
-
-    def test_dev_patience_is_checked(self):
-        for bad in (0, -1, 1.5, True, "2"):
-            with pytest.raises(ValidationError):
-                SelfTrainConfig(dev_patience=bad)
-        corpus, split, f0 = _setup()
-        with pytest.raises(ValidationError):
-            self_train(
-                f0, split.train, split.pool, dev=None,
-                st_config=SelfTrainConfig(dev_patience=1, final_finetune_on_l="off"),
-                train_config=TrainConfig(seed=0, max_steps=30, eval_every=30, average_last=1, stopping="fixed_steps"),
-                feature_config=FC,
-            )
-
     def test_drop_fraction_shrinks_train_size(self):
         corpus, split, f0 = _setup()
         result = self_train(

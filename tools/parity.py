@@ -6,9 +6,10 @@
 temporary directory. Each workload of ``perfbench/workloads.json`` then runs
 through ``selfaug.cli.main`` (its argv plus ``--seed N ... experiment``) in a
 fresh interpreter, once on each tree, at the file's ``default_seed`` and
-``held_out_seed``. ``report.json``, ``scores.csv``, ``aggregate.csv`` and
-``manifest.json`` are compared by sha256. A pair-pool leg does the same for
-acceptance criterion 3's config at 2 restarts (pair-overlap-nli, arms
+``held_out_seed``. ``report.json``, ``scores.csv``, ``aggregate.csv``,
+``manifest.json``, ``curve.csv`` and ``curve_aggregate.csv`` are compared by
+sha256; only a k sweep writes the two curves. A pair-pool leg does the
+same for acceptance criterion 3's config at 2 restarts (pair-overlap-nli, arms
 ``baseline, ta, st, ta-st``, 8 self-training iterations), the one config in
 which self-training featurizes pair rows. An out-of-domain leg runs
 ``st`` and ``cf-st`` on keyword-sentiment at 2 restarts with a
@@ -20,16 +21,19 @@ exits 2, and ``report.json`` records the step that raised. A fixed-step leg
 runs ``baseline`` and ``ta-st`` on pair-overlap-nli at 2 restarts in the
 dev-free protocol: ``model.stopping`` ``fixed_steps`` with 512 steps and a
 checkpoint every 30, 2 self-training iterations and final fine-tuning on.
-No other leg trains on a fixed step budget with checkpoint averaging.
+No other leg trains on a fixed step budget with checkpoint averaging. A
+sweep leg runs ``baseline`` and ``st`` on keyword-sentiment at 2 restarts
+(hash_dim 2^14, 4 self-training iterations) over ``experiment.sweep_ks``
+``[4, 8, 16]``: no other leg runs a sample-efficiency sweep.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
 each tree, ``augment`` runs with the ta-overgen-nli argv, then ``selftrain
---f0`` from that tree's ``f0.model`` in ``--mode broad`` and ``--mode
-confidence-filter``. ``f0.model``, ``synthetic.jsonl`` and both
+--f0`` from that tree's ``f0.model`` with ``self_training.mode`` ``broad``
+and ``confidence_filtering``. ``f0.model``, ``synthetic.jsonl`` and both
 ``final.model`` and ``result.json`` files are compared by sha256, so any
-change to a trained weight shows. Only long-standing CLI commands are used,
-so the leg runs against any ref.
+change to a trained weight shows. Only long-standing CLI commands and config
+keys are used, so the leg runs against any ref.
 
 A task-file leg follows at both seeds: ``synth`` writes a pair-overlap-nli
 JSONL file, and ``augment`` reads it through ``datasets.input_path`` with an
@@ -52,7 +56,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = ("report.json", "scores.csv", "aggregate.csv", "manifest.json")
+ARTIFACTS = ("report.json", "scores.csv", "aggregate.csv", "manifest.json", "curve.csv", "curve_aggregate.csv")
 WEIGHT_WORKLOAD = "ta-overgen-nli"
 CRITERION_3_ARGV = [
     "--set", "datasets.task_family=pair-overlap-nli",
@@ -82,6 +86,14 @@ FIXED_STEPS_ARGV = [
     "--set", "experiment.arms=[baseline, ta-st]",
     "--set", "experiment.restarts=2",
     "--set", "self_training.max_iterations=2",
+]
+SWEEP_ARGV = [
+    "--set", "datasets.task_family=keyword-sentiment",
+    "--set", "experiment.arms=[baseline, st]",
+    "--set", "experiment.restarts=2",
+    "--set", "model.hash_dim=16384",
+    "--set", "self_training.max_iterations=4",
+    "--set", "experiment.sweep_ks=[4, 8, 16]",
 ]
 TASK_FILE_ARGV = [
     "--set", "datasets.task_family=pair-overlap-nli",
@@ -131,8 +143,8 @@ def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, s
     out.mkdir()
     f0 = str(out / "augment" / "f0.model")
     steps = [("augment", ["augment"], ("f0.model", "synthetic.jsonl"))] + [
-        (mode, ["selftrain", "--f0", f0, "--mode", mode], ("final.model", "result.json"))
-        for mode in ("broad", "confidence-filter")
+        (mode, ["--set", f"self_training.mode={mode}", "selftrain", "--f0", f0], ("final.model", "result.json"))
+        for mode in ("broad", "confidence_filtering")
     ]
     result = {}
     for step, command, files in steps:
@@ -178,6 +190,7 @@ def main(argv=None) -> int:
     ]
     legs += [(f"divergence seed {seed}", experiment_leg, seed, DIVERGENCE_ARGV) for seed in seeds]
     legs += [(f"fixed-steps seed {seed}", experiment_leg, seed, FIXED_STEPS_ARGV) for seed in seeds]
+    legs += [(f"sweep seed {seed}", experiment_leg, seed, SWEEP_ARGV) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     legs += [(f"task-file seed {seed}", task_file_leg, seed, TASK_FILE_ARGV) for seed in seeds]
     differences = 0
