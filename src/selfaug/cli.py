@@ -18,16 +18,7 @@ import sys
 from pathlib import Path
 
 from .augmentation import write_ta_jsonl
-from .config import (
-    ConfigValidationError,
-    build_experiment_spec,
-    build_feature_config,
-    build_st_config,
-    build_task_space,
-    build_task_spec,
-    build_train_config,
-    load_config,
-)
+from .config import ConfigValidationError, build_experiment_spec, build_task_space, load_config
 from .corpus import (
     CorpusError,
     Dataset,
@@ -38,6 +29,7 @@ from .corpus import (
     strip_labels,
 )
 from .harness import (
+    base_corpus,
     build_aux_artifacts,
     build_ta_base_model,
     check_sweep_ks,
@@ -75,24 +67,32 @@ def _write_manifest(out_dir: Path, files: list[Path]) -> None:
     )
 
 
-def _load_task_corpus(config: dict, seed: int) -> Dataset:
-    """The task file ``datasets.input_path`` when set, else the synthetic task corpus."""
+def _load_task_corpus(config: dict, spec) -> Dataset:
+    """The task file ``datasets.input_path`` when set, else the experiment's synthetic task corpus."""
     ds = config["datasets"]
     space = build_task_space(config)
     if space is not None:
         return load_dataset(ds["input_path"], ds["input_format"], space)
-    return synth_corpus(build_task_spec(config), ds["train_partition_size"], seed)
+    return base_corpus(spec)
 
 
-def _check_config(config: dict):
+def _check_config(config: dict, ood_from_file: bool = False):
     """The experiment spec and its k sweep, built after the task-file label space,
-    and its metric checked against the task's labels.
+    with its metric checked against the task's labels and its out-of-domain pool
+    source checked.
 
-    Full construction is full validation.
+    Full construction is full validation. An out-of-domain pool mode draws on
+    ``datasets.ood_family``, except under ``ood_from_file``: ``selftrain`` reads
+    the pool from its ``--ood`` file and checks that option itself.
     """
     space = build_task_space(config)
     spec = build_experiment_spec(config)
     check_metric(spec.metric, space or LabelSpace.categorical(FAMILY_CLASSES[spec.task.family]))
+    if not ood_from_file and spec.pool_mode != "in_only" and spec.ood_task is None:
+        raise ConfigValidationError(
+            f"pool_mode {spec.pool_mode!r} needs datasets.ood_family",
+            {"section": "datasets", "key": "ood_family"},
+        )
     return spec, _sweep_ks(config, spec)
 
 
@@ -108,7 +108,7 @@ def _config_ok(args) -> int:
 
 
 def cmd_synth(config: dict, args) -> int:
-    spec = build_experiment_spec(config)
+    spec, _ = _check_config(config)
     if args.validate_only:
         return _config_ok(args)
     corpus = synth_corpus(spec.task, spec.train_partition_size, spec.master_seed)
@@ -120,8 +120,8 @@ def cmd_synth(config: dict, args) -> int:
 
 
 def cmd_augment(config: dict, args) -> int:
-    spec = build_experiment_spec(config)
-    corpus = _load_task_corpus(config, derive_seed(spec.master_seed, "corpus"))
+    spec, _ = _check_config(config)
+    corpus = _load_task_corpus(config, spec)
     if args.validate_only:
         return _config_ok(args)
     aux = build_aux_artifacts(spec)
@@ -148,34 +148,31 @@ def cmd_augment(config: dict, args) -> int:
 
 
 def cmd_selftrain(config: dict, args) -> int:
-    master_seed = config["experiment"]["master_seed"]
-    fc = build_feature_config(config)
-    tc = build_train_config(config)
-    st_cfg = build_st_config(config)
-
+    spec, _ = _check_config(config, ood_from_file=True)
+    if args.ood and spec.pool_mode == "in_only":
+        raise ConfigValidationError(
+            "--ood is not read under pool_mode 'in_only'", {"section": "self_training", "key": "pool_mode"}
+        )
     f0 = ModelParams.load(args.f0)
-    corpus = _load_task_corpus(config, derive_seed(master_seed, "corpus"))
+    corpus = _load_task_corpus(config, spec)
     if f0.label_space != corpus.label_space:
         raise ConfigValidationError(
             "base-model label space does not match the configured task",
             {"model": f0.label_space.to_json(), "task": corpus.label_space.to_json()},
         )
-    exp = config["experiment"]
-    split = sample_regime(corpus, exp["regime"], exp["k"], derive_seed(master_seed, "restart", 0))
-    pool_mode = config["self_training"]["pool_mode"]
+    split = sample_regime(corpus, spec.regime, spec.k, derive_seed(spec.master_seed, "restart", 0))
     ood = load_dataset(args.ood, "jsonl", corpus.label_space) if args.ood else None
     try:
-        pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, pool_mode)
+        pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, spec.pool_mode)
     except MissingOODError:
         raise ConfigValidationError("--ood is required for an out-of-domain pool") from None
-    check_metric(exp["metric"], corpus.label_space)
     if args.validate_only:
         return _config_ok(args)
 
     result = self_train(
-        f0, split.train, pool, dev=split.dev, test=split.test or None,
-        st_config=st_cfg, train_config=tc, feature_config=fc,
-        metric=exp["metric"], gold=gold,
+        f0, split.train, pool, dev=split.dev if spec.dev_mode == "with_dev" else None,
+        test=split.test or None, st_config=spec.st_config, train_config=spec.train_config,
+        feature_config=spec.feature_config, metric=spec.metric, gold=gold,
     )
 
     out_dir = Path(args.out or "selftrain-out")

@@ -186,80 +186,11 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
-def _check_list(name: str, value) -> None:
+def _checked_list(name: str, value) -> list:
+    """``value``, checked to be a list."""
     if not isinstance(value, list):
         raise ValidationError(f"{name} must be a list, got {value!r}")
-
-
-def build_feature_config(config: Mapping) -> FeatureConfig:
-    model = config["model"]
-    _check_list("model.ngram_orders", model["ngram_orders"])
-    return FeatureConfig(
-        ngram_orders=frozenset(model["ngram_orders"]), hash_dim=model["hash_dim"]
-    )
-
-
-def build_train_config(config: Mapping) -> TrainConfig:
-    model = config["model"]
-    keys = (
-        "learning_rate", "batch_size", "max_steps", "l2", "lr_decay",
-        "stopping", "eval_every", "patience", "average_last",
-    )
-    return TrainConfig(seed=config["experiment"]["master_seed"], **{key: model[key] for key in keys})
-
-
-def build_generator_spec(config: Mapping) -> GeneratorSpec:
-    gen = config["generator"]
-    return GeneratorSpec(
-        kind=gen["kind"],
-        samples_per_input=gen["samples_per_input"],
-        flip_rate=gen["flip_rate"],
-        command=gen["command"],
-    )
-
-
-def build_ta_config(config: Mapping) -> TAConfig:
-    aug = config["augmentation"]
-    _check_list("augmentation.tau_grid", aug["tau_grid"])
-    return TAConfig(
-        tau_grid=tuple(aug["tau_grid"]),
-        two_stage=aug["two_stage"],
-        include_original_aux=aug["include_original_aux"],
-    )
-
-
-def build_st_config(config: Mapping) -> SelfTrainConfig:
-    st = config["self_training"]
-    finetune = st["final_finetune_on_l"]
-    if isinstance(finetune, bool):  # YAML reads a bare on/off as a boolean
-        finetune = "on" if finetune else "off"
-    return SelfTrainConfig(
-        max_iterations=st["max_iterations"],
-        agreement_threshold=st["agreement_threshold"],
-        agreement_patience=st["agreement_patience"],
-        final_finetune_on_l=finetune,
-        drop_lowest_confidence_fraction=st["drop_lowest_confidence_fraction"],
-        mode=st["mode"],
-        cf_batch=st["batch"],
-    )
-
-
-def build_task_spec(config: Mapping) -> SynthSpec:
-    ds = config["datasets"]
-    return SynthSpec(
-        family=ds["task_family"], name=ds["task_name"], params=ds["task_params"]
-    )
-
-
-def build_ood_spec(config: Mapping) -> Optional[SynthSpec]:
-    ds = config["datasets"]
-    if ds["ood_family"] is None:
-        if ds["ood_params"] != {}:
-            raise ValidationError(
-                f"datasets.ood_params must be empty without datasets.ood_family, got {ds['ood_params']!r}"
-            )
-        return None
-    return SynthSpec(family=ds["ood_family"], params=ds["ood_params"])
+    return value
 
 
 def build_task_space(config: Mapping) -> Optional[LabelSpace]:
@@ -272,8 +203,7 @@ def build_task_space(config: Mapping) -> Optional[LabelSpace]:
     if not isinstance(ds["input_path"], str):
         raise ValidationError(f"datasets.input_path must be a path, got {ds['input_path']!r}")
     if ds["label_classes"] is not None:
-        _check_list("datasets.label_classes", ds["label_classes"])
-        return LabelSpace.categorical(ds["label_classes"])
+        return LabelSpace.categorical(_checked_list("datasets.label_classes", ds["label_classes"]))
     if ds["label_lo"] is None or ds["label_hi"] is None:
         raise ConfigValidationError("datasets.input_path needs label_classes or label_lo/label_hi")
     for key in ("label_lo", "label_hi"):
@@ -282,14 +212,28 @@ def build_task_space(config: Mapping) -> Optional[LabelSpace]:
 
 
 def build_experiment_spec(config: Mapping) -> ExperimentSpec:
-    ds, aug, exp, st = (
-        config["datasets"], config["augmentation"], config["experiment"],
-        config["self_training"],
+    """The experiment spec of a validated config, with every config object it holds.
+
+    Each object checks itself when it is built, so building the spec checks
+    every key but the task file's (``build_task_space``) and the k sweep.
+    """
+    ds, aug, model, st, exp = (
+        config[section] for section in ("datasets", "augmentation", "model", "self_training", "experiment")
     )
-    _check_list("experiment.arms", exp["arms"])
+    finetune = st["final_finetune_on_l"]
+    if isinstance(finetune, bool):  # YAML reads a bare on/off as a boolean
+        finetune = "on" if finetune else "off"
+    if ds["ood_family"] is None and ds["ood_params"] != {}:
+        raise ValidationError(
+            f"datasets.ood_params must be empty without datasets.ood_family, got {ds['ood_params']!r}"
+        )
+    train_keys = (
+        "learning_rate", "batch_size", "max_steps", "l2", "lr_decay",
+        "stopping", "eval_every", "patience", "average_last",
+    )
     return ExperimentSpec(
-        task=build_task_spec(config),
-        arms=tuple(exp["arms"]),
+        arms=tuple(_checked_list("experiment.arms", exp["arms"])),
+        task=SynthSpec(family=ds["task_family"], name=ds["task_name"], params=ds["task_params"]),
         regime=exp["regime"],
         k=exp["k"],
         restarts=exp["restarts"],
@@ -300,17 +244,32 @@ def build_experiment_spec(config: Mapping) -> ExperimentSpec:
         test_size=ds["test_size"],
         resample_dev=exp["resample_dev"],
         top3_aggregate=exp["top3_aggregate"],
-        feature_config=build_feature_config(config),
-        train_config=build_train_config(config),
-        st_config=build_st_config(config),
-        ta_config=build_ta_config(config),
-        generator=build_generator_spec(config),
+        feature_config=FeatureConfig(
+            ngram_orders=frozenset(_checked_list("model.ngram_orders", model["ngram_orders"])),
+            hash_dim=model["hash_dim"],
+        ),
+        train_config=TrainConfig(seed=exp["master_seed"], **{key: model[key] for key in train_keys}),
+        st_config=SelfTrainConfig(
+            max_iterations=st["max_iterations"],
+            agreement_threshold=st["agreement_threshold"],
+            agreement_patience=st["agreement_patience"],
+            final_finetune_on_l=finetune,
+            drop_lowest_confidence_fraction=st["drop_lowest_confidence_fraction"],
+            mode=st["mode"],
+            cf_batch=st["batch"],
+        ),
+        ta_config=TAConfig(
+            tau_grid=tuple(_checked_list("augmentation.tau_grid", aug["tau_grid"])),
+            two_stage=aug["two_stage"],
+            include_original_aux=aug["include_original_aux"],
+        ),
+        generator=GeneratorSpec(**config["generator"]),
         aux_train_size=aug["aux_train_size"],
         aux_dev_size=aug["aux_dev_size"],
         tau=aug["tau"],
         tau_budget=aug["tau_budget"],
         tau_source_limit=aug["tau_source_limit"],
         ta_pool_limit=aug["ta_pool_limit"],
-        ood_task=build_ood_spec(config),
+        ood_task=None if ds["ood_family"] is None else SynthSpec(family=ds["ood_family"], params=ds["ood_params"]),
         pool_mode=st["pool_mode"],
     )

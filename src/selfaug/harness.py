@@ -91,7 +91,7 @@ class ExperimentSpec:
     tau_budget: int = 100
     tau_source_limit: int = 40
     ta_pool_limit: int = 150
-    ood_task: Optional[SynthSpec] = None
+    ood_task: Optional[SynthSpec] = None  # OOD pool source; an OOD pool_mode without it fails each ST arm
     pool_mode: str = "in_only"  # "in_only" | "out_only" | "in_plus_out"
 
     def __post_init__(self):
@@ -107,8 +107,6 @@ class ExperimentSpec:
             raise ValidationError(f"unknown regime {self.regime!r}")
         if self.pool_mode not in POOL_MODES:
             raise ValidationError(f"unknown pool_mode {self.pool_mode!r}")
-        if self.pool_mode != "in_only" and self.ood_task is None:
-            raise ValidationError(f"pool_mode {self.pool_mode!r} needs an ood_task")
         for name in (
             "k", "restarts", "train_partition_size", "test_size",
             "aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit",
@@ -308,10 +306,11 @@ def _pool_and_gold(
     """The restart's self-training pool and gold labels keyed by its ids.
 
     ``gold`` holds the in-domain labels; out-of-domain rows take the labels
-    of their own synthesized corpus.
+    of their own synthesized corpus. Without an ``ood_task``, ``mix_pools``
+    raises ``MissingOODError`` for an out-of-domain pool mode.
     """
     ood = None
-    if spec.pool_mode != "in_only":
+    if spec.pool_mode != "in_only" and spec.ood_task is not None:
         ood = synth_corpus(
             spec.ood_task, len(split.pool) or spec.train_partition_size,
             derive_seed(spec.master_seed, "ood", restart),

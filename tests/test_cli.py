@@ -156,6 +156,7 @@ class TestValidate:
             ["self_training.pool_mode=bogus"],
             ["self_training.pool_mode=bogus", "datasets.ood_family=keyword-sentiment"],
             ["self_training.pool_mode=out_only"],
+            ["self_training.pool_mode=in_plus_out"],
             ["experiment.k=0"],
             ["experiment.restarts=1.5"],
             ["experiment.restarts=true"],
@@ -241,6 +242,36 @@ class TestValidate:
     def test_validate_only_checks_the_sweep(self, capsys):
         assert main(["--set", "experiment.sweep_ks=[4, abc]", "--validate-only", "experiment"]) == EXIT_VALIDATION
         assert "sweep k" in _last_stderr_json(capsys)["message"]
+
+    @pytest.mark.parametrize("mode", ["out_only", "in_plus_out"])
+    @pytest.mark.parametrize("command", ["validate", "synth", "augment", "experiment"])
+    def test_ood_pool_mode_needs_ood_family(self, capsys, mode, command):
+        argv = SMALL + ["--set", f"self_training.pool_mode={mode}", "--quiet", "--validate-only"]
+        assert main(argv + [command]) == EXIT_VALIDATION
+        assert f"pool_mode '{mode}' needs datasets.ood_family" in _last_stderr_json(capsys)["message"]
+        assert main(argv + ["--set", "datasets.ood_family=keyword-sentiment", command]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["synth", "augment", "experiment", "selftrain"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["experiment.dev_mode=bogus"], "unknown dev_mode 'bogus'"),
+            (["experiment.dev_mode=dev_free"], "dev_free mode forbids early stopping"),
+            (["experiment.metric=spearman"], "spearman is not defined"),
+            (["experiment.sweep_ks=[8, 4]"], "sweep ks must be strictly ascending"),
+        ],
+    )
+    def test_validate_only_gives_the_verdict_of_validate(
+        self, tmp_path, capsys, monkeypatch, command, overrides, message
+    ):
+        """Every command checks the config ``validate`` checks, before it reads any input."""
+        monkeypatch.chdir(tmp_path)  # f0.model is absent: selftrain must fail before it loads the model
+        argv = SMALL + [arg for expr in overrides for arg in ("--set", expr)] + ["--quiet"]
+        assert main(argv + ["validate"]) == EXIT_VALIDATION
+        assert message in _last_stderr_json(capsys)["message"]
+        run = [command, "--f0", "f0.model"] if command == "selftrain" else [command]
+        assert main(argv + ["--validate-only"] + run) == EXIT_VALIDATION
+        assert message in _last_stderr_json(capsys)["message"]
 
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION
@@ -499,6 +530,15 @@ class TestSelftrain:
                 EXIT_OK,
                 None,
             ),
+            ([], ["--ood", "ood.jsonl"], EXIT_VALIDATION, "--ood is not read under pool_mode 'in_only'"),
+            (["experiment.dev_mode=bogus"], [], EXIT_VALIDATION, "unknown dev_mode 'bogus'"),
+            (["experiment.dev_mode=dev_free"], [], EXIT_VALIDATION, "dev_free mode forbids early stopping"),
+            (
+                ["experiment.dev_mode=dev_free", "model.stopping=fixed_steps"],
+                [],
+                EXIT_VALIDATION,
+                "dev_free mode requires final_finetune_on_l to be 'on' or 'off'",
+            ),
         ],
     )
     def test_validate_only_exits_as_the_run_does(
@@ -520,14 +560,28 @@ class TestSelftrain:
         if message:
             assert message in _last_stderr_json(capsys)["message"]
 
+    def test_dev_free_run_reads_no_dev_set(self, tmp_path):
+        out = tmp_path / "st"
+        code = main(
+            SMALL + [
+                "--set", "experiment.dev_mode=dev_free",
+                "--set", "model.stopping=fixed_steps",
+                "--set", "self_training.final_finetune_on_l=off",
+                "--set", "self_training.max_iterations=2",
+                "--out", str(out), "--quiet", "selftrain", "--f0", str(self._save_f0(tmp_path)),
+            ]
+        )
+        assert code == EXIT_OK
+        records = json.loads((out / "result.json").read_text())["per_iteration"]
+        assert records and all(rec["dev_metric"] is None for rec in records)
+
     @pytest.mark.parametrize("key, name", [("experiment.k", "k"), ("datasets.train_partition_size", "size")])
     @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5"), ("true", "True"), ("0", "0")])
     @pytest.mark.parametrize("validate_only", [[], ["--validate-only"]])
     def test_bad_count_exits_1_before_any_fit(
         self, tmp_path, capsys, monkeypatch, key, name, value, shown, validate_only
     ):
-        """selftrain checks the k and corpus size it reads, as the commands that build an
-        experiment spec do."""
+        """selftrain checks the k and corpus size it reads, as every command does."""
         monkeypatch.setattr(cli, "self_train", lambda *args, **kwargs: pytest.fail("self_train ran"))
         out = tmp_path / "st"
         argv = SMALL + ["--set", f"{key}={value}", "--out", str(out), "--quiet", *validate_only]

@@ -7,21 +7,14 @@ from hypothesis import strategies as st
 from selfaug.config import (
     ConfigValidationError,
     build_experiment_spec,
-    build_feature_config,
-    build_generator_spec,
-    build_st_config,
-    build_ta_config,
-    build_train_config,
     load_config,
     parse_override,
     validate_config,
 )
-from selfaug.augmentation import GeneratorSpec, TAConfig
 from selfaug.corpus import ValidationError
 from selfaug.harness import ExperimentSpec
-from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
-from selfaug.textmodel import FeatureConfig, TrainConfig, init_params, train
+from selfaug.textmodel import init_params, train
 
 
 class TestValidate:
@@ -102,18 +95,18 @@ class TestOverrides:
 class TestBuilders:
     def test_feature_config(self):
         config = validate_config({"model": {"hash_dim": 4096, "ngram_orders": [1]}})
-        fc = build_feature_config(config)
+        fc = build_experiment_spec(config).feature_config
         assert fc.hash_dim == 4096
         assert fc.ngram_orders == frozenset({1})
 
     def test_train_config_stopping_kinds(self):
-        early = build_train_config(validate_config({"model": {"stopping": "early_stop"}}))
+        early = build_experiment_spec(validate_config({"model": {"stopping": "early_stop"}})).train_config
         assert early.stopping == "early_stop"
-        fixed = build_train_config(validate_config({"model": {"stopping": "fixed_steps"}}))
+        fixed = build_experiment_spec(validate_config({"model": {"stopping": "fixed_steps"}})).train_config
         assert fixed.stopping == "fixed_steps"
         assert fixed.max_steps == 300
         with pytest.raises(ValidationError, match="unknown stopping kind"):
-            build_train_config(validate_config({"model": {"stopping": "whenever"}}))
+            build_experiment_spec(validate_config({"model": {"stopping": "whenever"}}))
 
     @pytest.mark.parametrize("key", ["fixed_total", "checkpoint_every"])
     def test_old_fixed_step_keys_are_unknown(self, key):
@@ -124,12 +117,11 @@ class TestBuilders:
     def test_fixed_steps_run_the_max_steps_the_report_records(self, tiny_dataset):
         model = {"stopping": "fixed_steps", "max_steps": 90, "eval_every": 30, "average_last": 3}
         config = validate_config({"model": model})
-        fc = build_feature_config(config)
-        _, trace = train(
-            init_params(tiny_dataset.label_space, fc), tiny_dataset, build_train_config(config), feature_config=fc
-        )
+        spec = build_experiment_spec(config)
+        fc = spec.feature_config
+        _, trace = train(init_params(tiny_dataset.label_space, fc), tiny_dataset, spec.train_config, feature_config=fc)
         assert [rec["step"] for rec in trace] == [30, 60, 90]
-        assert build_experiment_spec(config).to_json()["max_steps"] == 90
+        assert spec.to_json()["max_steps"] == 90
 
     @pytest.mark.parametrize(
         "model",
@@ -149,16 +141,16 @@ class TestBuilders:
     )
     def test_train_config_rejects_bad_numbers(self, model):
         with pytest.raises(ValidationError):
-            build_train_config(validate_config({"model": model}))
+            build_experiment_spec(validate_config({"model": model}))
 
     @pytest.mark.parametrize("hash_dim", [0, "abc", True, 4096.0])
     def test_feature_config_rejects_bad_hash_dim(self, hash_dim):
         with pytest.raises(ValidationError):
-            build_feature_config(validate_config({"model": {"hash_dim": hash_dim}}))
+            build_experiment_spec(validate_config({"model": {"hash_dim": hash_dim}}))
 
     def test_generator_spec(self):
         config = validate_config({"generator": {"samples_per_input": 7, "flip_rate": 0.5}})
-        gen = build_generator_spec(config)
+        gen = build_experiment_spec(config).generator
         assert gen.samples_per_input == 7
         assert gen.flip_rate == 0.5
 
@@ -166,30 +158,17 @@ class TestBuilders:
         config = validate_config(
             {"self_training": {"mode": "confidence_filtering", "batch": 16}}
         )
-        st = build_st_config(config)
+        st = build_experiment_spec(config).st_config
         assert st.mode == "confidence_filtering"
         assert st.cf_batch == 16
 
     def test_st_config_yaml_booleans_map_to_on_off(self):
         for value, expected in ((True, "on"), (False, "off")):
             config = validate_config({"self_training": {"final_finetune_on_l": value}})
-            assert build_st_config(config).final_finetune_on_l == expected
+            assert build_experiment_spec(config).st_config.final_finetune_on_l == expected
 
     def test_schema_defaults_match_the_dataclass_defaults(self):
         assert build_experiment_spec(validate_config({})) == ExperimentSpec(task=SynthSpec("keyword-sentiment"))
-
-    @pytest.mark.parametrize(
-        "build, cls",
-        [
-            (build_feature_config, FeatureConfig),
-            (build_train_config, TrainConfig),
-            (build_st_config, SelfTrainConfig),
-            (build_ta_config, TAConfig),
-            (build_generator_spec, GeneratorSpec),
-        ],
-    )
-    def test_each_builder_on_the_schema_defaults_gives_its_class_default(self, build, cls):
-        assert build(load_config()) == cls()
 
     def test_full_experiment_spec(self):
         config = validate_config(
@@ -212,8 +191,6 @@ class TestBuilders:
             {"experiment": {"regime": "bogus"}},
             {"self_training": {"pool_mode": "bogus"}},
             {"self_training": {"pool_mode": "bogus"}, "datasets": {"ood_family": "keyword-sentiment"}},
-            {"self_training": {"pool_mode": "out_only"}},
-            {"self_training": {"pool_mode": "in_plus_out"}},
             {"experiment": {"k": 0}}, {"experiment": {"k": 1.5}}, {"experiment": {"k": True}},
             {"experiment": {"restarts": 0}}, {"experiment": {"restarts": 1.5}},
             {"experiment": {"restarts": True}}, {"experiment": {"restarts": "abc"}},
@@ -252,6 +229,8 @@ class TestBuilders:
         [
             {"experiment": {"metric": "f1:pos"}}, {"experiment": {"regime": "full"}},
             {"self_training": {"pool_mode": "out_only"}, "datasets": {"ood_family": "keyword-sentiment"}},
+            # The CLI checks the out-of-domain source: selftrain reads it from --ood.
+            {"self_training": {"pool_mode": "out_only"}}, {"self_training": {"pool_mode": "in_plus_out"}},
             {"augmentation": {"ta_pool_limit": 0}}, {"augmentation": {"tau": None}},
             {"augmentation": {"tau": 0}},
             {"self_training": {"agreement_threshold": 1}}, {"generator": {"flip_rate": 1}},
@@ -262,4 +241,4 @@ class TestBuilders:
 
     def test_master_seed_propagates_to_train_config(self):
         config = validate_config({"experiment": {"master_seed": 41}})
-        assert build_train_config(config).seed == 41
+        assert build_experiment_spec(config).train_config.seed == 41

@@ -240,6 +240,18 @@ class TestRunExperiment:
         assert all(rec["added_batch_accuracy"] > 0.5 for rec in report.series["cf-st"][0])
 
     @pytest.mark.parametrize("pool_mode", ["out_only", "in_plus_out"])
+    def test_ood_pool_without_an_ood_task_fails_each_self_training_arm(self, pool_mode):
+        spec = ExperimentSpec(arms=("baseline", "st", "cf-st"), **{**FAST, "restarts": 1}, pool_mode=pool_mode)
+        report = run_experiment(spec)
+        assert report.partial
+        assert report.errors["baseline"] == [] and report.scores["baseline"][0] is not None
+        for arm in ("st", "cf-st"):
+            assert report.scores[arm] == [None]
+            assert report.errors[arm] == [
+                f"restart 0: MissingOODError: pool mode {pool_mode!r} needs an out-of-domain corpus"
+            ]
+
+    @pytest.mark.parametrize("pool_mode", ["out_only", "in_plus_out"])
     def test_builds_the_ood_pool_once_per_restart(self, monkeypatch, pool_mode):
         spec = ExperimentSpec(
             arms=("st", "ta-st", "cf-st"),

@@ -30,17 +30,24 @@ Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
 each tree, ``augment`` runs with the ta-overgen-nli argv, then ``selftrain
 --f0`` from that tree's ``f0.model`` with ``self_training.mode`` ``broad``
-and ``confidence_filtering``. ``f0.model``, ``synthetic.jsonl`` and both
-``final.model`` and ``result.json`` files are compared by sha256, so any
-change to a trained weight shows. Only long-standing CLI commands and config
-keys are used, so the leg runs against any ref.
+and ``confidence_filtering``. ``synth`` then writes an out-of-domain JSONL
+file at the next seed, and ``selftrain`` reads it through ``--ood`` with
+``self_training.pool_mode`` ``in_plus_out`` and ``out_only`` (4 iterations,
+``fixed_steps`` training, no final fine-tuning). ``f0.model``,
+``synthetic.jsonl``, the out-of-domain file and every ``final.model`` and
+``result.json`` are compared by sha256, so any change to a trained weight
+shows. Only long-standing CLI commands and config keys are used, so the leg
+runs against any ref.
 
 A task-file leg follows at both seeds: ``synth`` writes a pair-overlap-nli
 JSONL file, and ``augment`` reads it through ``datasets.input_path`` with an
 external generator, a small Python script written into the temporary
-directory, which also scores tau over the grid. The task file, ``f0.model``
-and ``synthetic.jsonl`` are compared by sha256. No other leg reads a task
-file or runs an external generator.
+directory, which also scores tau over the grid. ``selftrain`` then runs on
+the same task file from that ``f0.model`` (4 iterations). The task file,
+``f0.model``, ``synthetic.jsonl``, ``final.model`` and ``result.json`` are
+compared by sha256. No other leg reads a task file or runs an external
+generator, and no other ``selftrain`` run reads an out-of-domain file or a
+task file.
 
 Exit status: 0 when every file and exit code matches, 1 on any difference.
 """
@@ -103,6 +110,15 @@ TASK_FILE_ARGV = [
     "--set", "augmentation.tau_source_limit=4",
     "--set", "augmentation.ta_pool_limit=12",
 ]
+# The selftrain runs on a task file stop after 4 iterations.
+SHORT_SELFTRAIN_ARGV = ["--set", "self_training.max_iterations=4"]
+# On the weight leg's config every early-stopped fit keeps its start model, so the
+# out-of-domain selftrain runs train on a fixed step budget: their weights move.
+OOD_SELFTRAIN_ARGV = [
+    *SHORT_SELFTRAIN_ARGV,
+    "--set", "model.stopping=fixed_steps",
+    "--set", "self_training.final_finetune_on_l=off",
+]
 # The external generator's line protocol: read ``label<TAB>sentence``, answer
 # one candidate per line, end with a blank line.
 GENERATOR = """import sys
@@ -139,38 +155,57 @@ def experiment_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[st
 
 def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
     """Exit codes and file digests of ``augment``, then ``selftrain`` from its
-    ``f0.model`` in both modes, on ``tree``."""
+    ``f0.model`` in both modes and on an out-of-domain file in both OOD pool
+    modes, on ``tree``."""
     out.mkdir()
-    f0 = str(out / "augment" / "f0.model")
-    steps = [("augment", ["augment"], ("f0.model", "synthetic.jsonl"))] + [
-        (mode, ["--set", f"self_training.mode={mode}", "selftrain", "--f0", f0], ("final.model", "result.json"))
+    f0, ood = str(out / "augment" / "f0.model"), str(out / "ood.jsonl")
+    selftrain = ("final.model", "result.json")
+    steps = [("augment", seed, ["augment"], ("f0.model", "synthetic.jsonl"))]
+    steps += [
+        (mode, seed, ["--set", f"self_training.mode={mode}", "selftrain", "--f0", f0], selftrain)
         for mode in ("broad", "confidence_filtering")
     ]
+    steps += [("ood.jsonl", seed + 1, ["synth"], ())]
+    steps += [
+        (
+            f"ood {mode}", seed,
+            [*OOD_SELFTRAIN_ARGV, "--set", f"self_training.pool_mode={mode}", "selftrain", "--f0", f0, "--ood", ood],
+            selftrain,
+        )
+        for mode in ("in_plus_out", "out_only")
+    ]
     result = {}
-    for step, command, files in steps:
-        digests = run(tree, seed, [*argv, *command], out / step, files)
+    for step, step_seed, command, files in steps:
+        digests = run(tree, step_seed, [*argv, *command], out / step, files)
         result.update({f"{step} {k}": v for k, v in digests.items()})
+    result["ood.jsonl"] = hashlib.sha256(Path(ood).read_bytes()).hexdigest() if Path(ood).exists() else "missing"
     return result
 
 
 def task_file_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
     """Exit codes and file digests of ``synth`` to a task file, then ``augment``
-    on that file with the external generator, on ``tree``."""
+    on that file with the external generator and ``selftrain`` on that file
+    from the ``augment`` ``f0.model``, on ``tree``."""
     out.mkdir()
     task, generator = out / "task.jsonl", out / "generator.py"
     generator.write_text(GENERATOR, encoding="utf-8")
     result = {f"synth {k}": v for k, v in run(tree, seed, [*argv, "synth"], task, ()).items()}
     result["task.jsonl"] = hashlib.sha256(task.read_bytes()).hexdigest() if task.exists() else "missing"
-    augment = [
+    task_argv = [
         *argv,
         "--set", f"datasets.input_path={task}",
         "--set", "datasets.label_classes=[entailment, neutral, contradiction]",
+    ]
+    augment = [
         "--set", "generator.kind=external",
         "--set", f"generator.command={sys.executable} {generator}",
         "augment",
     ]
-    digests = run(tree, seed, augment, out / "augment", ("f0.model", "synthetic.jsonl"))
-    result.update({f"augment {k}": v for k, v in digests.items()})
+    selftrain = [*SHORT_SELFTRAIN_ARGV, "selftrain", "--f0", str(out / "augment" / "f0.model")]
+    steps = [("augment", augment, ("f0.model", "synthetic.jsonl")), ("selftrain", selftrain, ("final.model", "result.json"))]
+    for step, command, files in steps:
+        digests = run(tree, seed, [*task_argv, *command], out / step, files)
+        result.update({f"{step} {k}": v for k, v in digests.items()})
     return result
 
 
