@@ -71,21 +71,40 @@ class GeneratorSpec:
             raise ValidationError(f"generator command must be a nonempty string, got {self.command!r}")
         if self.kind == "external" and self.command is None:
             raise ValidationError("external generator requires a command")
+        if self.kind == "rule_based" and self.command is not None:
+            raise ValidationError(f"the rule_based generator reads no command, got {self.command!r}")
+        if self.kind == "external" and self.flip_rate:
+            raise ValidationError(f"the external generator reads no flip_rate, got {self.flip_rate!r}")
 
 
 @dataclass(frozen=True)
 class TAConfig:
+    """The ``augmentation`` config section: aux set sizes, tau, and the intermediate fine-tune."""
+
+    tau: Optional[float] = 0.5  # None selects tau over tau_grid on the auxiliary dev set
     tau_grid: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    tau_budget: int = 100
+    tau_source_limit: int = 40
     two_stage: bool = True
     include_original_aux: bool = True
+    aux_train_size: int = 400
+    aux_dev_size: int = 120
+    ta_pool_limit: int = 150  # 0 task-augments the whole pool
 
     def __post_init__(self):
+        for name in ("aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit"):
+            check_count(name, getattr(self, name))
+        check_count("ta_pool_limit", self.ta_pool_limit, minimum=0)
         check_flag("two_stage", self.two_stage)
         check_flag("include_original_aux", self.include_original_aux)
         for t in self.tau_grid:
             check_number("tau grid value", t, hi=1, open_lo=True, open_hi=True)
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
             raise ValidationError("tau grid must be strictly increasing")
+        if self.tau is not None:
+            check_number("tau", self.tau, hi=1, open_hi=True)
+        elif not self.tau_grid:
+            raise ValidationError("tau is selected over the tau grid, which is empty")
 
 
 def _normalize(text: str) -> str:

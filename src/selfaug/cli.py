@@ -32,13 +32,11 @@ from .harness import (
     base_corpus,
     build_aux_artifacts,
     build_ta_base_model,
-    check_sweep_ks,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
     run_experiment,
     run_per_k,
-    sweep_curve,
 )
 from .selftrain import MissingOODError, mix_pools, self_train
 from .synth import FAMILY_CLASSES, synth_corpus
@@ -77,9 +75,9 @@ def _load_task_corpus(config: dict, spec) -> Dataset:
 
 
 def _check_config(config: dict, ood_from_file: bool = False):
-    """The experiment spec and its k sweep, built after the task-file label space,
-    with its metric checked against the task's labels and its out-of-domain pool
-    source checked.
+    """The experiment spec, built after the task-file label space, with its
+    metric checked against the task's labels and its out-of-domain pool source
+    checked.
 
     Full construction is full validation. An out-of-domain pool mode draws on
     ``datasets.ood_family``, except under ``ood_from_file``: ``selftrain`` reads
@@ -93,7 +91,7 @@ def _check_config(config: dict, ood_from_file: bool = False):
             f"pool_mode {spec.pool_mode!r} needs datasets.ood_family",
             {"section": "datasets", "key": "ood_family"},
         )
-    return spec, _sweep_ks(config, spec)
+    return spec
 
 
 def _config_ok(args) -> int:
@@ -108,7 +106,7 @@ def _config_ok(args) -> int:
 
 
 def cmd_synth(config: dict, args) -> int:
-    spec, _ = _check_config(config)
+    spec = _check_config(config)
     if args.validate_only:
         return _config_ok(args)
     corpus = synth_corpus(spec.task, spec.train_partition_size, spec.master_seed)
@@ -120,7 +118,7 @@ def cmd_synth(config: dict, args) -> int:
 
 
 def cmd_augment(config: dict, args) -> int:
-    spec, _ = _check_config(config)
+    spec = _check_config(config)
     corpus = _load_task_corpus(config, spec)
     if args.validate_only:
         return _config_ok(args)
@@ -148,7 +146,7 @@ def cmd_augment(config: dict, args) -> int:
 
 
 def cmd_selftrain(config: dict, args) -> int:
-    spec, _ = _check_config(config, ood_from_file=True)
+    spec = _check_config(config, ood_from_file=True)
     if args.ood and spec.pool_mode == "in_only":
         raise ConfigValidationError(
             "--ood is not read under pool_mode 'in_only'", {"section": "self_training", "key": "pool_mode"}
@@ -171,7 +169,7 @@ def cmd_selftrain(config: dict, args) -> int:
 
     result = self_train(
         f0, split.train, pool, dev=split.dev if spec.dev_mode == "with_dev" else None,
-        test=split.test or None, st_config=spec.st_config, train_config=spec.train_config,
+        st_config=spec.st_config, train_config=spec.train_config,
         feature_config=spec.feature_config, metric=spec.metric, gold=gold,
     )
 
@@ -192,15 +190,6 @@ def cmd_selftrain(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _sweep_ks(config: dict, spec) -> list[int]:
-    """The checked k sweep of ``experiment.sweep_ks``; [] for none."""
-    ks = config["experiment"]["sweep_ks"]
-    if ks is None or ks == []:
-        return []
-    check_sweep_ks(spec, ks)
-    return list(ks)
-
-
 def cmd_experiment(config: dict, args) -> int:
     # experiment synthesizes its task corpus, so it rejects a task file rather than ignore it.
     if config["datasets"]["input_path"]:
@@ -208,15 +197,15 @@ def cmd_experiment(config: dict, args) -> int:
             "datasets.input_path is not read by experiment, which synthesizes its task corpus",
             {"section": "datasets", "key": "input_path"},
         )
-    spec, sweep_ks = _check_config(config)
+    spec = _check_config(config)
     if args.validate_only:
         return _config_ok(args)
     out_dir = Path(args.out or "experiment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
 
-    if sweep_ks:  # one base corpus and aux build; the main run is the sweep's run at spec.k
-        reports = run_per_k(spec, sorted({spec.k, *sweep_ks}))
+    if spec.sweep_ks:  # one base corpus and aux build; the main run is the sweep's run at spec.k
+        reports = run_per_k(spec)
         report = reports[spec.k]
     else:
         report = run_experiment(spec)
@@ -225,8 +214,8 @@ def cmd_experiment(config: dict, args) -> int:
     (out_dir / "aggregate.csv").write_text(report.aggregate_csv(), encoding="utf-8")
     files += [out_dir / "report.json", out_dir / "scores.csv", out_dir / "aggregate.csv"]
 
-    if sweep_ks:
-        curve = sweep_curve(spec.arms, {k: reports[k] for k in sweep_ks})
+    if spec.sweep_ks:
+        curve = {k: reports[k] for k in spec.sweep_ks}
         (out_dir / "curve.csv").write_text(curve_csv(curve), encoding="utf-8")
         (out_dir / "curve_aggregate.csv").write_text(curve_aggregate_csv(curve), encoding="utf-8")
         files += [out_dir / "curve.csv", out_dir / "curve_aggregate.csv"]

@@ -199,6 +199,9 @@ def build_task_space(config: Mapping) -> Optional[LabelSpace]:
     if ds["input_format"] not in INPUT_FORMATS:
         raise ValidationError(f"unknown datasets.input_format {ds['input_format']!r}; valid: {INPUT_FORMATS}")
     if not ds["input_path"]:
+        for key in ("label_classes", "label_lo", "label_hi"):
+            if ds[key] is not None:
+                raise ValidationError(f"datasets.{key} must be null without datasets.input_path, got {ds[key]!r}")
         return None
     if not isinstance(ds["input_path"], str):
         raise ValidationError(f"datasets.input_path must be a path, got {ds['input_path']!r}")
@@ -215,7 +218,7 @@ def build_experiment_spec(config: Mapping) -> ExperimentSpec:
     """The experiment spec of a validated config, with every config object it holds.
 
     Each object checks itself when it is built, so building the spec checks
-    every key but the task file's (``build_task_space``) and the k sweep.
+    every key but the task file's (``build_task_space``).
     """
     ds, aug, model, st, exp = (
         config[section] for section in ("datasets", "augmentation", "model", "self_training", "experiment")
@@ -227,6 +230,8 @@ def build_experiment_spec(config: Mapping) -> ExperimentSpec:
         raise ValidationError(
             f"datasets.ood_params must be empty without datasets.ood_family, got {ds['ood_params']!r}"
         )
+    if exp["sweep_ks"] is not None and not isinstance(exp["sweep_ks"], list):
+        raise ValidationError(f"sweep ks must be a list of integers, got {exp['sweep_ks']!r}")
     train_keys = (
         "learning_rate", "batch_size", "max_steps", "l2", "lr_decay",
         "stopping", "eval_every", "patience", "average_last",
@@ -258,18 +263,9 @@ def build_experiment_spec(config: Mapping) -> ExperimentSpec:
             mode=st["mode"],
             cf_batch=st["batch"],
         ),
-        ta_config=TAConfig(
-            tau_grid=tuple(_checked_list("augmentation.tau_grid", aug["tau_grid"])),
-            two_stage=aug["two_stage"],
-            include_original_aux=aug["include_original_aux"],
-        ),
+        ta_config=TAConfig(**{**aug, "tau_grid": tuple(_checked_list("augmentation.tau_grid", aug["tau_grid"]))}),
         generator=GeneratorSpec(**config["generator"]),
-        aux_train_size=aug["aux_train_size"],
-        aux_dev_size=aug["aux_dev_size"],
-        tau=aug["tau"],
-        tau_budget=aug["tau_budget"],
-        tau_source_limit=aug["tau_source_limit"],
-        ta_pool_limit=aug["ta_pool_limit"],
         ood_task=None if ds["ood_family"] is None else SynthSpec(family=ds["ood_family"], params=ds["ood_params"]),
         pool_mode=st["pool_mode"],
+        sweep_ks=tuple(exp["sweep_ks"] or ()),
     )

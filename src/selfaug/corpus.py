@@ -211,10 +211,7 @@ class UnlabeledPool:
 class RegimeSplit:
     train: Dataset
     dev: Dataset
-    test: Dataset
     pool: UnlabeledPool
-    regime: Literal["full", "limited", "few_shot"]
-    seed: int
 
 
 INPUT_FORMATS = ("tsv", "jsonl")
@@ -333,16 +330,15 @@ def sample_regime(
     regime: Literal["full", "limited", "few_shot"],
     k: int = 8,
     seed: int = 0,
-    test: Optional[Dataset] = None,
     dev_size: Optional[int] = None,
 ) -> RegimeSplit:
     """Split a fully labeled train partition into train/dev/pool.
 
-    The dev set (256 examples) is drawn first; the training subset is then
-    drawn from the remainder (all of it for ``full``, up to 1024 for
-    ``limited``, k per class or per continuous bin for ``few_shot``).
+    The dev set (``dev_size`` examples, default 256) is drawn first; the
+    training subset is then drawn from the remainder (all of it for ``full``,
+    up to 1024 for ``limited``, k per class or per continuous bin for
+    ``few_shot``).
     Remaining examples become the unlabeled pool with labels stripped.
-    ``test`` is carried through unchanged when given.
     """
     check_count("k", k)
     for ex in dataset.examples:
@@ -393,6 +389,4 @@ def sample_regime(
         source_name=dataset.name,
         examples=tuple(ex.without_label() for i, ex in enumerate(dataset.examples) if i in pool_idx),
     )
-    if test is None:
-        test = Dataset(f"{dataset.name}-test", dataset.label_space, ())
-    return RegimeSplit(train=train, dev=dev, test=test, pool=pool, regime=regime, seed=seed)
+    return RegimeSplit(train=train, dev=dev, pool=pool)

@@ -36,7 +36,6 @@ from .corpus import (
     ValidationError,
     check_count,
     check_flag,
-    check_number,
     sample_regime,
 )
 from .selftrain import POOL_MODES, SelfTrainConfig, mix_pools, self_train
@@ -85,14 +84,9 @@ class ExperimentSpec:
     st_config: SelfTrainConfig = field(default_factory=SelfTrainConfig)
     ta_config: TAConfig = field(default_factory=TAConfig)
     generator: GeneratorSpec = field(default_factory=GeneratorSpec)
-    aux_train_size: int = 400
-    aux_dev_size: int = 120
-    tau: Optional[float] = 0.5  # None selects tau on the auxiliary dev set
-    tau_budget: int = 100
-    tau_source_limit: int = 40
-    ta_pool_limit: int = 150
     ood_task: Optional[SynthSpec] = None  # OOD pool source; an OOD pool_mode without it fails each ST arm
     pool_mode: str = "in_only"  # "in_only" | "out_only" | "in_plus_out"
+    sweep_ks: tuple[int, ...] = ()  # the k sweep; () runs spec.k alone
 
     def __post_init__(self):
         if not self.arms:
@@ -100,6 +94,9 @@ class ExperimentSpec:
         unknown = [a for a in self.arms if a not in ARM_NAMES]
         if unknown:
             raise ValidationError(f"unknown arms {unknown}; valid: {ARM_NAMES}")
+        repeated = [a for i, a in enumerate(self.arms) if a in self.arms[:i]]
+        if repeated:
+            raise ValidationError(f"arm {repeated[0]!r} is listed more than once")
         kind, positive = _parse_metric(self.metric)
         if kind == "f1" and not positive:
             raise ValidationError("f1 requires a positive class, e.g. 'f1:pos'")
@@ -107,19 +104,11 @@ class ExperimentSpec:
             raise ValidationError(f"unknown regime {self.regime!r}")
         if self.pool_mode not in POOL_MODES:
             raise ValidationError(f"unknown pool_mode {self.pool_mode!r}")
-        for name in (
-            "k", "restarts", "train_partition_size", "test_size",
-            "aux_train_size", "aux_dev_size", "tau_budget", "tau_source_limit",
-        ):
+        for name in ("k", "restarts", "train_partition_size", "test_size"):
             check_count(name, getattr(self, name))
         check_flag("resample_dev", self.resample_dev)
         check_flag("top3_aggregate", self.top3_aggregate)
-        check_count("ta_pool_limit", self.ta_pool_limit, minimum=0)
         check_count("master_seed", self.master_seed, minimum=0)
-        if self.tau is not None:
-            check_number("tau", self.tau, hi=1, open_hi=True)
-        elif not self.ta_config.tau_grid:
-            raise ValidationError("tau is selected over the tau grid, which is empty")
         if self.dev_mode not in ("with_dev", "dev_free"):
             raise ValidationError(f"unknown dev_mode {self.dev_mode!r}")
         if self.dev_mode == "dev_free":
@@ -129,6 +118,13 @@ class ExperimentSpec:
                 raise ValidationError(
                     "dev_free mode requires final_finetune_on_l to be 'on' or 'off'"
                 )
+        if self.sweep_ks:
+            if self.regime != "few_shot":
+                raise ValidationError("a k sweep requires the few_shot regime")
+            for k in self.sweep_ks:
+                check_count("sweep k", k)
+            if any(a >= b for a, b in zip(self.sweep_ks, self.sweep_ks[1:])):
+                raise ValidationError(f"sweep ks must be strictly ascending, got {list(self.sweep_ks)}")
 
     def to_json(self) -> dict:
         def spec_json(s: Optional[SynthSpec]):
@@ -156,7 +152,7 @@ class ExperimentSpec:
             "max_steps": self.train_config.max_steps,
             "l2": self.train_config.l2,
             "st": self.st_config.to_json(),
-            "tau": self.tau,
+            "tau": self.ta_config.tau,
             "ood_task": spec_json(self.ood_task),
             "pool_mode": self.pool_mode,
         }
@@ -237,13 +233,10 @@ class AuxArtifacts:
 
 def build_aux_artifacts(spec: ExperimentSpec) -> AuxArtifacts:
     """Synthesize the auxiliary NLI sets, train their classifier, settle tau."""
+    ta = spec.ta_config
     aux_seed = derive_seed(spec.master_seed, "aux")
-    aux_train = synth_corpus(
-        SynthSpec("pair-overlap-nli", name="aux-train"), spec.aux_train_size, aux_seed
-    )
-    aux_dev = synth_corpus(
-        SynthSpec("pair-overlap-nli", name="aux-dev"), spec.aux_dev_size, aux_seed + 1
-    )
+    aux_train = synth_corpus(SynthSpec("pair-overlap-nli", name="aux-train"), ta.aux_train_size, aux_seed)
+    aux_dev = synth_corpus(SynthSpec("pair-overlap-nli", name="aux-dev"), ta.aux_dev_size, aux_seed + 1)
     clf_init = init_params(aux_train.label_space, spec.feature_config)
     clf_config = replace(spec.train_config, seed=derive_seed(spec.master_seed, "aux-clf"))
     classifier, _ = train(
@@ -252,19 +245,19 @@ def build_aux_artifacts(spec: ExperimentSpec) -> AuxArtifacts:
         fixed_steps(clf_config, clf_config.max_steps),
         feature_config=spec.feature_config,
     )
-    if spec.tau is not None:
-        tau = spec.tau
+    if ta.tau is not None:
+        tau = ta.tau
     else:
         sources = tuple(
             Example(id=f"tau-src:{i}", segment_a=ex.segment_a)
-            for i, ex in enumerate(aux_dev.examples[: spec.tau_source_limit])
+            for i, ex in enumerate(aux_dev.examples[: ta.tau_source_limit])
         )
         tau = select_tau(
             classifier,
             spec.generator,
             aux_dev,
-            list(spec.ta_config.tau_grid),
-            spec.tau_budget,
+            list(ta.tau_grid),
+            ta.tau_budget,
             derive_seed(spec.master_seed, "tau"),
             pool=UnlabeledPool("tau-sources", sources),
             feature_config=spec.feature_config,
@@ -281,8 +274,9 @@ def build_ta_base_model(
     seed: int,
 ) -> tuple[list[AugmentedExample], ModelParams]:
     """Task-augment the first ``ta_pool_limit`` pool sentences, then intermediate-fine-tune."""
-    if spec.ta_pool_limit and len(pool) > spec.ta_pool_limit:
-        pool = UnlabeledPool(pool.source_name, pool.examples[: spec.ta_pool_limit])
+    limit = spec.ta_config.ta_pool_limit
+    if limit and len(pool) > limit:
+        pool = UnlabeledPool(pool.source_name, pool.examples[:limit])
     labels = list(NLI_CLASSES)
     entries = build_ta_examples(
         pool, spec.generator, aux.classifier, aux.tau, labels, seed,
@@ -341,11 +335,12 @@ def _run_arm(
     spec: ExperimentSpec,
     arm: str,
     split: RegimeSplit,
+    test: Dataset,
     f0: ModelParams,
     restart: int,
     pool: Optional[tuple[UnlabeledPool, Mapping[str, Any]]],
 ) -> tuple[float, Optional[list[dict]]]:
-    """Train ``arm`` from ``f0`` and score it on the test set.
+    """Train ``arm`` from ``f0`` and score it on ``test``.
 
     ``pool`` is the restart's ``_pool_and_gold``; only self-training arms read it.
     """
@@ -355,14 +350,14 @@ def _run_arm(
 
     if arm not in SELF_TRAINING_ARMS:
         model, _ = train(f0, split.train, tc, dev_set=dev, feature_config=fc, metric=spec.metric)
-        return evaluate(model, split.test, spec.metric, fc), None
+        return evaluate(model, test, spec.metric, fc), None
 
     st_config = spec.st_config
     if arm == "cf-st":
         st_config = replace(st_config, mode="confidence_filtering")
     pool, pool_gold = pool
     result = self_train(
-        f0, split.train, pool, dev=dev, test=split.test,
+        f0, split.train, pool, dev=dev, test=test,
         st_config=st_config, train_config=tc,
         feature_config=fc, metric=spec.metric, gold=pool_gold,
     )
@@ -382,11 +377,7 @@ def base_corpus(spec: ExperimentSpec) -> Dataset:
 
 def make_splits(spec: ExperimentSpec, base: Optional[Dataset] = None) -> list[RegimeSplit]:
     """The per-restart splits of ``base`` (default ``base_corpus(spec)``), identical for every arm."""
-    corpus_seed = derive_seed(spec.master_seed, "corpus")
     base = base_corpus(spec) if base is None else base
-    test_spec = replace(spec.task, name=(spec.task.name or spec.task.family) + "-test")
-    test = synth_corpus(test_spec, spec.test_size, corpus_seed + 1)
-
     splits = []
     fixed_dev: Optional[Dataset] = None
     source = base
@@ -400,10 +391,7 @@ def make_splits(spec: ExperimentSpec, base: Optional[Dataset] = None) -> list[Re
         )
     for r in range(spec.restarts):
         seed_r = derive_seed(spec.master_seed, "restart", r)
-        split = sample_regime(
-            source, spec.regime, spec.k, seed_r, test=test,
-            dev_size=0 if fixed_dev is not None else None,
-        )
+        split = sample_regime(source, spec.regime, spec.k, seed_r, dev_size=0 if fixed_dev is not None else None)
         if fixed_dev is not None:
             split = replace(split, dev=fixed_dev)
         splits.append(split)
@@ -436,6 +424,8 @@ def run_experiment(
     if aux is None and _needs_aux(spec, base.label_space):
         aux = build_aux_artifacts(spec)
     splits = make_splits(spec, base)
+    test_task = replace(spec.task, name=(spec.task.name or spec.task.family) + "-test")
+    test = synth_corpus(test_task, spec.test_size, derive_seed(spec.master_seed, "corpus") + 1)
     gold = base.labels_by_id()
 
     scores: dict[str, list[Optional[float]]] = {a: [] for a in spec.arms}
@@ -454,7 +444,7 @@ def run_experiment(
                 pool = None
                 if arm in SELF_TRAINING_ARMS:
                     pool = _once(built, "pool", lambda: _pool_and_gold(spec, split, r, gold))
-                score, arm_series = _run_arm(spec, arm, split, f0, r, pool)
+                score, arm_series = _run_arm(spec, arm, split, test, f0, r, pool)
                 scores[arm].append(score)
                 if arm_series is not None:
                     series[arm].append(arm_series)
@@ -470,44 +460,30 @@ def run_experiment(
     )
 
 
-def check_sweep_ks(spec: ExperimentSpec, ks) -> None:
-    """A k sweep is a strictly ascending list of integers >= 1 in the few_shot regime."""
-    if spec.regime != "few_shot":
-        raise ValidationError("a k sweep requires the few_shot regime")
-    if isinstance(ks, str) or not isinstance(ks, Sequence):
-        raise ValidationError(f"sweep ks must be a list of integers, got {ks!r}")
-    for k in ks:
-        check_count("sweep k", k)
-    if any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ValidationError(f"sweep ks must be strictly ascending, got {list(ks)}")
-
-
-def run_per_k(spec: ExperimentSpec, ks: Sequence[int]) -> dict[int, RunReport]:
-    """``spec`` run at each k in ``ks``, on one base corpus and one set of aux artifacts."""
+def run_per_k(spec: ExperimentSpec) -> dict[int, RunReport]:
+    """``spec`` run at ``spec.k`` and each k of its sweep, in k order, on one
+    base corpus and one set of aux artifacts."""
     base = base_corpus(spec)
     aux = build_aux_artifacts(spec) if _needs_aux(spec, base.label_space) else None
-    return {k: run_experiment(replace(spec, k=k), base, aux) for k in ks}
+    return {k: run_experiment(replace(spec, k=k), base, aux) for k in sorted({spec.k, *spec.sweep_ks})}
 
 
-def sweep_curve(arms: Sequence[str], reports: Mapping[int, RunReport]) -> dict:
-    """Per-restart rows and per-arm aggregates of k -> report, in k order."""
+def curve_csv(reports: Mapping[int, RunReport]) -> str:
+    """Per-restart scores of each report of k -> report, in its order."""
+    return _csv(
+        "arm,k,restart,score",
+        (
+            (arm, k, r, s)
+            for k, report in reports.items() for arm in report.spec.arms
+            for r, s in enumerate(report.scores[arm])
+        ),
+    )
+
+
+def curve_aggregate_csv(reports: Mapping[int, RunReport]) -> str:
+    """Per-arm mean and std of each report of k -> report, in its order."""
     rows = []
-    aggregates = []
     for k, report in reports.items():
         agg = report.aggregates()
-        for arm in arms:
-            for r, s in enumerate(report.scores[arm]):
-                rows.append({"arm": arm, "k": k, "restart": r, "score": s})
-            if arm in agg:
-                aggregates.append(
-                    {"arm": arm, "k": k, "mean": agg[arm]["mean"], "std": agg[arm]["std"]}
-                )
-    return {"rows": rows, "aggregates": aggregates}
-
-
-def curve_csv(curve: Mapping) -> str:
-    return _csv("arm,k,restart,score", ((r["arm"], r["k"], r["restart"], r["score"]) for r in curve["rows"]))
-
-
-def curve_aggregate_csv(curve: Mapping) -> str:
-    return _csv("arm,k,mean,std", ((r["arm"], r["k"], r["mean"], r["std"]) for r in curve["aggregates"]))
+        rows += [(arm, k, agg[arm]["mean"], agg[arm]["std"]) for arm in report.spec.arms if arm in agg]
+    return _csv("arm,k,mean,std", rows)

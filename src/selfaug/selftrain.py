@@ -74,12 +74,11 @@ class SelfTrainResult:
     converged_at: Optional[int]
     config: SelfTrainConfig
     f0_hash: str
-    mode: str = "broad"
 
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
-            "mode": self.mode,
+            "mode": self.config.mode,
             "config": self.config.to_json(),
             "f0_hash": self.f0_hash,
             "converged_at": self.converged_at,
@@ -260,7 +259,6 @@ def self_train(
         converged_at=converged_at,
         config=st_config,
         f0_hash=f0_hash,
-        mode=st_config.mode,
     )
 
 

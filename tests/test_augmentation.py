@@ -59,11 +59,56 @@ class TestGeneratorSpec:
         with pytest.raises(ValidationError):
             GeneratorSpec(kind="external", command=None)
 
-    def test_ta_config_grid_checked(self):
-        with pytest.raises(ValidationError):
-            TAConfig(tau_grid=(0.5, 0.3))
-        with pytest.raises(ValidationError):
-            TAConfig(tau_grid=(0.0, 0.5))
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(command="generator"), "the rule_based generator reads no command, got 'generator'"),
+            (dict(kind="external", command="generator", flip_rate=0.5), "the external generator reads no flip_rate, got 0.5"),
+        ],
+    )
+    def test_rejects_a_setting_its_kind_does_not_read(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            GeneratorSpec(**changes)
+
+    def test_external_generator_accepts_a_zero_flip_rate(self):
+        assert GeneratorSpec(kind="external", command="generator", flip_rate=0).flip_rate == 0
+
+
+class TestTAConfig:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(tau_grid=(0.5, 0.3)), "tau grid must be strictly increasing"),
+            (dict(tau_grid=(0.0, 0.5)), "tau grid value"),
+            (dict(tau_grid=(0.5, 1.0)), "tau grid value"),
+            (dict(tau_grid=("a",)), "tau grid value"),
+            (dict(tau=None, tau_grid=()), "tau is selected over the tau grid, which is empty"),
+            (dict(tau=1.0), "tau must be"),
+            (dict(tau=-0.1), "tau must be"),
+            (dict(tau=float("nan")), "tau must be"),
+            (dict(tau=float("inf")), "tau must be"),
+            (dict(tau="abc"), "tau must be"),
+            (dict(tau=True), "tau must be"),
+            (dict(tau_budget=0), "tau_budget must be an integer >= 1, got 0"),
+            (dict(tau_source_limit=False), "tau_source_limit must be an integer >= 1, got False"),
+            (dict(aux_train_size=0), "aux_train_size must be an integer >= 1, got 0"),
+            (dict(aux_dev_size=2.0), "aux_dev_size must be an integer >= 1, got 2.0"),
+            (dict(ta_pool_limit=-3), "ta_pool_limit must be an integer >= 0, got -3"),
+            (dict(ta_pool_limit=1.5), "ta_pool_limit must be an integer >= 0, got 1.5"),
+            (dict(ta_pool_limit=True), "ta_pool_limit must be an integer >= 0, got True"),
+            (dict(two_stage="maybe"), "two_stage must be true or false, got 'maybe'"),
+            (dict(include_original_aux=3), "include_original_aux must be true or false, got 3"),
+        ],
+    )
+    def test_rejects_each_bad_value(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            TAConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "changes", [dict(tau=0), dict(tau=None), dict(tau=0.999), dict(ta_pool_limit=0), dict(tau=0.5, tau_grid=())]
+    )
+    def test_accepts_edge_values(self, changes):
+        TAConfig(**changes)
 
 
 class TestGenerateCandidates:

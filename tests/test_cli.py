@@ -205,6 +205,12 @@ class TestValidate:
             ["generator.kind=external", "generator.command=5"],
             ["generator.kind=external", "generator.command=' '"],
             ["experiment.arms=5"],
+            ["experiment.arms=[baseline, baseline]"],
+            ["generator.command=echo"],
+            ["generator.kind=external", "generator.command=echo", "generator.flip_rate=0.5"],
+            ["datasets.label_classes=[pos, neg]"],
+            ["datasets.label_lo=0"],
+            ["datasets.label_hi=1"],
             ["datasets.task_family=[1]"],
             ["datasets.task_name=5"],
             ["experiment.master_seed=-1"],
@@ -272,6 +278,27 @@ class TestValidate:
         run = [command, "--f0", "f0.model"] if command == "selftrain" else [command]
         assert main(argv + ["--validate-only"] + run) == EXIT_VALIDATION
         assert message in _last_stderr_json(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["experiment.arms=[baseline, baseline]", "experiment.restarts=2"], "arm 'baseline' is listed more than once"),
+            # A key that its switch turns off is rejected, not ignored.
+            (["generator.command=echo"], "the rule_based generator reads no command, got 'echo'"),
+            (
+                ["generator.kind=external", "generator.command=echo", "generator.flip_rate=0.5"],
+                "the external generator reads no flip_rate, got 0.5",
+            ),
+            (["datasets.label_classes=[pos, neg]"], "datasets.label_classes must be null without datasets.input_path"),
+            (["datasets.label_lo=0"], "datasets.label_lo must be null without datasets.input_path, got 0"),
+            (["datasets.label_hi=1"], "datasets.label_hi must be null without datasets.input_path, got 1"),
+        ],
+    )
+    def test_experiment_rejects_a_key_it_would_ignore(self, tmp_path, capsys, overrides, message):
+        argv = SMALL + [arg for expr in overrides for arg in ("--set", expr)]
+        assert main(argv + ["--quiet", "--out", str(tmp_path / "out"), "experiment"]) == EXIT_VALIDATION
+        assert message in _last_stderr_json(capsys)["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_generator_top_k_is_an_unknown_key(self, capsys):
         assert main(["--set", "generator.top_k=40", "validate"]) == EXIT_VALIDATION

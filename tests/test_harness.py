@@ -1,12 +1,13 @@
 """Experiment harness tests: seeds, splits, reports, sweeps, series."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
 import selfaug.harness as harness
-from selfaug.augmentation import swap_head
+from selfaug.augmentation import TAConfig, swap_head
 from selfaug.corpus import LabelSpace, ValidationError, strip_labels
 from selfaug.harness import (
     ARM_NAMES,
@@ -15,14 +16,12 @@ from selfaug.harness import (
     base_corpus,
     build_aux_artifacts,
     build_ta_base_model,
-    check_sweep_ks,
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
     make_splits,
     run_experiment,
     run_per_k,
-    sweep_curve,
 )
 from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
@@ -44,9 +43,7 @@ TA_FAST = dict(
     restarts=1,
     train_config=TrainConfig(seed=0, max_steps=40),
     st_config=SelfTrainConfig(max_iterations=2),
-    aux_train_size=60,
-    aux_dev_size=20,
-    ta_pool_limit=20,
+    ta_config=TAConfig(aux_train_size=60, aux_dev_size=20, ta_pool_limit=20),
 )
 
 
@@ -83,6 +80,10 @@ class TestExperimentSpec:
     def test_rejects_unknown_arm(self):
         with pytest.raises(ValidationError, match="unknown arms"):
             ExperimentSpec(task=SynthSpec("keyword-sentiment"), arms=("magic",))
+
+    def test_rejects_a_repeated_arm(self):
+        with pytest.raises(ValidationError, match="arm 'st' is listed more than once"):
+            ExperimentSpec(task=SynthSpec("keyword-sentiment"), arms=("baseline", "st", "st"))
 
     def test_rejects_empty_arms(self):
         with pytest.raises(ValidationError):
@@ -150,12 +151,12 @@ class TestMakeSplits:
     def test_given_base_corpus_gives_the_same_splits(self, resample_dev):
         spec = ExperimentSpec(arms=("baseline",), resample_dev=resample_dev, **FAST)
         for given, default in zip(make_splits(spec, base_corpus(spec)), make_splits(spec)):
-            for part in ("train", "dev", "pool", "test"):
+            for part in ("train", "dev", "pool"):
                 assert getattr(given, part).ids() == getattr(default, part).ids()
 
 
 class TestRunExperiment:
-    def test_synthesizes_the_base_corpus_once(self, monkeypatch):
+    def test_synthesizes_the_base_corpus_and_the_test_set_once(self, monkeypatch):
         calls = []
         synth = harness.synth_corpus
 
@@ -167,6 +168,8 @@ class TestRunExperiment:
         spec = ExperimentSpec(arms=("baseline",), **{**FAST, "restarts": 1})
         run_experiment(replace(spec, train_config=TrainConfig(seed=0, max_steps=20)))
         assert calls.count((spec.task, spec.train_partition_size)) == 1
+        assert calls.count((replace(spec.task, name="keyword-sentiment-test"), spec.test_size)) == 1
+
     def test_baseline_and_st_report(self):
         spec = ExperimentSpec(arms=("baseline", "st"), **FAST)
         report = run_experiment(spec)
@@ -278,32 +281,45 @@ class TestRunExperiment:
 
 
 class TestSweep:
-    def test_requires_few_shot_and_ascending(self):
-        spec = ExperimentSpec(arms=("baseline",), **FAST)
-        with pytest.raises(ValidationError):
-            check_sweep_ks(replace(spec, regime="full"), [4, 8])
-        with pytest.raises(ValidationError):
-            check_sweep_ks(spec, [8, 4])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(regime="full", sweep_ks=(4, 8)), "a k sweep requires the few_shot regime"),
+            (dict(sweep_ks=(8, 4)), "sweep ks must be strictly ascending, got [8, 4]"),
+            (dict(sweep_ks=(4, 4)), "strictly ascending"),
+            (dict(sweep_ks=(0, 4)), "sweep k must be an integer >= 1, got 0"),
+            (dict(sweep_ks=(True, 4)), "sweep k must be an integer >= 1, got True"),
+            (dict(sweep_ks=(4.5,)), "sweep k must be an integer >= 1, got 4.5"),
+        ],
+    )
+    def test_spec_rejects_a_bad_sweep(self, changes, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ExperimentSpec(arms=("baseline",), **{**FAST, **changes})
+
+    def test_runs_the_spec_k_and_the_sweep_in_k_order(self):
+        spec = ExperimentSpec(arms=("baseline",), **FAST, k=6, sweep_ks=(4, 8))
+        reports = run_per_k(spec)
+        assert list(reports) == [4, 6, 8]
+        assert [report.spec.k for report in reports.values()] == [4, 6, 8]
 
     def test_curve_rows_and_csv(self):
-        spec = ExperimentSpec(arms=("baseline",), **FAST)
-        curve = sweep_curve(spec.arms, run_per_k(spec, [4, 8]))
-        assert {row["k"] for row in curve["rows"]} == {4, 8}
-        assert len(curve["rows"]) == 4  # 2 ks x 2 restarts
-        lines = curve_csv(curve).splitlines()
+        spec = ExperimentSpec(arms=("baseline",), **FAST, sweep_ks=(4, 8))
+        reports = run_per_k(spec)
+        lines = curve_csv(reports).splitlines()
         assert lines[0] == "arm,k,restart,score"
-        agg_lines = curve_aggregate_csv(curve).splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["4", "4", "8", "8"]  # 2 ks x 2 restarts
+        agg_lines = curve_aggregate_csv(reports).splitlines()
         assert agg_lines[0] == "arm,k,mean,std"
         assert len(agg_lines) == 3
 
     def test_builds_aux_artifacts_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, "build_aux_artifacts")
-        spec = ExperimentSpec(arms=("ta",), **TA_FAST)
-        curve = sweep_curve(spec.arms, run_per_k(spec, [4, 8]))
+        spec = ExperimentSpec(arms=("ta",), **TA_FAST, sweep_ks=(4, 8))
+        reports = run_per_k(spec)
         assert len(calls) == 1
         for k in (4, 8):
-            alone = run_experiment(replace(spec, k=k)).scores["ta"]
-            assert [row["score"] for row in curve["rows"] if row["k"] == k] == alone
+            alone = run_experiment(replace(spec, k=k, sweep_ks=())).scores["ta"]
+            assert reports[k].scores["ta"] == alone
             assert None not in alone
 
 

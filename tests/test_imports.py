@@ -49,6 +49,7 @@ def test_run_experiment_imports_no_module(fresh_python):
     out = fresh_python("""
 import sys
 import selfaug.cli
+from selfaug.augmentation import TAConfig
 from selfaug.harness import ExperimentSpec, run_experiment
 from selfaug.selftrain import SelfTrainConfig
 from selfaug.synth import SynthSpec
@@ -58,7 +59,7 @@ spec = ExperimentSpec(
     task=SynthSpec("pair-overlap-nli"), arms=("baseline", "ta", "cf-st"), restarts=1,
     train_partition_size=400, test_size=100, feature_config=FeatureConfig(hash_dim=2 ** 12),
     train_config=TrainConfig(seed=0, max_steps=40), st_config=SelfTrainConfig(cf_batch=64),
-    aux_train_size=60, aux_dev_size=20, ta_pool_limit=20, tau=None, tau_source_limit=10,
+    ta_config=TAConfig(aux_train_size=60, aux_dev_size=20, ta_pool_limit=20, tau=None, tau_source_limit=10),
 )
 before = set(sys.modules)
 report = run_experiment(spec)

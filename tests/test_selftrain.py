@@ -36,8 +36,7 @@ def _cf(batch):
 
 def _setup(corpus_size=320, seed=0, k=8):
     corpus = synth_corpus(SynthSpec("keyword-sentiment"), corpus_size, 1)
-    test = synth_corpus(SynthSpec("keyword-sentiment", name="ks-test"), 80, 42)
-    split = sample_regime(corpus, "few_shot", k=k, seed=seed, test=test)
+    split = sample_regime(corpus, "few_shot", k=k, seed=seed)
     f0 = init_params(corpus.label_space, FC)
     return corpus, split, f0
 
@@ -69,14 +68,16 @@ class TestBroadSelfTrain:
     def test_invariants_and_result_shape(self):
         corpus, split, f0 = _setup()
         gold = corpus.labels_by_id()
+        test = synth_corpus(SynthSpec("keyword-sentiment", name="ks-test"), 80, 42)
         result = self_train(
-            f0, split.train, split.pool, dev=split.dev, test=split.test,
+            f0, split.train, split.pool, dev=split.dev, test=test,
             st_config=SelfTrainConfig(max_iterations=4),
             train_config=TrainConfig(seed=0), feature_config=FC, gold=gold,
         )
         f0_hash = f0.params_hash()
         assert result.f0_hash == f0_hash
-        assert result.mode == "broad"
+        assert result.to_json()["mode"] == "broad"
+        assert result.per_iteration[-1]["test_metric"] is not None
         expected = len(split.train) + len(split.pool)
         for rec in result.per_iteration:
             assert rec["train_size"] == expected
@@ -183,7 +184,7 @@ class TestConfidenceFiltering:
         assert sum(added) == n_pool
         assert all(a == batch for a in added[:-1])
         assert added[-1] <= batch
-        assert result.mode == "confidence_filtering"
+        assert result.to_json()["mode"] == "confidence_filtering"
         # The labeled set grows monotonically by exactly the added batch.
         sizes = [rec["train_size"] for rec in result.per_iteration]
         assert sizes[0] == len(split.train) + added[0]

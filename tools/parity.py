@@ -32,12 +32,15 @@ each tree, ``augment`` runs with the ta-overgen-nli argv, then ``selftrain
 --f0`` from that tree's ``f0.model`` with ``self_training.mode`` ``broad``
 and ``confidence_filtering``. ``synth`` then writes an out-of-domain JSONL
 file at the next seed, and ``selftrain`` reads it through ``--ood`` with
-``self_training.pool_mode`` ``in_plus_out`` and ``out_only`` (4 iterations,
-``fixed_steps`` training, no final fine-tuning). ``f0.model``,
+``self_training.pool_mode`` ``in_plus_out`` and ``out_only``. Every
+``selftrain`` step runs 4 iterations of ``fixed_steps`` training with no
+final fine-tuning: on this argv an early-stopped fit keeps its start model,
+so ``final.model`` would equal ``f0.model``. ``f0.model``,
 ``synthetic.jsonl``, the out-of-domain file and every ``final.model`` and
 ``result.json`` are compared by sha256, so any change to a trained weight
-shows. Only long-standing CLI commands and config keys are used, so the leg
-runs against any ref.
+shows, and the leg fails on either tree when a ``final.model`` equals the
+``f0.model`` it started from. Only long-standing CLI commands and config
+keys are used, so the leg runs against any ref.
 
 A task-file leg follows at both seeds: ``synth`` writes a pair-overlap-nli
 JSONL file, and ``augment`` reads it through ``datasets.input_path`` with an
@@ -49,7 +52,8 @@ compared by sha256. No other leg reads a task file or runs an external
 generator, and no other ``selftrain`` run reads an out-of-domain file or a
 task file.
 
-Exit status: 0 when every file and exit code matches, 1 on any difference.
+Exit status: 0 when every file and exit code matches and every weight-leg
+``final.model`` moved from its ``f0.model``, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -112,9 +116,9 @@ TASK_FILE_ARGV = [
 ]
 # The selftrain runs on a task file stop after 4 iterations.
 SHORT_SELFTRAIN_ARGV = ["--set", "self_training.max_iterations=4"]
-# On the weight leg's config every early-stopped fit keeps its start model, so the
-# out-of-domain selftrain runs train on a fixed step budget: their weights move.
-OOD_SELFTRAIN_ARGV = [
+# On the weight leg's config every early-stopped fit keeps its start model, so its
+# selftrain runs train on a fixed step budget: their weights move.
+FIXED_SELFTRAIN_ARGV = [
     *SHORT_SELFTRAIN_ARGV,
     "--set", "model.stopping=fixed_steps",
     "--set", "self_training.final_finetune_on_l=off",
@@ -129,6 +133,8 @@ for i in range(len(words), 0, -1):
     print(" ".join(words[:i] + extra))
 print()
 """
+# A weight-leg value that fails the leg on either tree.
+UNMOVED = "equals the augment f0.model"
 RUNNER = "import sys; sys.path.insert(0, sys.argv[1]); from selfaug.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
@@ -156,20 +162,20 @@ def experiment_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[st
 def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, str]:
     """Exit codes and file digests of ``augment``, then ``selftrain`` from its
     ``f0.model`` in both modes and on an out-of-domain file in both OOD pool
-    modes, on ``tree``."""
+    modes, on ``tree``. A ``final.model`` equal to ``f0.model`` reads ``UNMOVED``."""
     out.mkdir()
     f0, ood = str(out / "augment" / "f0.model"), str(out / "ood.jsonl")
     selftrain = ("final.model", "result.json")
     steps = [("augment", seed, ["augment"], ("f0.model", "synthetic.jsonl"))]
     steps += [
-        (mode, seed, ["--set", f"self_training.mode={mode}", "selftrain", "--f0", f0], selftrain)
+        (mode, seed, [*FIXED_SELFTRAIN_ARGV, "--set", f"self_training.mode={mode}", "selftrain", "--f0", f0], selftrain)
         for mode in ("broad", "confidence_filtering")
     ]
     steps += [("ood.jsonl", seed + 1, ["synth"], ())]
     steps += [
         (
             f"ood {mode}", seed,
-            [*OOD_SELFTRAIN_ARGV, "--set", f"self_training.pool_mode={mode}", "selftrain", "--f0", f0, "--ood", ood],
+            [*FIXED_SELFTRAIN_ARGV, "--set", f"self_training.pool_mode={mode}", "selftrain", "--f0", f0, "--ood", ood],
             selftrain,
         )
         for mode in ("in_plus_out", "out_only")
@@ -179,6 +185,9 @@ def weight_leg(tree: Path, seed: int, argv: list[str], out: Path) -> dict[str, s
         digests = run(tree, step_seed, [*argv, *command], out / step, files)
         result.update({f"{step} {k}": v for k, v in digests.items()})
     result["ood.jsonl"] = hashlib.sha256(Path(ood).read_bytes()).hexdigest() if Path(ood).exists() else "missing"
+    for step, _, _, files in steps:
+        if files == selftrain and result[f"{step} final.model"] == result["augment f0.model"]:
+            result[f"{step} final.model"] = UNMOVED
     return result
 
 
@@ -237,6 +246,7 @@ def main(argv=None) -> int:
         for i, (label, leg, seed, leg_argv) in enumerate(legs):
             ref, here = (leg(tree, seed, leg_argv, tmp / f"{i}-{side}") for side, tree in (("ref", ref_tree), ("here", ROOT)))
             diff = [k for k in ref if here[k] != ref[k]]
+            diff += [f"{k} {UNMOVED}" for k in ref if UNMOVED in (here[k], ref[k])]
             differences += bool(diff)
             print(f"{label}: " + ("identical" if not diff else "DIFFERS: " + ", ".join(diff)))
     print("parity ok" if not differences else f"{differences} leg(s) differ")
