@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .augmentation import write_ta_jsonl
@@ -24,7 +25,6 @@ from .corpus import (
     Dataset,
     LabelSpace,
     load_dataset,
-    sample_regime,
     save_dataset,
     strip_labels,
 )
@@ -35,6 +35,7 @@ from .harness import (
     curve_aggregate_csv,
     curve_csv,
     derive_seed,
+    make_splits,
     run_experiment,
     run_per_k,
 )
@@ -158,7 +159,7 @@ def cmd_selftrain(config: dict, args) -> int:
             "base-model label space does not match the configured task",
             {"model": f0.label_space.to_json(), "task": corpus.label_space.to_json()},
         )
-    split = sample_regime(corpus, spec.regime, spec.k, derive_seed(spec.master_seed, "restart", 0))
+    split = make_splits(replace(spec, restarts=1), corpus)[0]  # the harness's restart 0
     ood = load_dataset(args.ood, "jsonl", corpus.label_space) if args.ood else None
     try:
         pool, gold = mix_pools(split.pool, corpus.labels_by_id(), ood, spec.pool_mode)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import difflib
 import math
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -32,14 +33,33 @@ class ConfigValidationError(ValidationError):
         self.context = context or {}
 
 
-# Section -> key -> default. ``...`` marks free-form mappings.
+def _defaults(
+    cls, names: Optional[Sequence[str]] = None, skip: Sequence[str] = (), rename: Mapping[str, str] = {}
+) -> dict:
+    """Key -> default of the ``cls`` fields ``names`` (by default each field
+    with a plain default, but ``skip``), as YAML reads them: a frozenset as a
+    sorted list, a tuple as a list and an empty one as null (``sweep_ks: null``
+    spells no sweep). ``rename`` maps a field to its key."""
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    keys = {}
+    for name in names or [n for n in defaults if n not in skip]:
+        value = defaults[name]
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        elif isinstance(value, tuple):
+            value = list(value) or None
+        keys[rename.get(name, name)] = value
+    return keys
+
+
+# Section -> key -> default. ``...`` marks free-form mappings. A key that sets
+# a config-class field takes its default from that field.
 SCHEMA: dict[str, dict[str, Any]] = {
     "datasets": {
         "task_family": "keyword-sentiment",
         "task_name": None,
         "task_params": {},
-        "train_partition_size": 1000,
-        "test_size": 500,
+        **_defaults(ExperimentSpec, ("train_partition_size", "test_size")),
         "input_path": None,
         "input_format": "jsonl",
         "label_classes": None,
@@ -48,59 +68,17 @@ SCHEMA: dict[str, dict[str, Any]] = {
         "ood_family": None,
         "ood_params": {},
     },
-    "generator": {
-        "kind": "rule_based",
-        "samples_per_input": 4,
-        "flip_rate": 0.0,
-        "command": None,
-    },
-    "augmentation": {
-        "tau": 0.5,
-        "tau_grid": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-        "tau_budget": 100,
-        "tau_source_limit": 40,
-        "two_stage": True,
-        "include_original_aux": True,
-        "aux_train_size": 400,
-        "aux_dev_size": 120,
-        "ta_pool_limit": 150,
-    },
-    "model": {
-        "hash_dim": 65536,
-        "ngram_orders": [1, 2],
-        "learning_rate": 0.1,
-        "batch_size": 32,
-        "max_steps": 300,
-        "l2": 1e-4,
-        "lr_decay": 0.0,
-        "stopping": "early_stop",
-        "patience": 5,
-        "eval_every": 20,
-        "average_last": 5,
-    },
+    "generator": _defaults(GeneratorSpec),
+    "augmentation": _defaults(TAConfig),
+    "model": {**_defaults(FeatureConfig), **_defaults(TrainConfig, skip=("seed",))},  # seed <- master_seed
     "self_training": {
-        "max_iterations": 30,
-        "agreement_threshold": 0.999,
-        "agreement_patience": 2,
-        "final_finetune_on_l": "auto_by_dev",
-        "drop_lowest_confidence_fraction": 0.0,
-        "mode": "broad",
-        "batch": 32,
-        "pool_mode": "in_only",
+        **_defaults(SelfTrainConfig, rename={"cf_batch": "batch"}),
+        **_defaults(ExperimentSpec, ("pool_mode",)),
     },
-    "experiment": {
-        "arms": ["baseline"],
-        "regime": "few_shot",
-        "k": 8,
-        "restarts": 10,
-        "metric": "accuracy",
-        "dev_mode": "with_dev",
-        "master_seed": 0,
-        "resample_dev": True,
-        "top3_aggregate": False,
-        "sweep_ks": None,
-    },
+    # ood_task is built from datasets.ood_family and ood_params.
+    "experiment": _defaults(ExperimentSpec, skip=("train_partition_size", "test_size", "pool_mode", "ood_task")),
 }
+
 
 def _suggest(key: str, valid: Sequence[str]) -> str:
     close = difflib.get_close_matches(key, valid, n=1)
@@ -170,7 +148,12 @@ def load_config(
 ) -> dict:
     raw: dict = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigValidationError(
+                f"config {path} is not UTF-8 text ({exc.reason} at byte {exc.start})", {"path": str(path)}
+            ) from None
         loaded = _load_yaml(text, f"config {path}")
         raw = loaded if loaded is not None else {}
     for expr in overrides:
@@ -214,6 +197,12 @@ def build_task_space(config: Mapping) -> Optional[LabelSpace]:
     return LabelSpace.continuous(ds["label_lo"], ds["label_hi"])
 
 
+def _build(cls, section: Mapping, **converted):
+    """``cls`` built from the keys of ``section`` named after its fields, with ``converted`` set over them."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{key: value for key, value in section.items() if key in names}, **converted})
+
+
 def build_experiment_spec(config: Mapping) -> ExperimentSpec:
     """The experiment spec of a validated config, with every config object it holds.
 
@@ -232,40 +221,17 @@ def build_experiment_spec(config: Mapping) -> ExperimentSpec:
         )
     if exp["sweep_ks"] is not None and not isinstance(exp["sweep_ks"], list):
         raise ValidationError(f"sweep ks must be a list of integers, got {exp['sweep_ks']!r}")
-    train_keys = (
-        "learning_rate", "batch_size", "max_steps", "l2", "lr_decay",
-        "stopping", "eval_every", "patience", "average_last",
-    )
-    return ExperimentSpec(
+    orders = model["ngram_orders"]
+    return _build(
+        ExperimentSpec,
+        {**ds, **st, **exp},
         arms=tuple(_checked_list("experiment.arms", exp["arms"])),
         task=SynthSpec(family=ds["task_family"], name=ds["task_name"], params=ds["task_params"]),
-        regime=exp["regime"],
-        k=exp["k"],
-        restarts=exp["restarts"],
-        metric=exp["metric"],
-        dev_mode=exp["dev_mode"],
-        master_seed=exp["master_seed"],
-        train_partition_size=ds["train_partition_size"],
-        test_size=ds["test_size"],
-        resample_dev=exp["resample_dev"],
-        top3_aggregate=exp["top3_aggregate"],
-        feature_config=FeatureConfig(
-            ngram_orders=frozenset(_checked_list("model.ngram_orders", model["ngram_orders"])),
-            hash_dim=model["hash_dim"],
-        ),
-        train_config=TrainConfig(seed=exp["master_seed"], **{key: model[key] for key in train_keys}),
-        st_config=SelfTrainConfig(
-            max_iterations=st["max_iterations"],
-            agreement_threshold=st["agreement_threshold"],
-            agreement_patience=st["agreement_patience"],
-            final_finetune_on_l=finetune,
-            drop_lowest_confidence_fraction=st["drop_lowest_confidence_fraction"],
-            mode=st["mode"],
-            cf_batch=st["batch"],
-        ),
-        ta_config=TAConfig(**{**aug, "tau_grid": tuple(_checked_list("augmentation.tau_grid", aug["tau_grid"]))}),
-        generator=GeneratorSpec(**config["generator"]),
+        feature_config=_build(FeatureConfig, model, ngram_orders=frozenset(_checked_list("model.ngram_orders", orders))),
+        train_config=_build(TrainConfig, model, seed=exp["master_seed"]),
+        st_config=_build(SelfTrainConfig, st, final_finetune_on_l=finetune, cf_batch=st["batch"]),
+        ta_config=_build(TAConfig, aug, tau_grid=tuple(_checked_list("augmentation.tau_grid", aug["tau_grid"]))),
+        generator=_build(GeneratorSpec, config["generator"]),
         ood_task=None if ds["ood_family"] is None else SynthSpec(family=ds["ood_family"], params=ds["ood_params"]),
-        pool_mode=st["pool_mode"],
         sweep_ks=tuple(exp["sweep_ks"] or ()),
     )

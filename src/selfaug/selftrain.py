@@ -9,7 +9,6 @@ labeled set each iteration until the pool is exhausted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Literal, Mapping, Optional, Sequence
 
@@ -85,9 +84,6 @@ class SelfTrainResult:
             "per_iteration": self.per_iteration,
             "final_model_hash": self.final_model.params_hash(),
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _labeling_accuracy(

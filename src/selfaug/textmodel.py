@@ -18,6 +18,7 @@ import re
 import sys
 import zlib
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Optional, Sequence, Union
@@ -709,7 +710,7 @@ def fit(
         best_score = dev_score()
         trace.append({"step": 0, "loss": None, "dev_metric": best_score})
 
-    checkpoints: list[ModelParams] = []
+    checkpoints: deque[ModelParams] = deque(maxlen=config.average_last)  # only the ones averaged are kept
     total, every = config.max_steps, config.eval_every
 
     cursor = n  # the first step draws the first permutation
@@ -767,7 +768,7 @@ def fit(
 
     if early:
         return best, trace
-    return average_checkpoints(checkpoints[-config.average_last :]), trace
+    return average_checkpoints(list(checkpoints)), trace
 
 
 def train(

@@ -81,6 +81,14 @@ class TestValidate:
         assert payload["code"] == EXIT_VALIDATION
         assert "hash_dim" in payload["message"]
 
+    def test_non_utf8_config_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_bytes("model:\n  hash_dim: 4096  # caf\u00e9\n".encode("latin-1"))
+        assert main(["--config", str(path), "validate"]) == EXIT_VALIDATION
+        payload = _last_stderr_json(capsys)
+        assert payload["code"] == EXIT_VALIDATION
+        assert f"config {path} is not UTF-8 text" in payload["message"]
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -601,6 +609,33 @@ class TestSelftrain:
         assert code == EXIT_OK
         records = json.loads((out / "result.json").read_text())["per_iteration"]
         assert records and all(rec["dev_metric"] is None for rec in records)
+
+    @pytest.mark.parametrize("resample_dev", ["true", "false"])
+    def test_trains_on_the_split_of_the_harness_restart_0(self, tmp_path, monkeypatch, resample_dev):
+        """``selftrain`` reads the labeled, dev and pool rows the harness's first restart does."""
+        seen = {}
+
+        def recording(module):
+            real = module.self_train
+
+            def self_train(f0, labeled, pool, dev=None, **kwargs):
+                seen[module.__name__] = (labeled.examples, dev.examples, pool.examples)
+                return real(f0, labeled, pool, dev=dev, **kwargs)
+
+            monkeypatch.setattr(module, "self_train", self_train)
+
+        recording(cli)
+        recording(harness)
+        argv = SMALL + [
+            "--set", f"experiment.resample_dev={resample_dev}",
+            "--set", "self_training.max_iterations=1",
+            "--set", "experiment.arms=[st]",
+            "--set", "experiment.restarts=1",
+            "--quiet",
+        ]
+        assert main(argv + ["--out", str(tmp_path / "st"), "selftrain", "--f0", str(self._save_f0(tmp_path))]) == EXIT_OK
+        assert main(argv + ["--out", str(tmp_path / "exp"), "experiment"]) == EXIT_OK
+        assert seen["selfaug.cli"] == seen["selfaug.harness"]
 
     @pytest.mark.parametrize("key, name", [("experiment.k", "k"), ("datasets.train_partition_size", "size")])
     @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5"), ("true", "True"), ("0", "0")])

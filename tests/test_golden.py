@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the artifacts of three small CLI runs.
+"""Pinned sha256 digests of the artifacts of small CLI runs.
 
 Each test runs ``selfaug.cli.main`` in-process on a tiny config and checks
 the sha256 of the files it writes against a pinned value:
@@ -8,7 +8,16 @@ the sha256 of the files it writes against a pinned value:
 - a pair-overlap-nli ``ta`` run with tau selected over the grid
   (``augmentation.tau=null``): ``report.json``;
 - ``augment`` on pair-overlap-nli, then ``selftrain`` from its
-  ``f0.model`` on a fixed step budget: ``result.json`` and ``final.model``.
+  ``f0.model`` on a fixed step budget: ``result.json`` and ``final.model``;
+- ``experiment`` on ``tests/data/every_key.yaml`` through ``--config``, which
+  sets each key ``experiment`` reads away from its default: ``report.json``,
+  ``curve.csv`` and ``curve_aggregate.csv``;
+- ``st`` and ``cf-st`` on an out-of-domain pool, in ``in_plus_out`` and
+  ``out_only`` mode: ``report.json``;
+- a diverging ``baseline`` run (``model.learning_rate=1e200``), which exits 2:
+  ``report.json``;
+- ``baseline`` and ``ta-st`` in the dev-free protocol, on a fixed step budget
+  with checkpoint averaging: ``report.json``.
 
 So a change that moves one score or one trained weight fails here, without a
 git ref to compare against. The digests hold for numpy 2.4.6 and the SIMD
@@ -18,10 +27,13 @@ lists each old and new digest with its reason.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from selfaug.cli import EXIT_OK, main
+from selfaug.cli import EXIT_OK, EXIT_PARTIAL, main
+
+EVERY_KEY = Path(__file__).parent / "data" / "every_key.yaml"
 
 SMALL = [
     "--set", "datasets.train_partition_size=400",
@@ -58,10 +70,36 @@ SELFTRAIN = [
     "--set", "model.eval_every=10",
     "--set", "self_training.final_finetune_on_l=off",
 ]
+OOD = [
+    *SMALL,
+    "--set", "datasets.ood_family=keyword-sentiment",
+    "--set", "datasets.ood_params={noise_rate: 0.3}",
+    "--set", "experiment.arms=[st, cf-st]",
+    "--set", "experiment.restarts=1",
+    "--set", "self_training.max_iterations=2",
+]
+DIVERGENCE = [
+    *SMALL,
+    "--set", "model.learning_rate=1.0e+200",
+    "--set", "experiment.arms=[baseline]",
+    "--set", "experiment.restarts=1",
+]
+FIXED_STEPS = [
+    *NLI,
+    "--set", "model.stopping=fixed_steps",
+    "--set", "model.eval_every=10",
+    "--set", "model.average_last=3",
+    "--set", "experiment.dev_mode=dev_free",
+    "--set", "self_training.final_finetune_on_l='on'",
+    "--set", "augmentation.two_stage=false",
+    "--set", "experiment.arms=[baseline, ta-st]",
+    "--set", "experiment.restarts=1",
+    "--set", "self_training.max_iterations=2",
+]
 
 
-def _digests(argv, out, names):
-    assert main(["--quiet", "--out", str(out), *argv]) == EXIT_OK
+def _digests(argv, out, names, code=EXIT_OK):
+    assert main(["--quiet", "--out", str(out), *argv]) == code
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
@@ -88,3 +126,36 @@ def test_augment_then_selftrain(tmp_path):
         "final.model": "eb42144f194a84cbb2b0e782191c78f8461808d2624597f4fa280ac4acaff06a",
     }
     assert digests["final.model"] != hashlib.sha256(f0.read_bytes()).hexdigest()
+
+
+def test_every_key_through_a_config_file(tmp_path):
+    names = ("report.json", "curve.csv", "curve_aggregate.csv")
+    assert _digests(["--config", str(EVERY_KEY), "experiment"], tmp_path, names) == {
+        "report.json": "5134c1f3509c2a1d75c1e515fc1cefcb24d6410ab2e6f34752ae2e0559417e99",
+        "curve.csv": "480a623fe07b220b722230d32ca96824aead488867b184f84a8fbdc4bca91566",
+        "curve_aggregate.csv": "8d7e5b27477b3143dcc56d7a9eb6f84fdbbb910029b7aa0091ce60f5fb25ddbc",
+    }
+
+
+@pytest.mark.parametrize(
+    "pool_mode, digest",
+    [
+        ("in_plus_out", "0f3b0e910cb66887073500622b4005088ecdf34745ee5e10be4b876a6d93700e"),
+        ("out_only", "8a22c48a247c57ba47837f4b2be9b083dd407040d3603014d56dfeb0adc8e6cd"),
+    ],
+)
+def test_out_of_domain_pool(tmp_path, pool_mode, digest):
+    argv = [*OOD, "--set", f"self_training.pool_mode={pool_mode}", "experiment"]
+    assert _digests(argv, tmp_path, ("report.json",)) == {"report.json": digest}
+
+
+def test_divergence_exits_partial(tmp_path):
+    assert _digests([*DIVERGENCE, "experiment"], tmp_path, ("report.json",), code=EXIT_PARTIAL) == {
+        "report.json": "ca0cf1b981fe73a55fd8825371164dc4d50d52bb8f339fbe7782158de4c3df2c",
+    }
+
+
+def test_fixed_steps_with_checkpoint_averaging_dev_free(tmp_path):
+    assert _digests([*FIXED_STEPS, "experiment"], tmp_path, ("report.json",)) == {
+        "report.json": "2700457a7ec35d818a7454b14c1dfdf82e762ae65445009b5b92aa7f9af5c71e",
+    }

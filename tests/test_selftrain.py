@@ -108,7 +108,7 @@ class TestBroadSelfTrain:
         a = self_train(f0, split.train, split.pool, **kwargs)
         b = self_train(f0, split.train, split.pool, **kwargs)
         assert a.final_model.to_bytes() == b.final_model.to_bytes()
-        assert a.to_json_str() == b.to_json_str()
+        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
     def test_requires_labeled_and_pool(self):
         corpus, split, f0 = _setup()
@@ -148,7 +148,7 @@ class TestBroadSelfTrain:
             st_config=SelfTrainConfig(max_iterations=2),
             train_config=TrainConfig(seed=0), feature_config=FC,
         )
-        payload = json.loads(result.to_json_str())
+        payload = json.loads(json.dumps(result.to_json(), sort_keys=True))
         assert payload["schema_version"] == 1
         assert payload["final_model_hash"] == result.final_model.params_hash()
         assert len(payload["per_iteration"]) == len(result.per_iteration)

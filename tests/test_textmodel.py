@@ -1,6 +1,7 @@
 """Featurizer, linear model, and trainer tests."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -607,6 +608,23 @@ class TestFit:
         config = TrainConfig(seed=1, max_steps=90, eval_every=30, average_last=2, stopping="fixed_steps")
         _, trace = fit(init, x, labels, config)
         assert [rec["step"] for rec in trace] == [30, 60, 90]
+
+    def test_fixed_steps_hold_only_the_averaged_checkpoints(self):
+        """A checkpoint every step keeps ``average_last`` snapshots alive, not one per checkpoint."""
+        fc = FeatureConfig(hash_dim=2 ** 16)
+        space = LabelSpace.categorical(("a", "b", "c"))
+        x = featurize_matrix([Example(id=str(i), segment_a=f"w{i % 7} v{i % 5} u") for i in range(40)], fc)
+        labels = [space.classes[i % 3] for i in range(40)]
+        config = TrainConfig(seed=0, max_steps=60, eval_every=1, average_last=5, stopping="fixed_steps")
+        init = init_params(space, fc)
+        snapshot_bytes = init.weights.nbytes
+        tracemalloc.start()
+        try:
+            fit(init, x, labels, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * snapshot_bytes  # 60 kept snapshots would take 60
 
     def test_average_last_validated(self):
         with pytest.raises(ValidationError):

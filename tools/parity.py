@@ -24,7 +24,10 @@ checkpoint every 30, 2 self-training iterations and final fine-tuning on.
 No other leg trains on a fixed step budget with checkpoint averaging. A
 sweep leg runs ``baseline`` and ``st`` on keyword-sentiment at 2 restarts
 (hash_dim 2^14, 4 self-training iterations) over ``experiment.sweep_ks``
-``[4, 8, 16]``: no other leg runs a sample-efficiency sweep.
+``[4, 8, 16]``: no other leg runs a sample-efficiency sweep. A config-file
+leg runs ``experiment`` on ``tests/data/every_key.yaml`` through ``--config``
+(read from this checkout for both trees): it sets each key ``experiment``
+reads away from its default, and is the only leg that reads a config file.
 
 Those artifacts hold scores, not trained weights, so a change too small to
 move a score would pass them. A weight-level leg follows at both seeds: on
@@ -69,6 +72,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("report.json", "scores.csv", "aggregate.csv", "manifest.json", "curve.csv", "curve_aggregate.csv")
 WEIGHT_WORKLOAD = "ta-overgen-nli"
+EVERY_KEY_CONFIG = ROOT / "tests" / "data" / "every_key.yaml"
 CRITERION_3_ARGV = [
     "--set", "datasets.task_family=pair-overlap-nli",
     "--set", "experiment.arms=[baseline, ta, st, ta-st]",
@@ -235,6 +239,7 @@ def main(argv=None) -> int:
     legs += [(f"divergence seed {seed}", experiment_leg, seed, DIVERGENCE_ARGV) for seed in seeds]
     legs += [(f"fixed-steps seed {seed}", experiment_leg, seed, FIXED_STEPS_ARGV) for seed in seeds]
     legs += [(f"sweep seed {seed}", experiment_leg, seed, SWEEP_ARGV) for seed in seeds]
+    legs += [(f"config-file seed {seed}", experiment_leg, seed, ["--config", str(EVERY_KEY_CONFIG)]) for seed in seeds]
     legs += [(f"{WEIGHT_WORKLOAD} weights seed {seed}", weight_leg, seed, workloads[WEIGHT_WORKLOAD]["argv"]) for seed in seeds]
     legs += [(f"task-file seed {seed}", task_file_leg, seed, TASK_FILE_ARGV) for seed in seeds]
     differences = 0
