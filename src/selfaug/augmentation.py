@@ -13,14 +13,14 @@ import hashlib
 import json
 import shlex
 import subprocess
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSpace, UnlabeledPool, ValidationError
-from .corpus import check_count, check_flag, check_number
+from .corpus import as_json, check_count, check_flag, check_number
 from .synth import NLI_TRANSFORMS, BlockSampler, Rng
 from .textmodel import (
     FeatureConfig,
@@ -97,6 +97,8 @@ class TAConfig:
         check_count("ta_pool_limit", self.ta_pool_limit, minimum=0)
         check_flag("two_stage", self.two_stage)
         check_flag("include_original_aux", self.include_original_aux)
+        if not (self.two_stage or self.include_original_aux):
+            raise ValidationError("two_stage false is not read with include_original_aux off, which leaves one stage")
         for t in self.tau_grid:
             check_number("tau grid value", t, hi=1, open_lo=True, open_hi=True)
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
@@ -272,7 +274,7 @@ def ta_examples_to_dataset(
 
 
 def write_ta_jsonl(entries: Sequence[AugmentedExample], path: Union[str, Path]) -> None:
-    lines = [json.dumps(asdict(e), sort_keys=True, ensure_ascii=False) for e in entries]
+    lines = [json.dumps(as_json(e), sort_keys=True, ensure_ascii=False) for e in entries]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -18,7 +18,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .augmentation import GeneratorSpec, TAConfig
-from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, check_number
+from .corpus import INPUT_FORMATS, LabelSpace, ValidationError, as_json, check_number
 from .harness import ExperimentSpec
 from .selftrain import SelfTrainConfig
 from .synth import SynthSpec
@@ -37,19 +37,14 @@ def _defaults(
     cls, names: Optional[Sequence[str]] = None, skip: Sequence[str] = (), rename: Mapping[str, str] = {}
 ) -> dict:
     """Key -> default of the ``cls`` fields ``names`` (by default each field
-    with a plain default, but ``skip``), as YAML reads them: a frozenset as a
-    sorted list, a tuple as a list and an empty one as null (``sweep_ks: null``
-    spells no sweep). ``rename`` maps a field to its key."""
-    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-    keys = {}
-    for name in names or [n for n in defaults if n not in skip]:
-        value = defaults[name]
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, tuple):
-            value = list(value) or None
-        keys[rename.get(name, name)] = value
-    return keys
+    with a plain default, but ``skip``), as YAML reads them: ``as_json`` of
+    the default, with an empty list as null (``sweep_ks: null`` spells no
+    sweep). ``rename`` maps a field to its key."""
+    defaults = {f.name: as_json(f.default) for f in fields(cls) if f.default is not MISSING}
+    return {
+        rename.get(name, name): None if defaults[name] == [] else defaults[name]
+        for name in names or [n for n in defaults if n not in skip]
+    }
 
 
 # Section -> key -> default. ``...`` marks free-form mappings. A key that sets

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Literal, Mapping, Optional, Sequence, Union
 
@@ -60,6 +60,21 @@ def check_number(
 def check_flag(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValidationError(f"{name} must be true or false, got {value!r}")
+
+
+def as_json(value):
+    """``value`` as JSON holds it: a dataclass as an object of each of its
+    fields by name, a mapping as an object, a frozenset as a sorted list and
+    a tuple as a list, recursively."""
+    if is_dataclass(value):
+        return {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {key: as_json(item) for key, item in value.items()}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [as_json(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)

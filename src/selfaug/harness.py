@@ -34,6 +34,7 @@ from .corpus import (
     RegimeSplit,
     UnlabeledPool,
     ValidationError,
+    as_json,
     check_count,
     check_flag,
     sample_regime,
@@ -127,35 +128,7 @@ class ExperimentSpec:
                 raise ValidationError(f"sweep ks must be strictly ascending, got {list(self.sweep_ks)}")
 
     def to_json(self) -> dict:
-        def spec_json(s: Optional[SynthSpec]):
-            if s is None:
-                return None
-            return {"family": s.family, "name": s.name, "params": dict(s.params)}
-
-        return {
-            "task": spec_json(self.task),
-            "arms": list(self.arms),
-            "regime": self.regime,
-            "k": self.k,
-            "restarts": self.restarts,
-            "metric": self.metric,
-            "dev_mode": self.dev_mode,
-            "master_seed": self.master_seed,
-            "train_partition_size": self.train_partition_size,
-            "test_size": self.test_size,
-            "resample_dev": self.resample_dev,
-            "top3_aggregate": self.top3_aggregate,
-            "hash_dim": self.feature_config.hash_dim,
-            "ngram_orders": sorted(self.feature_config.ngram_orders),
-            "learning_rate": self.train_config.learning_rate,
-            "batch_size": self.train_config.batch_size,
-            "max_steps": self.train_config.max_steps,
-            "l2": self.train_config.l2,
-            "st": self.st_config.to_json(),
-            "tau": self.ta_config.tau,
-            "ood_task": spec_json(self.ood_task),
-            "pool_mode": self.pool_mode,
-        }
+        return as_json(self)
 
 
 @dataclass
@@ -184,7 +157,7 @@ class RunReport:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "spec": self.spec.to_json(),
             "scores": self.scores,
             "aggregates": self.aggregates(),
@@ -462,10 +435,12 @@ def run_experiment(
 
 def run_per_k(spec: ExperimentSpec) -> dict[int, RunReport]:
     """``spec`` run at ``spec.k`` and each k of its sweep, in k order, on one
-    base corpus and one set of aux artifacts."""
+    base corpus and one set of aux artifacts. Each report's spec is the plain
+    run's at its k: it holds no sweep."""
     base = base_corpus(spec)
     aux = build_aux_artifacts(spec) if _needs_aux(spec, base.label_space) else None
-    return {k: run_experiment(replace(spec, k=k), base, aux) for k in sorted({spec.k, *spec.sweep_ks})}
+    ks = sorted({spec.k, *spec.sweep_ks})
+    return {k: run_experiment(replace(spec, k=k, sweep_ks=()), base, aux) for k in ks}
 
 
 def curve_csv(reports: Mapping[int, RunReport]) -> str:

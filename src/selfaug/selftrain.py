@@ -9,13 +9,13 @@ labeled set each iteration until the pool is exhausted.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError, strip_labels
-from .corpus import check_count, check_number
+from .corpus import as_json, check_count, check_number
 from .textmodel import (
     FeatureConfig,
     ModelParams,
@@ -60,11 +60,6 @@ class SelfTrainConfig:
                 f"not {self.final_finetune_on_l!r}"
             )
 
-    def to_json(self) -> dict:
-        # dev_patience, a deleted setting, is written as null so report.json and
-        # result.json keep their bytes.
-        return {**asdict(self), "dev_patience": None}
-
 
 @dataclass
 class SelfTrainResult:
@@ -76,9 +71,8 @@ class SelfTrainResult:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
-            "mode": self.config.mode,
-            "config": self.config.to_json(),
+            "schema_version": 2,
+            "config": as_json(self.config),
             "f0_hash": self.f0_hash,
             "converged_at": self.converged_at,
             "per_iteration": self.per_iteration,

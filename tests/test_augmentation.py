@@ -98,6 +98,10 @@ class TestTAConfig:
             (dict(ta_pool_limit=True), "ta_pool_limit must be an integer >= 0, got True"),
             (dict(two_stage="maybe"), "two_stage must be true or false, got 'maybe'"),
             (dict(include_original_aux=3), "include_original_aux must be true or false, got 3"),
+            (
+                dict(two_stage=False, include_original_aux=False),
+                "two_stage false is not read with include_original_aux off, which leaves one stage",
+            ),
         ],
     )
     def test_rejects_each_bad_value(self, changes, message):
@@ -397,8 +401,8 @@ class TestIntermediateFinetune:
             )
         # An excluded original set does not stand in for missing synthetic data.
         orig = synth_corpus(SynthSpec("pair-overlap-nli"), 20, 4)
-        single_stage = TAConfig(two_stage=False, include_original_aux=False)
+        without_orig = TAConfig(include_original_aux=False)
         with pytest.raises(ValidationError):
             intermediate_finetune(
-                init, None, orig, binary_space, single_stage, TrainConfig(), feature_config=FC
+                init, None, orig, binary_space, without_orig, TrainConfig(), feature_config=FC
             )

@@ -184,6 +184,7 @@ class TestValidate:
             ["generator.flip_rate=.nan"],
             ["generator.flip_rate=abc"],
             ["augmentation.two_stage=maybe"],
+            ["augmentation.two_stage=false", "augmentation.include_original_aux=false"],
             ["augmentation.tau_grid=[a]"],
             ["augmentation.tau_grid=abc"],
             ["experiment.resample_dev=maybe"],
@@ -371,7 +372,6 @@ class TestAugment:
         out = tmp_path / "aug"
         args = self.ARGS + [
             "--set", "augmentation.tau=0.99999",
-            "--set", "augmentation.two_stage=false",
             "--set", "augmentation.include_original_aux=false",
         ]
         assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_VALIDATION
@@ -434,7 +434,7 @@ class TestSelftrain:
         )
         assert code == EXIT_OK
         result = json.loads((out / "result.json").read_text())
-        assert result["mode"] == "broad"
+        assert result["config"]["mode"] == "broad"
         assert len(result["per_iteration"]) <= 2
         assert result["pool_size"] > 0
         assert (out / "final.model").exists()
@@ -453,7 +453,7 @@ class TestSelftrain:
         )
         assert code == EXIT_OK
         result = json.loads((out / "result.json").read_text())
-        assert result["mode"] == "confidence_filtering"
+        assert result["config"]["mode"] == "confidence_filtering"
         assert sum(r["added"] for r in result["per_iteration"]) == result["pool_size"]
 
     def test_zero_batch_exits_1(self, tmp_path, capsys):
@@ -768,7 +768,7 @@ class TestExperiment:
         assert main(args + ["--out", str(out), "--quiet", "experiment"]) == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert not report["partial"]
-        assert report["spec"]["st"]["final_finetune_on_l"] == "off"
+        assert report["spec"]["st_config"]["final_finetune_on_l"] == "off"
 
     def test_report_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "exp"

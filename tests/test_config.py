@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfaug.config import (
+    SCHEMA,
     ConfigValidationError,
     build_experiment_spec,
     load_config,
@@ -121,7 +122,7 @@ class TestBuilders:
         fc = spec.feature_config
         _, trace = train(init_params(tiny_dataset.label_space, fc), tiny_dataset, spec.train_config, feature_config=fc)
         assert [rec["step"] for rec in trace] == [30, 60, 90]
-        assert spec.to_json()["max_steps"] == 90
+        assert spec.to_json()["train_config"]["max_steps"] == 90
 
     @pytest.mark.parametrize(
         "model",
@@ -242,3 +243,81 @@ class TestBuilders:
     def test_master_seed_propagates_to_train_config(self):
         config = validate_config({"experiment": {"master_seed": 41}})
         assert build_experiment_spec(config).train_config.seed == 41
+
+
+# The keys that name the task file; every other key sets an ExperimentSpec field.
+TASK_FILE_KEYS = {f"datasets.{key}" for key in ("input_path", "input_format", "label_classes", "label_lo", "label_hi")}
+# Key -> (a valid value off its default, the keys both compared configs set
+# beside it[, the keys only the changed config sets beside it]).
+OFF_DEFAULT = {
+    "datasets.task_family": ("pair-overlap-nli", {}),
+    "datasets.task_name": ("named", {}),
+    "datasets.task_params": ({"noise_rate": 0.3}, {}),
+    "datasets.train_partition_size": (500, {}),
+    "datasets.test_size": (100, {}),
+    "datasets.ood_family": ("drifted-cluster", {}),
+    "datasets.ood_params": ({"noise_rate": 0.3}, {"datasets.ood_family": "keyword-sentiment"}),
+    # An external generator needs a command, which the rule-based one rejects.
+    "generator.kind": ("external", {}, {"generator.command": "gen"}),
+    "generator.command": ("gen2", {"generator.kind": "external", "generator.command": "gen"}),
+    "generator.samples_per_input": (8, {}),
+    "generator.flip_rate": (0.2, {}),
+    "augmentation.tau": (0.7, {}),
+    "augmentation.tau_grid": ([0.2, 0.5], {}),
+    "augmentation.tau_budget": (50, {}),
+    "augmentation.tau_source_limit": (10, {}),
+    "augmentation.two_stage": (False, {}),
+    "augmentation.include_original_aux": (False, {}),
+    "augmentation.aux_train_size": (100, {}),
+    "augmentation.aux_dev_size": (50, {}),
+    "augmentation.ta_pool_limit": (0, {}),
+    "model.ngram_orders": ([1], {}),
+    "model.hash_dim": (1024, {}),
+    "model.learning_rate": (0.2, {}),
+    "model.batch_size": (16, {}),
+    "model.max_steps": (100, {}),
+    "model.l2": (0.01, {}),
+    "model.lr_decay": (0.01, {}),
+    "model.stopping": ("fixed_steps", {}),
+    "model.eval_every": (10, {}),
+    "model.patience": (15, {}),
+    "model.average_last": (2, {}),
+    "self_training.max_iterations": (5, {}),
+    "self_training.agreement_threshold": (0.9, {}),
+    "self_training.agreement_patience": (3, {}),
+    "self_training.final_finetune_on_l": ("on", {}),
+    "self_training.drop_lowest_confidence_fraction": (0.1, {}),
+    "self_training.mode": ("confidence_filtering", {}),
+    "self_training.batch": (16, {}),
+    "self_training.pool_mode": ("out_only", {}),
+    "experiment.arms": (["baseline", "st"], {}),
+    "experiment.regime": ("full", {}),
+    "experiment.k": (4, {}),
+    "experiment.sweep_ks": ([4, 8], {}),
+    "experiment.restarts": (3, {}),
+    "experiment.metric": ("f1:pos", {}),
+    # The dev-free protocol forbids early stopping and fine-tuning chosen by dev.
+    "experiment.dev_mode": ("dev_free", {"model.stopping": "fixed_steps", "self_training.final_finetune_on_l": "on"}),
+    "experiment.master_seed": (5, {}),
+    "experiment.resample_dev": (False, {}),
+    "experiment.top3_aggregate": (True, {}),
+}
+
+
+def _spec_json(settings: dict) -> dict:
+    raw: dict = {}
+    for target, value in settings.items():
+        section, key = target.split(".")
+        raw.setdefault(section, {})[key] = value
+    return build_experiment_spec(validate_config(raw)).to_json()
+
+
+class TestReportRecordsEverySetting:
+    def test_each_key_that_sets_a_spec_field_has_an_off_default_value(self):
+        keys = {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys}
+        assert keys - TASK_FILE_KEYS == set(OFF_DEFAULT)
+
+    @pytest.mark.parametrize("target", sorted(OFF_DEFAULT))
+    def test_an_off_default_value_moves_the_spec_json(self, target):
+        value, base, *also = OFF_DEFAULT[target]
+        assert _spec_json({**base, target: value, **(also[0] if also else {})}) != _spec_json(base)

@@ -76,7 +76,7 @@ class TestBroadSelfTrain:
         )
         f0_hash = f0.params_hash()
         assert result.f0_hash == f0_hash
-        assert result.to_json()["mode"] == "broad"
+        assert result.to_json()["config"]["mode"] == "broad"
         assert result.per_iteration[-1]["test_metric"] is not None
         expected = len(split.train) + len(split.pool)
         for rec in result.per_iteration:
@@ -149,7 +149,7 @@ class TestBroadSelfTrain:
             train_config=TrainConfig(seed=0), feature_config=FC,
         )
         payload = json.loads(json.dumps(result.to_json(), sort_keys=True))
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["final_model_hash"] == result.final_model.params_hash()
         assert len(payload["per_iteration"]) == len(result.per_iteration)
 
@@ -184,7 +184,7 @@ class TestConfidenceFiltering:
         assert sum(added) == n_pool
         assert all(a == batch for a in added[:-1])
         assert added[-1] <= batch
-        assert result.to_json()["mode"] == "confidence_filtering"
+        assert result.to_json()["config"]["mode"] == "confidence_filtering"
         # The labeled set grows monotonically by exactly the added batch.
         sizes = [rec["train_size"] for rec in result.per_iteration]
         assert sizes[0] == len(split.train) + added[0]
