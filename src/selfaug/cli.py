@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .augmentation import write_ta_jsonl
-from .config import ConfigValidationError, build_experiment_spec, build_task_space, load_config
+from .config import SCHEMA, ConfigValidationError, build_experiment_spec, build_task_space, load_config
 from .corpus import (
     CorpusError,
     Dataset,
@@ -176,8 +176,7 @@ def cmd_selftrain(config: dict, args) -> int:
 
     out_dir = Path(args.out or "selftrain-out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.to_json()
-    payload["pool_size"] = len(pool)
+    payload = {**result.to_json(), "spec": spec.to_json(), "pool_size": len(pool)}
     (out_dir / "result.json").write_text(
         json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -192,12 +191,14 @@ def cmd_selftrain(config: dict, args) -> int:
 
 
 def cmd_experiment(config: dict, args) -> int:
-    # experiment synthesizes its task corpus, so it rejects a task file rather than ignore it.
-    if config["datasets"]["input_path"]:
-        raise ConfigValidationError(
-            "datasets.input_path is not read by experiment, which synthesizes its task corpus",
-            {"section": "datasets", "key": "input_path"},
-        )
+    # experiment rejects a key it does not read rather than ignore it.
+    for section, key, reason in (
+        ("datasets", "input_path", "which synthesizes its task corpus"),
+        ("self_training", "mode", "whose arms fix their own self-training mode"),
+    ):
+        if config[section][key] != SCHEMA[section][key]:
+            context = {"section": section, "key": key}
+            raise ConfigValidationError(f"{section}.{key} is not read by experiment, {reason}", context)
     spec = _check_config(config)
     if args.validate_only:
         return _config_ok(args)

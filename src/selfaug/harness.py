@@ -52,10 +52,14 @@ from .textmodel import (
     train,
 )
 
-ARM_NAMES = ("baseline", "itft", "ta", "st", "ta-st", "cf-st")
-# The start model each arm trains from; arms of one kind share it within a restart.
-START_KIND = {"baseline": "zeros", "st": "zeros", "cf-st": "zeros", "itft": "itft", "ta": "ta", "ta-st": "ta"}
-SELF_TRAINING_ARMS = ("st", "ta-st", "cf-st")
+# Arm -> (the kind of start model it trains from, its self-training mode, or
+# None for an arm that trains on L alone). Arms of one kind share their start
+# model within a restart.
+ARMS = {
+    "baseline": ("zeros", None), "itft": ("itft", None), "ta": ("ta", None),
+    "st": ("zeros", "broad"), "ta-st": ("ta", "broad"), "cf-st": ("zeros", "confidence_filtering"),
+}
+ARM_NAMES = tuple(ARMS)
 AUX_LABEL_SPACE = LabelSpace.categorical(NLI_CLASSES)
 
 
@@ -287,14 +291,14 @@ def _pool_and_gold(
 
 def _needs_aux(spec: ExperimentSpec, target_space: LabelSpace) -> bool:
     """An arm starts from the aux head, and some target class carries over from it."""
-    aux_arm = any(START_KIND[a] != "zeros" for a in spec.arms)
+    aux_arm = any(ARMS[a][0] != "zeros" for a in spec.arms)
     return aux_arm and bool(carried_classes(AUX_LABEL_SPACE, target_space))
 
 
 def _start_model(
     spec: ExperimentSpec, kind: str, split: RegimeSplit, aux: Optional[AuxArtifacts], restart: int
 ) -> ModelParams:
-    """One restart's start model of ``kind`` (see ``START_KIND``)."""
+    """One restart's start model of ``kind`` (see ``ARMS``)."""
     target_space = split.train.label_space
     if kind == "zeros" or aux is None:  # no aux class carries over: swap_head gives zeros
         return init_params(target_space, spec.feature_config)
@@ -321,17 +325,15 @@ def _run_arm(
     dev = split.dev if spec.dev_mode == "with_dev" else None
     tc = replace(spec.train_config, seed=derive_seed(spec.master_seed, restart, arm))
 
-    if arm not in SELF_TRAINING_ARMS:
+    mode = ARMS[arm][1]
+    if mode is None:
         model, _ = train(f0, split.train, tc, dev_set=dev, feature_config=fc, metric=spec.metric)
         return evaluate(model, test, spec.metric, fc), None
 
-    st_config = spec.st_config
-    if arm == "cf-st":
-        st_config = replace(st_config, mode="confidence_filtering")
     pool, pool_gold = pool
     result = self_train(
         f0, split.train, pool, dev=dev, test=test,
-        st_config=st_config, train_config=tc,
+        st_config=replace(spec.st_config, mode=mode), train_config=tc,
         feature_config=fc, metric=spec.metric, gold=pool_gold,
     )
     # self_train scored its final model on the test set in its last record.
@@ -411,11 +413,11 @@ def run_experiment(
         built: dict[str, Any] = {}  # start model kind, or "pool"
         for arm in spec.arms:
             start = time.perf_counter()
-            kind = START_KIND[arm]
+            kind, mode = ARMS[arm]
             try:
                 f0 = _once(built, kind, lambda: _start_model(spec, kind, split, aux, r))
                 pool = None
-                if arm in SELF_TRAINING_ARMS:
+                if mode is not None:
                     pool = _once(built, "pool", lambda: _pool_and_gold(spec, split, r, gold))
                 score, arm_series = _run_arm(spec, arm, split, test, f0, r, pool)
                 scores[arm].append(score)

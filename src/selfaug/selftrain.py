@@ -15,7 +15,7 @@ from typing import Literal, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, Label, UnlabeledPool, ValidationError, strip_labels
-from .corpus import as_json, check_count, check_number
+from .corpus import check_count, check_number
 from .textmodel import (
     FeatureConfig,
     ModelParams,
@@ -66,13 +66,12 @@ class SelfTrainResult:
     final_model: ModelParams
     per_iteration: list[dict]
     converged_at: Optional[int]
-    config: SelfTrainConfig
     f0_hash: str
 
     def to_json(self) -> dict:
+        """The run's record; ``selftrain``'s ``result.json`` adds the spec that produced it."""
         return {
-            "schema_version": 2,
-            "config": as_json(self.config),
+            "schema_version": 3,
             "f0_hash": self.f0_hash,
             "converged_at": self.converged_at,
             "per_iteration": self.per_iteration,
@@ -247,7 +246,6 @@ def self_train(
         final_model=teacher,
         per_iteration=per_iteration,
         converged_at=converged_at,
-        config=st_config,
         f0_hash=f0_hash,
     )
 

@@ -301,6 +301,8 @@ class TestValidate:
             (["datasets.label_classes=[pos, neg]"], "datasets.label_classes must be null without datasets.input_path"),
             (["datasets.label_lo=0"], "datasets.label_lo must be null without datasets.input_path, got 0"),
             (["datasets.label_hi=1"], "datasets.label_hi must be null without datasets.input_path, got 1"),
+            # Each arm fixes its own self-training mode.
+            (["self_training.mode=confidence_filtering"], "self_training.mode is not read by experiment"),
         ],
     )
     def test_experiment_rejects_a_key_it_would_ignore(self, tmp_path, capsys, overrides, message):
@@ -405,6 +407,19 @@ class TestAugment:
         assert "line break" in _last_stderr_json(capsys)["message"]
         assert not ran.exists() and not (out / "synthetic.jsonl").exists()
 
+    def test_failing_generator_exits_3(self, tmp_path, capsys):
+        script = tmp_path / "gen.py"
+        script.write_text("import sys\nsys.exit(1)\n", encoding="utf-8")
+        args = self.ARGS + [
+            "--set", "generator.kind=external", "--set", f"generator.command={sys.executable} {script}",
+        ]
+        out = tmp_path / "aug"
+        assert main(args + ["--out", str(out), "--quiet", "augment"]) == EXIT_RUNTIME
+        payload = _last_stderr_json(capsys)
+        assert payload["code"] == EXIT_RUNTIME
+        assert payload["message"].startswith("AugmentationError:")
+        assert not (out / "f0.model").exists()
+
     def test_uses_the_experiment_aux_classifier(self, tmp_path):
         out = tmp_path / "aug"
         assert main(self.ARGS + ["--out", str(out), "--quiet", "augment"]) == EXIT_OK
@@ -434,7 +449,7 @@ class TestSelftrain:
         )
         assert code == EXIT_OK
         result = json.loads((out / "result.json").read_text())
-        assert result["config"]["mode"] == "broad"
+        assert result["spec"]["st_config"]["mode"] == "broad"
         assert len(result["per_iteration"]) <= 2
         assert result["pool_size"] > 0
         assert (out / "final.model").exists()
@@ -453,8 +468,22 @@ class TestSelftrain:
         )
         assert code == EXIT_OK
         result = json.loads((out / "result.json").read_text())
-        assert result["config"]["mode"] == "confidence_filtering"
+        assert result["spec"]["st_config"]["mode"] == "confidence_filtering"
         assert sum(r["added"] for r in result["per_iteration"]) == result["pool_size"]
+
+    def test_result_records_the_spec_of_the_run(self, tmp_path):
+        f0_path = self._save_f0(tmp_path)
+        specs = []
+        for rate in (0.1, 0.3):
+            out = tmp_path / f"st-{rate}"
+            args = SMALL + ["--set", "self_training.max_iterations=1", "--set", f"model.learning_rate={rate}"]
+            assert main(args + ["--out", str(out), "--quiet", "selftrain", "--f0", str(f0_path)]) == EXIT_OK
+            result = json.loads((out / "result.json").read_text())
+            assert result["spec"] == build_experiment_spec(load_config(overrides=args[1::2])).to_json()
+            assert "config" not in result and "mode" not in result  # the spec holds each setting once
+            specs.append(result["spec"])
+        assert specs[0] != specs[1]
+        assert [spec["train_config"]["learning_rate"] for spec in specs] == [0.1, 0.3]
 
     def test_zero_batch_exits_1(self, tmp_path, capsys):
         f0_path = self._save_f0(tmp_path)

@@ -171,7 +171,7 @@ def test_augment_then_selftrain(tmp_path):
     _digests([*NLI, "augment"], tmp_path / "augment", ())
     digests = _digests([*SELFTRAIN, "selftrain", "--f0", str(f0)], tmp_path / "selftrain", ("result.json", "final.model"))
     assert digests == {
-        "result.json": "828ac25a648a95d95e71128d302690a6e3650f1c98d481bb778ab592d3518ecc",
+        "result.json": "09a71a93b9c24778b2b1d4be3f4c72c1bd50b32649f9424a85b332c4a7fe9fa4",
         "final.model": "eb42144f194a84cbb2b0e782191c78f8461808d2624597f4fa280ac4acaff06a",
     }
     assert digests["final.model"] != hashlib.sha256(f0.read_bytes()).hexdigest()
@@ -179,11 +179,11 @@ def test_augment_then_selftrain(tmp_path):
 
 def test_every_key_through_a_config_file(tmp_path):
     assert _digests(["--config", str(EVERY_KEY), "experiment"], tmp_path, RUN + CURVES) == {
-        "report.json": "5a65de7d688c046684719ed6e5cebca17ab630aae332f713969e9e5d3442ae84",
-        "scores.csv": "f577c64b97344bec8d66bc4ca8d402061fbf8eb5a2b3563c4d2d2bc2695ac7f4",
-        "aggregate.csv": "be58ea6de58493d67cc920c0f64b6d02330370974c3d215851f58ac6bb204820",
-        "curve.csv": "480a623fe07b220b722230d32ca96824aead488867b184f84a8fbdc4bca91566",
-        "curve_aggregate.csv": "8d7e5b27477b3143dcc56d7a9eb6f84fdbbb910029b7aa0091ce60f5fb25ddbc",
+        "report.json": "e5ab95a8321f0ecf845b2a2f4fb76f665dd11def15f72f6fefb2ec16ec3d5f7e",
+        "scores.csv": "0a6fc28f213928005d1e1d206784c87a5054eb596c18f0e580c9ce511149fae2",
+        "aggregate.csv": "886b42784bfcb2294a6ed85e5a746215d4ac7520204db018802b68e864635120",
+        "curve.csv": "05716aa6db67a3f03b8498820c35e7cc8dbbe2476487c2bb9bc5afbe0a342c12",
+        "curve_aggregate.csv": "a2d8fafc22aaba41bd5f53454992667c4fa4440b9e9ceea67ab702a2c2e7b602",
     }
 
 

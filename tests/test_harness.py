@@ -182,6 +182,15 @@ class TestRunExperiment:
         # Self-training arms carry per-iteration series.
         assert len(report.series["st"]) == 2
 
+    def test_arms_fix_their_own_self_training_mode(self):
+        """st and ta-st self-train in broad mode whatever ``st_config.mode`` says."""
+        spec = ExperimentSpec(arms=("st", "ta-st"), **TA_FAST)
+        default = run_experiment(spec)
+        cf = run_experiment(replace(spec, st_config=replace(spec.st_config, mode="confidence_filtering")))
+        assert not cf.partial and all(cf.series.values())
+        assert all("added" not in rec for runs in cf.series.values() for run in runs for rec in run)
+        assert json.dumps([cf.scores, cf.series]) == json.dumps([default.scores, default.series])
+
     def test_population_std(self):
         spec = ExperimentSpec(arms=("baseline",), **FAST)
         report = run_experiment(spec)

@@ -76,7 +76,7 @@ class TestBroadSelfTrain:
         )
         f0_hash = f0.params_hash()
         assert result.f0_hash == f0_hash
-        assert result.to_json()["config"]["mode"] == "broad"
+        assert all("added" not in rec for rec in result.per_iteration)  # a broad run's records
         assert result.per_iteration[-1]["test_metric"] is not None
         expected = len(split.train) + len(split.pool)
         for rec in result.per_iteration:
@@ -141,6 +141,14 @@ class TestBroadSelfTrain:
         for rec in result.per_iteration:
             assert rec["train_size"] == len(split.train) + kept
 
+    def test_drop_fraction_is_rejected_for_a_regression_head(self):
+        space = LabelSpace.continuous(0, 1)
+        ds = Dataset("r", space, (Example(id="r:0", segment_a="x", label=0.5),))
+        pool = UnlabeledPool("p", (Example(id="p:0", segment_a="y"),))
+        config = SelfTrainConfig(drop_lowest_confidence_fraction=0.25, final_finetune_on_l="off")
+        with pytest.raises(ValidationError, match="undefined for regression"):
+            self_train(init_params(space, FC), ds, pool, st_config=config, feature_config=FC)
+
     def test_json_payload(self):
         corpus, split, f0 = _setup()
         result = self_train(
@@ -149,7 +157,7 @@ class TestBroadSelfTrain:
             train_config=TrainConfig(seed=0), feature_config=FC,
         )
         payload = json.loads(json.dumps(result.to_json(), sort_keys=True))
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["final_model_hash"] == result.final_model.params_hash()
         assert len(payload["per_iteration"]) == len(result.per_iteration)
 
@@ -184,7 +192,6 @@ class TestConfidenceFiltering:
         assert sum(added) == n_pool
         assert all(a == batch for a in added[:-1])
         assert added[-1] <= batch
-        assert result.to_json()["config"]["mode"] == "confidence_filtering"
         # The labeled set grows monotonically by exactly the added batch.
         sizes = [rec["train_size"] for rec in result.per_iteration]
         assert sizes[0] == len(split.train) + added[0]
