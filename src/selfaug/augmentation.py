@@ -23,9 +23,11 @@ from .corpus import Dataset, Example, LabelSpace, UnlabeledPool, ValidationError
 from .corpus import as_json, check_count, check_flag, check_number
 from .synth import NLI_TRANSFORMS, BlockSampler, Rng
 from .textmodel import (
+    CSRRows,
     FeatureConfig,
     ModelParams,
     TrainConfig,
+    _gather_rows,
     _metric_on_matrix,
     _stack_rows,
     featurize_matrix,
@@ -194,6 +196,40 @@ def generate_candidates(
     return out
 
 
+def _check_labels(classifier: ModelParams, labels: Sequence[str]) -> None:
+    for label in labels:
+        if label not in classifier.label_space.classes:
+            raise ValueError(f"{label!r} is not a class of the filter classifier")
+
+
+def _filter_groups(
+    classifier: ModelParams,
+    groups: Sequence[tuple[str, str, str, Sequence[str]]],
+    tau: float,
+    feature_config: FeatureConfig,
+) -> tuple[list[AugmentedExample], CSRRows]:
+    """The candidates of ``groups``, each ``(source, source_id, label,
+    candidates)``, that the classifier assigns their label with p > tau, and
+    their feature rows.
+
+    Every candidate is featurized into one matrix and predicted in one call;
+    both work row by row, so a row and its confidence do not depend on the
+    rows scored with it. The kept rows are gathered from that matrix in order.
+    """
+    offered = [(source, source_id, label, cand) for source, source_id, label, cands in groups for cand in cands]
+    x = featurize_matrix(
+        [Example(id=f"cand:{i}", segment_a=source, segment_b=cand) for i, (source, _, _, cand) in enumerate(offered)],
+        feature_config,
+    )
+    predicted, confidences = predict_labels(classifier, x)
+    keep, entries = [], []
+    for i, ((source, source_id, label, cand), lab, conf) in enumerate(zip(offered, predicted, confidences)):
+        if lab == label and conf > tau:
+            keep.append(i)
+            entries.append(AugmentedExample(source, cand, label, float(conf), source_id))
+    return entries, _gather_rows(x, np.array(keep, dtype=np.intp))
+
+
 def filter_candidates(
     classifier: ModelParams,
     source: str,
@@ -204,23 +240,8 @@ def filter_candidates(
     source_id: str = "",
 ) -> list[AugmentedExample]:
     """Keep candidates the classifier assigns the intended label with p > tau."""
-    if not candidates:
-        return []
-    if label not in classifier.label_space.classes:
-        raise ValueError(f"{label!r} is not a class of the filter classifier")
-    pairs = [
-        Example(id=f"cand:{i}", segment_a=source, segment_b=c)
-        for i, c in enumerate(candidates)
-    ]
-    labels, confidences = predict_labels(classifier, featurize_matrix(pairs, feature_config))
-    return [
-        AugmentedExample(
-            premise=source, hypothesis=cand, label=label,
-            filter_confidence=float(conf), source_id=source_id,
-        )
-        for cand, lab, conf in zip(candidates, labels, confidences)
-        if lab == label and conf > tau
-    ]
+    _check_labels(classifier, [label])
+    return _filter_groups(classifier, [(source, source_id, label, candidates)], tau, feature_config)[0]
 
 
 def _sentence_seed(seed: int, sentence_id: str) -> int:
@@ -236,30 +257,31 @@ def build_ta_examples(
     labels: Sequence[str],
     seed: int,
     feature_config: FeatureConfig,
-) -> list[AugmentedExample]:
-    """Generate-then-filter over every (pool sentence, label) combination.
+) -> tuple[list[AugmentedExample], CSRRows]:
+    """Generate-then-filter over every (pool sentence, label) combination, in
+    one pass: the kept examples, in (sentence, label, candidate) order, and
+    their feature rows.
 
     Per-sentence seeds are derived by stable hashing so the output is
     independent of iteration order. With ``tau=0.0`` every candidate the
     classifier labels as intended is kept, since its confidence is at least
     1/num_classes; a higher threshold keeps the subset with confidence > tau.
-    Every sentence is checked before the first is generated from.
+    Every sentence and label is checked before the first candidate is
+    generated. The result equals ``filter_candidates`` run per (sentence,
+    label), and the rows equal ``featurize_matrix`` of the kept pairs.
     """
     for ex in pool.examples:
         _check_sentence(generator, ex.segment_a)
-    out = []
-    for ex in pool.examples:
-        for label in labels:
-            candidates = generate_candidates(
-                generator, label, ex.segment_a, _sentence_seed(seed, f"{ex.id}:{label}")
-            )
-            out.extend(
-                filter_candidates(
-                    classifier, ex.segment_a, candidates, label, tau,
-                    feature_config=feature_config, source_id=ex.id,
-                )
-            )
-    return out
+    _check_labels(classifier, labels)
+    groups = [
+        (
+            ex.segment_a, ex.id, label,
+            generate_candidates(generator, label, ex.segment_a, _sentence_seed(seed, f"{ex.id}:{label}")),
+        )
+        for ex in pool.examples
+        for label in labels
+    ]
+    return _filter_groups(classifier, groups, tau, feature_config)
 
 
 def ta_examples_to_dataset(
@@ -312,11 +334,10 @@ def select_tau(
     dev = labeled_matrix(aux_dev, feature_config)
     if dev is None:
         raise ValidationError("tau selection needs a nonempty aux dev set")
-    scored = build_ta_examples(
+    # Each candidate and dev example is featurized once; a grid point trains on a row subset.
+    scored, x = build_ta_examples(
         pool, generator, classifier, 0.0, labels, seed, feature_config=feature_config
     )
-    # Each candidate and dev example is featurized once; a grid point trains on a row subset.
-    x = featurize_matrix(ta_examples_to_dataset(scored, labels).examples, feature_config)
     conf = np.array([e.filter_confidence for e in scored])
 
     best_tau = None
@@ -361,25 +382,25 @@ def swap_head(params: ModelParams, target_label_space: LabelSpace) -> ModelParam
 
 def intermediate_finetune(
     init: ModelParams,
-    synthetic: Optional[Dataset],
-    original_aux: Optional[Dataset],
+    synthetic: Optional[tuple[CSRRows, Sequence]],
+    original_aux: Optional[tuple[CSRRows, Sequence]],
     target_label_space: LabelSpace,
     ta_config: TAConfig,
     train_config: TrainConfig,
-    feature_config: FeatureConfig,
 ) -> ModelParams:
     """Train on auxiliary data, then swap the head for the target task.
 
-    Two-stage mode trains on the synthetic set first and continues on the
-    original auxiliary set; single-stage trains on their concatenation. The
-    original set is left out when ``include_original_aux`` is off, and no
-    data at all is an error. The result is the base model every
-    self-training student restarts from.
+    ``synthetic`` and ``original_aux`` are ``(features, labels)`` packs, as
+    ``labeled_matrix`` gives; a pack of no rows counts as absent. Two-stage
+    mode trains on the synthetic set first and continues on the original
+    auxiliary set; single-stage trains on their concatenation. The original
+    set is left out when ``include_original_aux`` is off, and no data at all
+    is an error. The result is the base model every self-training student
+    restarts from.
     """
     if not ta_config.include_original_aux:
         original_aux = None
-    packs = [labeled_matrix(d, feature_config) for d in (synthetic, original_aux)]
-    packs = [p for p in packs if p is not None]
+    packs = [p for p in (synthetic, original_aux) if p is not None and p[0].shape[0]]
     if not packs:
         raise ValidationError("intermediate_finetune needs synthetic or original aux data")
     if not ta_config.two_stage:  # one stage on the rows of both sets, in order

@@ -25,7 +25,6 @@ from .augmentation import (
     intermediate_finetune,
     select_tau,
     swap_head,
-    ta_examples_to_dataset,
 )
 from .corpus import (
     Dataset,
@@ -49,6 +48,7 @@ from .textmodel import (
     evaluate,
     fixed_steps,
     init_params,
+    labeled_matrix,
     train,
 )
 
@@ -255,18 +255,17 @@ def build_ta_base_model(
     if limit and len(pool) > limit:
         pool = UnlabeledPool(pool.source_name, pool.examples[:limit])
     labels = list(NLI_CLASSES)
-    entries = build_ta_examples(
+    entries, rows = build_ta_examples(
         pool, spec.generator, aux.classifier, aux.tau, labels, seed,
         feature_config=spec.feature_config,
     )
     f0 = intermediate_finetune(
         init_params(aux.aux_train.label_space, spec.feature_config),
-        ta_examples_to_dataset(entries, labels),
-        aux.aux_train,
+        (rows, [e.label for e in entries]),
+        labeled_matrix(aux.aux_train, spec.feature_config),
         target_space,
         spec.ta_config,
         replace(spec.train_config, seed=seed),
-        feature_config=spec.feature_config,
     )
     return entries, f0
 

@@ -186,18 +186,38 @@ def featurize(example: Example, config: FeatureConfig) -> dict[int, int]:
     return counts
 
 
+# 2**15 tokens of 20 characters hold about 10 MiB, keys included.
+@functools.lru_cache(maxsize=1 << 15)
+def _token_hashes(token: str) -> tuple[bytes, int, int]:
+    """The token's UTF-8 bytes, their crc32, and the crc32 of them followed by
+    ``"\\x1f"``. Keyed by the token alone, so every ``FeatureConfig`` shares it."""
+    data = token.encode("utf-8")
+    crc = zlib.crc32(data)
+    return data, crc, zlib.crc32(b"\x1f", crc)
+
+
 # 2**15 pairs eight times as long as pair-overlap-nli's hold about 62 MiB.
 @functools.lru_cache(maxsize=1 << 15)
 def _row_buckets(a: str, b: Optional[str], orders: tuple[int, ...], hash_dim: int) -> bytes:
     """The buckets of the row's n-grams, order by order, hashed as ``featurize``
-    hashes them and packed as C unsigned ints. Pure, so the cache is exact."""
+    hashes them and packed as C unsigned ints. Pure, so the cache is exact.
+
+    A k-gram's crc32 chains from its tokens' ``_token_hashes`` through
+    ``zlib.crc32(data, value)``, which equals the crc32 of the joined string.
+    """
     tokens = tokenize(a) if b is None else tokenize(a) + [SEP_TOKEN] + tokenize(b)
+    hashes = list(map(_token_hashes, tokens))
     mask = hash_dim - 1
-    grams = [
-        zlib.crc32("\x1f".join(tokens[i : i + k]).encode("utf-8")) & mask
-        for k in orders
-        for i in range(len(tokens) - k + 1)
-    ]
+    grams = []
+    for k in orders:
+        if k == 1:
+            grams += [crc & mask for _, crc, _ in hashes]
+            continue
+        # The running crc32 of each k-gram's first j tokens, each followed by "\x1f".
+        values = [sep for _, _, sep in hashes[: len(hashes) - k + 1]]
+        for j in range(1, k - 1):
+            values = [zlib.crc32(b"\x1f", zlib.crc32(data, v)) for v, (data, _, _) in zip(values, hashes[j:])]
+        grams += [zlib.crc32(data, v) & mask for v, (data, _, _) in zip(values, hashes[k - 1 :])]
     return array("I", grams).tobytes()
 
 
@@ -338,14 +358,6 @@ def init_params(label_space: LabelSpace, config: FeatureConfig) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prediction:
-    probabilities: Optional[np.ndarray] = None
-    argmax_label: Optional[str] = None
-    confidence: Optional[float] = None
-    value: Optional[float] = None
-
-
 def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Softmax over the last axis, into ``out`` (which may be ``logits``)."""
     peak = np.maximum.reduce(logits, axis=-1, keepdims=True)
@@ -391,19 +403,6 @@ def predict_labels(params: ModelParams, x: CSRRows) -> tuple[list, Optional[np.n
     idx = np.argmax(probs, axis=1)
     classes = params.label_space.classes
     return [classes[i] for i in idx], probs[np.arange(len(idx)), idx]
-
-
-def predict(params: ModelParams, example: Example, config: FeatureConfig) -> Prediction:
-    x = featurize_matrix([example], config)
-    if params.head == "classification":
-        probs = predict_proba_matrix(params, x)[0]
-        idx = int(np.argmax(probs))  # ties break toward the lowest class index
-        return Prediction(
-            probabilities=probs,
-            argmax_label=params.label_space.classes[idx],
-            confidence=float(probs[idx]),
-        )
-    return Prediction(value=float(predict_values_matrix(params, x)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from selfaug.textmodel import (
     fit,
     init_params,
     loss_and_grad,
-    predict,
+    predict_labels,
     train,
 )
 
@@ -209,9 +209,10 @@ def test_criterion_05_filtering_properties():
     # Kept examples re-verify against the classifier one by one.
     src, label, candidates = cases[0]
     for k in filter_candidates(clf, src, candidates, label, 0.4, FC):
-        pred = predict(clf, Example(id="v", segment_a=src, segment_b=k.hypothesis), FC)
-        assert pred.argmax_label == label
-        assert pred.confidence > 0.4
+        pair = Example(id="v", segment_a=src, segment_b=k.hypothesis)
+        (predicted,), confidences = predict_labels(clf, featurize_matrix([pair], FC))
+        assert predicted == label
+        assert confidences[0] > 0.4
 
     _elapsed_ok(start, 10)
 

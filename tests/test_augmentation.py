@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import selfaug.augmentation as augmentation
+import selfaug.textmodel as textmodel
 from selfaug.augmentation import (
     AugmentationError,
     GeneratorSpec,
@@ -29,8 +30,10 @@ from selfaug.synth import NLI_CLASSES, SynthSpec, synth_corpus
 from selfaug.textmodel import (
     FeatureConfig,
     TrainConfig,
+    featurize_matrix,
     init_params,
-    predict,
+    labeled_matrix,
+    predict_labels,
     train,
 )
 
@@ -230,14 +233,11 @@ class TestFilterCandidates:
         texts = {k.hypothesis for k in kept}
         assert texts <= set(candidates)
         for k in kept:
-            pred = predict(
-                nli_classifier,
-                Example(id="v", segment_a=k.premise, segment_b=k.hypothesis),
-                FC,
-            )
-            assert pred.argmax_label == "contradiction"
-            assert pred.confidence > 0.4
-            assert k.filter_confidence == pytest.approx(pred.confidence)
+            pair = Example(id="v", segment_a=k.premise, segment_b=k.hypothesis)
+            (label,), confidences = predict_labels(nli_classifier, featurize_matrix([pair], FC))
+            assert label == "contradiction"
+            assert confidences[0] > 0.4
+            assert k.filter_confidence == pytest.approx(confidences[0])
 
     def test_threshold_is_strict(self, nli_classifier):
         sent = "the movie was bad and the plot was stale"
@@ -271,7 +271,7 @@ class TestBuildTaDataset:
         gen = GeneratorSpec(samples_per_input=10)
 
         def build():
-            entries = build_ta_examples(pool, gen, nli_classifier, 0.4, list(NLI_CLASSES), 0, FC)
+            entries, _ = build_ta_examples(pool, gen, nli_classifier, 0.4, list(NLI_CLASSES), 0, FC)
             return ta_examples_to_dataset(entries, list(NLI_CLASSES))
 
         a, b = build(), build()
@@ -313,20 +313,31 @@ class TestSelectTau:
 
     @pytest.mark.parametrize("grid", [[0.5], [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]])
     def test_scores_each_candidate_once(self, nli_classifier, aux_dev, monkeypatch, grid):
-        calls = []
-        real = augmentation.filter_candidates
+        """The candidates are featurized and predicted once, whatever the grid length."""
+        generated, featurized, predicted = [], [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def record(module, name, log, entry):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(augmentation, "filter_candidates", counting)
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                log.append(entry(args, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(augmentation, "generate_candidates", generated, lambda args, result: len(result))
+        for module in (augmentation, textmodel):  # the pool pass, and the dev set through labeled_matrix
+            record(module, "featurize_matrix", featurized, lambda args, result: result.shape[0])
+        # The filter classifier's own predictions; fine-tuned copies score the dev set.
+        record(textmodel, "predict_proba_matrix", predicted, lambda args, result: (args[0] is nli_classifier, len(result)))
         select_tau(
             nli_classifier, GeneratorSpec(samples_per_input=4), aux_dev, grid, 10, 0,
             feature_config=FC,
         )
-        # One call per (source, label), whatever the grid length.
-        assert len(calls) == len(aux_dev) * len(NLI_CLASSES)
+        assert len(generated) == len(aux_dev) * len(NLI_CLASSES)
+        assert sum(featurized) == sum(generated) + len(aux_dev)
+        assert [rows for own, rows in predicted if own] == [sum(generated)]
 
     def test_empty_grid_rejected(self, nli_classifier, aux_dev):
         with pytest.raises(ValidationError):
@@ -344,6 +355,68 @@ class TestSelectTau:
                 0,
                 feature_config=FC,
             )
+
+
+def _pool_pass_by_group(pool, generator, classifier, tau, labels, seed):
+    """The pool pass as ``generate_candidates`` and ``filter_candidates`` per
+    (sentence, label), then ``featurize_matrix`` of the kept pairs."""
+    entries = []
+    for ex in pool.examples:
+        for label in labels:
+            candidates = generate_candidates(
+                generator, label, ex.segment_a, augmentation._sentence_seed(seed, f"{ex.id}:{label}")
+            )
+            entries += filter_candidates(classifier, ex.segment_a, candidates, label, tau, FC, source_id=ex.id)
+    return entries, featurize_matrix(ta_examples_to_dataset(entries, labels).examples, FC)
+
+
+class TestPoolPass:
+    """``build_ta_examples`` scores the pool in one pass; entry for entry and
+    byte for byte it is the per-(sentence, label) filter."""
+
+    GEN = GeneratorSpec(samples_per_input=3, flip_rate=0.5)
+
+    @pytest.fixture(scope="class")
+    def pool(self, aux_dev):
+        return UnlabeledPool(
+            "p", tuple(Example(id=f"p:{i}", segment_a=ex.segment_a) for i, ex in enumerate(aux_dev.examples[:8]))
+        )
+
+    def _check(self, pool, classifier, tau):
+        labels = list(NLI_CLASSES)
+        entries, rows = build_ta_examples(pool, self.GEN, classifier, tau, labels, 5, FC)
+        ref_entries, ref_rows = _pool_pass_by_group(pool, self.GEN, classifier, tau, labels, 5)
+        assert entries == ref_entries
+        assert rows.shape == ref_rows.shape
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(rows, name), getattr(ref_rows, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        return entries
+
+    def test_matches_the_per_group_filter(self, pool, nli_classifier):
+        entries = self._check(pool, nli_classifier, 0.5)
+        kept_groups = {(e.source_id, e.label) for e in entries}
+        offered_groups = {
+            (ex.id, label)
+            for ex in pool.examples
+            for label in NLI_CLASSES
+            if generate_candidates(self.GEN, label, ex.segment_a, augmentation._sentence_seed(5, f"{ex.id}:{label}"))
+        }
+        # The case holds kept rows and a group whose candidates are all rejected.
+        assert entries and offered_groups - kept_groups
+
+    def test_empty_pool(self, nli_classifier):
+        assert self._check(UnlabeledPool("empty"), nli_classifier, 0.5) == []
+
+    def test_tau_above_every_confidence(self, pool, nli_classifier):
+        top = max(e.filter_confidence for e in self._check(pool, nli_classifier, 0.0))
+        assert self._check(pool, nli_classifier, float(np.nextafter(top, 1.0))) == []
+
+    def test_unknown_label_fails_before_any_generator_call(self, monkeypatch, pool, nli_classifier):
+        monkeypatch.setattr(augmentation.subprocess, "Popen", lambda *a, **k: pytest.fail("a process started"))
+        spec = GeneratorSpec(kind="external", command="generator")
+        with pytest.raises(ValueError, match="'paraphrase' is not a class"):
+            build_ta_examples(pool, spec, nli_classifier, 0.5, ["entailment", "paraphrase"], 0, FC)
 
 
 class TestSwapHead:
@@ -372,9 +445,7 @@ class TestIntermediateFinetune:
         aux = synth_corpus(SynthSpec("pair-overlap-nli"), 60, 2)
         init = init_params(aux.label_space, FC)
         tc = TrainConfig(seed=0, max_steps=60)
-        model = intermediate_finetune(
-            init, aux, None, binary_space, TAConfig(), tc, feature_config=FC
-        )
+        model = intermediate_finetune(init, labeled_matrix(aux, FC), None, binary_space, TAConfig(), tc)
         assert model.label_space == binary_space
 
     def test_two_stage_vs_merged_differ(self):
@@ -384,25 +455,18 @@ class TestIntermediateFinetune:
         tc = TrainConfig(seed=0, max_steps=60)
         # Overlapping class names so the swapped head preserves learned rows.
         target = LabelSpace.categorical(NLI_CLASSES)
-        staged = intermediate_finetune(
-            init, synth, orig, target, TAConfig(two_stage=True), tc, feature_config=FC
-        )
-        merged = intermediate_finetune(
-            init, synth, orig, target, TAConfig(two_stage=False), tc, feature_config=FC
-        )
+        packs = labeled_matrix(synth, FC), labeled_matrix(orig, FC)
+        staged = intermediate_finetune(init, *packs, target, TAConfig(two_stage=True), tc)
+        merged = intermediate_finetune(init, *packs, target, TAConfig(two_stage=False), tc)
         assert staged.to_bytes() != merged.to_bytes()
 
     def test_no_data_rejected(self, binary_space):
         space = LabelSpace.categorical(NLI_CLASSES)
         init = init_params(space, FC)
         with pytest.raises(ValidationError):
-            intermediate_finetune(
-                init, None, None, binary_space, TAConfig(), TrainConfig(), feature_config=FC
-            )
+            intermediate_finetune(init, None, None, binary_space, TAConfig(), TrainConfig())
         # An excluded original set does not stand in for missing synthetic data.
         orig = synth_corpus(SynthSpec("pair-overlap-nli"), 20, 4)
         without_orig = TAConfig(include_original_aux=False)
         with pytest.raises(ValidationError):
-            intermediate_finetune(
-                init, None, orig, binary_space, without_orig, TrainConfig(), feature_config=FC
-            )
+            intermediate_finetune(init, None, labeled_matrix(orig, FC), binary_space, without_orig, TrainConfig())

@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 import selfaug.harness as harness
-from selfaug.augmentation import TAConfig, swap_head
-from selfaug.corpus import LabelSpace, ValidationError, strip_labels
+from selfaug.augmentation import TAConfig, intermediate_finetune, swap_head, ta_examples_to_dataset
+from selfaug.corpus import LabelSpace, UnlabeledPool, ValidationError, strip_labels
 from selfaug.harness import (
     ARM_NAMES,
     ExperimentSpec,
@@ -24,8 +24,8 @@ from selfaug.harness import (
     run_per_k,
 )
 from selfaug.selftrain import SelfTrainConfig
-from selfaug.synth import SynthSpec
-from selfaug.textmodel import FeatureConfig, TrainConfig, init_params
+from selfaug.synth import NLI_CLASSES, SynthSpec
+from selfaug.textmodel import FeatureConfig, TrainConfig, init_params, labeled_matrix
 
 FAST = dict(
     task=SynthSpec("keyword-sentiment"),
@@ -375,6 +375,27 @@ class TestStartModels:
             alone = run_experiment(replace(spec, arms=(arm,)))
             assert alone.scores[arm] == together.scores[arm]
             assert alone.series[arm] == together.series[arm]
+
+    @pytest.mark.parametrize("case", ["the aux tau", "tau above every confidence", "empty pool"])
+    def test_ta_base_model_matches_finetuning_on_the_entries_dataset(self, aux, case):
+        """``f0`` trains on the pool pass's rows as on ``ta_examples_to_dataset`` of its entries."""
+        spec = ExperimentSpec(arms=("ta",), **TA_FAST)
+        corpus = base_corpus(spec)
+        pool = UnlabeledPool("empty") if case == "empty pool" else strip_labels(corpus)
+        if case == "tau above every confidence":
+            aux = replace(aux, tau=1.0)
+        entries, f0 = build_ta_base_model(spec, aux, pool, corpus.label_space, 3)
+        assert bool(entries) == (case == "the aux tau")
+        fc = spec.feature_config
+        ref = intermediate_finetune(
+            init_params(aux.aux_train.label_space, fc),
+            labeled_matrix(ta_examples_to_dataset(entries, list(NLI_CLASSES)), fc),
+            labeled_matrix(aux.aux_train, fc),
+            corpus.label_space,
+            spec.ta_config,
+            replace(spec.train_config, seed=3),
+        )
+        assert f0.to_bytes() == ref.to_bytes()
 
     def test_failed_ta_build_fails_only_the_ta_arms(self, monkeypatch):
         calls = []

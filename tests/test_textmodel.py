@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from selfaug.textmodel import (
     _metric_on_matrix,
     _row_buckets,
     _softmax,
+    _token_hashes,
     _stack_rows,
     average_checkpoints,
     evaluate,
@@ -29,7 +31,6 @@ from selfaug.textmodel import (
     fit,
     init_params,
     loss_and_grad,
-    predict,
     predict_labels,
     predict_proba_matrix,
     predict_values_matrix,
@@ -111,6 +112,7 @@ class TestFeaturize:
         config = FeatureConfig(ngram_orders=frozenset(orders), hash_dim=2 ** bits)
         other = FeatureConfig(ngram_orders=frozenset(other_orders), hash_dim=2 ** other_bits)
         _row_buckets.cache_clear()
+        _token_hashes.cache_clear()
         for fc in (config, other, config, other):
             got = featurize_matrix(examples, fc)
             _assert_same_csr(got, _reference_featurize_matrix(examples, fc), _rule_dtype(got))
@@ -125,6 +127,30 @@ class TestFeaturize:
         featurize_matrix([row], other)
         assert _row_buckets.cache_info().currsize == 2
         assert _row_buckets.cache_info().maxsize == 1 << 15
+
+    def test_token_memo_is_bounded_and_keyed_by_the_token_alone(self):
+        """One entry per distinct token, a function of the token alone, shared by
+        configs of different orders and widths that each still match the reference."""
+        assert _token_hashes.cache_info().maxsize == 1 << 15
+        rows = [
+            Example(id="k:0", segment_a="alpha beta alpha", segment_b="beta gamma"),
+            Example(id="k:1", segment_a="gamma"),
+        ]
+        configs = [
+            FeatureConfig(ngram_orders=frozenset({1, 2}), hash_dim=2 ** 4),
+            FeatureConfig(ngram_orders=frozenset({1, 3, 4}), hash_dim=2 ** 20),
+        ]
+        tokens = ["alpha", "beta", textmodel.SEP_TOKEN, "gamma"]
+        _row_buckets.cache_clear()
+        _token_hashes.cache_clear()
+        for fc in configs + configs:
+            got = featurize_matrix(rows, fc)
+            _assert_same_csr(got, _reference_featurize_matrix(rows, fc), _rule_dtype(got))
+            assert _token_hashes.cache_info().currsize == len(tokens)
+        for token in tokens:
+            data = token.encode("utf-8")
+            assert _token_hashes(token) == (data, zlib.crc32(data), zlib.crc32(data + b"\x1f"))
+        assert _token_hashes.cache_info().currsize == len(tokens)
 
 
 def _rule_dtype(m):
@@ -342,16 +368,15 @@ class TestSnapshotValidation:
 class TestPredict:
     def test_argmax_tie_breaks_low_index(self, small_fc, binary_space):
         params = init_params(binary_space, small_fc)  # all-zero: exact tie
-        pred = predict(params, Example(id="t", segment_a="anything"), small_fc)
-        assert pred.argmax_label == binary_space.classes[0]
-        assert pred.confidence == pytest.approx(0.5)
+        labels, confidences = predict_labels(params, featurize_matrix([Example(id="t", segment_a="anything")], small_fc))
+        assert labels == [binary_space.classes[0]]
+        assert confidences[0] == pytest.approx(0.5)
 
     def test_regression_clamped(self, small_fc):
         space = LabelSpace.continuous(0.0, 1.0)
         params = init_params(space, small_fc)
         params.bias[0] = 10.0
-        pred = predict(params, Example(id="t", segment_a="x"), small_fc)
-        assert pred.value == 1.0
+        assert predict_values_matrix(params, featurize_matrix([Example(id="t", segment_a="x")], small_fc))[0] == 1.0
 
 
 PREDICT_EXAMPLES = [
@@ -361,18 +386,18 @@ PREDICT_EXAMPLES = [
 
 
 class TestPredictLabels:
-    """``predict_labels`` agrees row by row with the single-example ``predict``."""
+    """``predict_labels`` on many rows agrees bit for bit with it on each row alone."""
 
     @staticmethod
-    def _check_against_predict(params, fc):
+    def _check_row_by_row(params, fc):
         labels, confidences = predict_labels(params, featurize_matrix(PREDICT_EXAMPLES, fc))
-        preds = [predict(params, ex, fc) for ex in PREDICT_EXAMPLES]
-        assert labels == [p.argmax_label for p in preds]
-        assert confidences.tolist() == [p.confidence for p in preds]
+        alone = [predict_labels(params, featurize_matrix([ex], fc)) for ex in PREDICT_EXAMPLES]
+        assert labels == [label for (label,), _ in alone]
+        assert confidences.tolist() == [float(conf[0]) for _, conf in alone]
         return labels, confidences
 
     def test_all_zero_model_ties_go_to_the_lowest_index(self, small_fc, binary_space):
-        labels, confidences = self._check_against_predict(init_params(binary_space, small_fc), small_fc)
+        labels, confidences = self._check_row_by_row(init_params(binary_space, small_fc), small_fc)
         assert labels == ["pos"] * len(PREDICT_EXAMPLES)
         assert confidences.tolist() == [0.5] * len(PREDICT_EXAMPLES)
 
@@ -387,7 +412,7 @@ class TestPredictLabels:
             TrainConfig(seed=0, max_steps=40, eval_every=40, average_last=1, stopping="fixed_steps"),
             feature_config=small_fc,
         )
-        labels, _ = self._check_against_predict(model, small_fc)
+        labels, _ = self._check_row_by_row(model, small_fc)
         assert set(labels) == {"pos", "neg", "neutral"}
 
     def test_regression_values_clamped_without_confidences(self, small_fc):
@@ -395,7 +420,8 @@ class TestPredictLabels:
         params.bias[0] = 10.0
         values, confidences = predict_labels(params, featurize_matrix(PREDICT_EXAMPLES, small_fc))
         assert confidences is None
-        assert values == [predict(params, ex, small_fc).value for ex in PREDICT_EXAMPLES]
+        alone = [predict_values_matrix(params, featurize_matrix([ex], small_fc))[0] for ex in PREDICT_EXAMPLES]
+        assert values == [float(v) for v in alone]
         assert values == [1.0] * len(PREDICT_EXAMPLES)
 
     def test_empty_matrix(self, small_fc, binary_space):
